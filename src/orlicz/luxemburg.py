@@ -15,12 +15,19 @@ The solver seeds its bracket from two indicator closed forms:
 
 Overflowing modular evaluations count as ``+inf``, which is the correct side
 for bracketing (a huge modular just means ``lam`` is too small).
+
+A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
+in one numpy pass, ``masses @ psi(values / lam)``; a smaller one keeps the
+Python loop over its atoms, because numpy's fixed per-call cost outweighs the
+loop below a few dozen atoms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .measure import SimpleFunction, distribution
 from .young import BracketError, DomainError, YoungFunction
@@ -33,6 +40,10 @@ __all__ = [
     "modular",
 ]
 
+# Measured crossover of numpy's per-call cost against the scalar loop: 12-32
+# atoms depending on the family.
+_ARRAY_MIN_ATOMS = 32
+
 
 @dataclass(frozen=True)
 class NormResult:
@@ -43,16 +54,26 @@ class NormResult:
 
 
 def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
-    """Exact modular ``sum_i m_i * psi(a_i / lam)`` for ``lam > 0``."""
+    """Exact modular ``sum_i m_i * psi(a_i / lam)`` for ``lam > 0``.
+
+    A NaN sum (possible only for a user-built ``psi``) raises
+    :class:`ArithmeticError` rather than being returned as a number.
+    """
     lam = float(lam)
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
         raise DomainError(f"lambda must be positive and finite, got {lam!r}")
-    total = 0.0
-    for value, mass in f.atoms:
-        term = mass * psi(value / lam)
-        if math.isinf(term):
-            return math.inf
-        total += term
+    if len(f.atoms) >= _ARRAY_MIN_ATOMS:
+        with np.errstate(over="ignore", under="ignore"):
+            total = float(f.masses @ psi.evaluate(f.values / lam))
+    else:
+        total = 0.0
+        for value, mass in f.atoms:
+            term = mass * psi(value / lam)
+            if math.isinf(term):
+                return math.inf
+            total += term
+    if math.isnan(total):
+        raise ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
     return total
 
 

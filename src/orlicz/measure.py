@@ -8,7 +8,8 @@ measure ``mass`` and 0 on the rest of the space.  Values are magnitudes
 Atoms are canonicalized at construction: equal values merge by summing their
 masses, atoms are sorted by decreasing value, and zero-value atoms are dropped
 (their mass belongs to the complement, which the distribution handles through
-``total_mass``).
+``total_mass``).  The atoms are also available as two read-only float64
+arrays, ``values`` and ``masses``, built on first use.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "DistributionSet",
@@ -74,7 +78,11 @@ class SimpleFunction:
             if math.isnan(m) or math.isinf(m) or m <= 0.0:
                 raise MeasureModelError(f"atom mass must be finite and > 0, got {mass!r}")
             merged[v] = merged.get(v, 0.0) + m
+        # fsum raises OverflowError when finite masses sum beyond the double
+        # range; a merged mass that already overflowed gets the same error.
         support = math.fsum(merged.values())
+        if math.isinf(support):
+            raise OverflowError("atom masses at one value sum beyond the double range")
         if self.space.finite and support > self.space.total_mass * (1.0 + 1e-12):
             raise MeasureModelError(
                 f"atom masses sum to {support!r} > total_mass {self.space.total_mass!r}")
@@ -86,6 +94,22 @@ class SimpleFunction:
     def support_mass(self) -> float:
         """Total mass where the function is nonzero."""
         return math.fsum(m for _, m in self.atoms)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Atom values in canonical (decreasing) order, read-only."""
+        return _read_only([v for v, _ in self.atoms])
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """Atom masses aligned with :attr:`values`, read-only."""
+        return _read_only([m for _, m in self.atoms])
+
+
+def _read_only(xs: list[float]) -> np.ndarray:
+    a = np.array(xs, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

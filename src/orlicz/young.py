@@ -8,9 +8,14 @@ produces one member per sweep parameter ``q``.
 
 Conventions
 -----------
-* Evaluation is scalar ``float -> float``.  Arithmetic overflow while
-  evaluating is mapped to ``math.inf`` — a larger-than-representable value is
-  still a valid upper bound for every bracketing use in this package.
+* Evaluation is ``float -> float`` through ``psi(t)``, and element-wise over a
+  float64 array through ``psi.evaluate(ts)``.  Both map arithmetic overflow
+  to ``inf`` — a larger-than-representable value is still a valid upper bound
+  for every bracketing use in this package — and both reject a negative or
+  non-finite ``t``.  Each catalog formula is written once, generic over the
+  log function: ``math.log`` for a float, ``np.log`` for an array.  The norm
+  solver takes the array path for simple functions with many atoms (see
+  :mod:`orlicz.luxemburg`).
 * Inverses are computed by exponential bracket growth from ``[0, 1]`` followed
   by plain bisection.  Monotonicity is the only structural assumption, so the
   same code serves every catalog member.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -81,13 +87,16 @@ class YoungFunction:
     """A single Young (or pseudo-Young) function.
 
     ``fn`` is evaluated only for ``t > 0``; ``t = 0`` short-circuits to ``0.0``
-    so the zero axiom holds exactly regardless of the formula.
+    so the zero axiom holds exactly regardless of the formula.  ``array_fn``
+    is the same formula over a float64 array; without it :meth:`evaluate`
+    falls back to one ``__call__`` per element.
     """
 
     fn: Callable[[float], float]
     label: str
     params: dict = field(default_factory=dict)
     strict: bool = True
+    array_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -99,6 +108,26 @@ class YoungFunction:
             return float(self.fn(t))
         except OverflowError:
             return math.inf
+
+    def evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """``psi`` element by element over a float64 array.
+
+        Same semantics as ``__call__``: a negative or non-finite entry raises
+        :class:`DomainError`, ``psi(0) = 0`` exactly, and overflow gives
+        ``inf``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if not ts.size:
+            return np.zeros_like(ts)
+        lo, hi = ts.min(), ts.max()
+        if not (lo >= 0.0 and hi < math.inf):
+            raise DomainError(
+                f"{self.label}: t must be finite and >= 0, got values in [{lo!r}, {hi!r}]")
+        if self.array_fn is None:
+            return np.vectorize(self, otypes=[float])(ts)
+        with np.errstate(over="ignore", under="ignore"):
+            out = self.array_fn(ts)
+        return np.where(ts == 0.0, 0.0, out) if lo == 0.0 else out
 
     def inverse(self, y: float, rtol: float = 1e-12, max_iter: int = 200) -> float:
         """Solve ``psi(t) = y`` for ``t >= 0`` by bracketing and bisection.
@@ -267,9 +296,9 @@ class YoungFamily:
         return max(self.q_min, 1.0)
 
 
-def _iter_log(x: float, n: int) -> float:
+def _iter_log(x: float, n: int, log: Callable = math.log) -> float:
     for _ in range(n):
-        x = math.log(x)
+        x = log(x)
     return x
 
 
@@ -311,7 +340,7 @@ def power_family() -> YoungFamily:
     def make(q: float) -> YoungFunction:
         def fn(t: float, q: float = q) -> float:
             return t ** q
-        return YoungFunction(fn, f"power[q={q:g}]", {"q": q})
+        return YoungFunction(fn, f"power[q={q:g}]", {"q": q}, array_fn=fn)
     return YoungFamily("power", make, {}, q_min=1.0)
 
 
@@ -325,9 +354,10 @@ def logbump_family(p: float = 1.0) -> YoungFamily:
         raise FamilySpecError(f"logbump requires p >= 1, got {p!r}")
 
     def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q) -> float:
-            return t ** p * math.log(E_MINUS_1 + t) ** q
-        return YoungFunction(fn, f"logbump[p={p:g},q={q:g}]", {"p": p, "q": q})
+        def fn(t: float, p: float = p, q: float = q, log: Callable = math.log) -> float:
+            return t ** p * log(E_MINUS_1 + t) ** q
+        return YoungFunction(fn, f"logbump[p={p:g},q={q:g}]", {"p": p, "q": q},
+                             array_fn=partial(fn, log=np.log))
     return YoungFamily("logbump", make, {"p": p}, q_min=0.0)
 
 
@@ -349,10 +379,12 @@ def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     c = _anchor_constant(N)
 
     def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, c: float = c, N: int = N) -> float:
-            return t ** p * _iter_log(c + t, N) ** q
+        def fn(t: float, p: float = p, q: float = q, c: float = c, N: int = N,
+               log: Callable = math.log) -> float:
+            return t ** p * _iter_log(c + t, N, log) ** q
         return YoungFunction(
-            fn, f"iterlog[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "c": c})
+            fn, f"iterlog[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "c": c},
+            array_fn=partial(fn, log=np.log))
     return YoungFamily("iterlog", make, {"N": N, "p": p, "c": c}, q_min=0.0)
 
 
@@ -375,13 +407,15 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     cs = tuple(_anchor_constant(j) for j in range(1, N + 1))
 
     def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, cs: tuple = cs, N: int = N) -> float:
+        def fn(t: float, p: float = p, q: float = q, cs: tuple = cs, N: int = N,
+               log: Callable = math.log) -> float:
             base = t
             for j, c in enumerate(cs, start=1):
-                base *= _iter_log(c + t, j)
-            return base ** p * _iter_log(cs[-1] + t, N) ** q
+                base = base * _iter_log(c + t, j, log)  # not *=: t may be an array
+            return base ** p * _iter_log(cs[-1] + t, N, log) ** q
         return YoungFunction(
-            fn, f"addie[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "anchors": cs})
+            fn, f"addie[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "anchors": cs},
+            array_fn=partial(fn, log=np.log))
     return YoungFamily("addie", make, {"N": N, "p": p, "anchors": cs}, q_min=0.0)
 
 
@@ -402,8 +436,14 @@ def sinpiecewise_family() -> YoungFamily:
             if t < 1.0:
                 return 0.5 * (t ** q + (2.0 * t - 1.0) ** s)
             return 0.5 * (t ** q + (2.0 * t - 1.0) ** 3)
+
+        def array_fn(t: np.ndarray, q: float = q, s: float = s) -> np.ndarray:
+            # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
+            bump = np.maximum(2.0 * t - 1.0, 0.0)
+            return 0.5 * (t ** q + bump ** np.where(t < 1.0, s, 3.0))
         return YoungFunction(
-            fn, f"sinpiecewise[q={q:g}]", {"q": q, "bump_exponent": s})
+            fn, f"sinpiecewise[q={q:g}]", {"q": q, "bump_exponent": s},
+            array_fn=array_fn)
     return YoungFamily("sinpiecewise", make, {}, q_min=1.0)
 
 
@@ -416,9 +456,10 @@ def powerlog_e_family(p: float = 1.0) -> YoungFamily:
         raise FamilySpecError(f"powerlog_e requires p >= 1, got {p!r}")
 
     def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q) -> float:
-            return t ** p * math.log(math.e + t) ** q
-        return YoungFunction(fn, f"powerlog_e[p={p:g},q={q:g}]", {"p": p, "q": q})
+        def fn(t: float, p: float = p, q: float = q, log: Callable = math.log) -> float:
+            return t ** p * log(math.e + t) ** q
+        return YoungFunction(fn, f"powerlog_e[p={p:g},q={q:g}]", {"p": p, "q": q},
+                             array_fn=partial(fn, log=np.log))
     return YoungFamily("powerlog_e", make, {"p": p}, q_min=0.0)
 
 
@@ -429,7 +470,9 @@ def identity_family() -> YoungFamily:
     :func:`validate` because its growth is exactly linear.
     """
     def make(q: float) -> YoungFunction:
-        return YoungFunction(lambda t: t, "identity", {}, strict=False)
+        def fn(t: float) -> float:
+            return t
+        return YoungFunction(fn, "identity", {}, strict=False, array_fn=fn)
     return YoungFamily("identity", make, {}, q_min=0.0)
 
 

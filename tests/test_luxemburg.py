@@ -1,14 +1,17 @@
 """Norm solver: closed-form oracles, modular laws, inequality invariants."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orlicz.luxemburg as luxemburg
 from orlicz import (
     DomainError,
     MeasureSpace,
     SimpleFunction,
+    YoungFunction,
     chebyshev_bound,
     indicator_norm,
     luxemburg_norm,
@@ -172,3 +175,48 @@ def test_chebyshev_dominated_by_norm(atoms, alpha):
     f = SimpleFunction(tuple(atoms), INF)
     bound = chebyshev_bound(psi, f, alpha)
     assert bound <= luxemburg_norm(psi, f).norm * (1.0 + 1e-10)
+
+
+def lognormal_function(n, seed):
+    rng = random.Random(seed)
+    return SimpleFunction(tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
+                                for _ in range(n)), INF)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0, 64.0])
+def test_array_path_power_closed_form(q):
+    f = lognormal_function(1000, 7)
+    want = math.fsum(m * a ** q for a, m in f.atoms) ** (1.0 / q)
+    assert luxemburg_norm(power_family().make(q), f).norm == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [31, 32])
+@pytest.mark.parametrize("spec,q", [("power", 4.0), ("logbump:p=2", 64.0),
+                                    ("addie:N=2", 16.0), ("sinpiecewise", 33.0)])
+def test_paths_agree_at_cutoff(monkeypatch, spec, q, n):
+    """The scalar loop and the array pass agree on both sides of the cut-off."""
+    psi = make_family(spec).make(q)
+    f = lognormal_function(n, n)
+    array_passes = []
+    evaluate = YoungFunction.evaluate
+
+    def spy(self, ts):
+        array_passes.append(len(ts))
+        return evaluate(self, ts)
+    monkeypatch.setattr(YoungFunction, "evaluate", spy)
+
+    default = (modular(psi, f, 2.0), luxemburg_norm(psi, f).norm)
+    assert bool(array_passes) == (n == 32)
+    array_passes.clear()
+    monkeypatch.setattr(luxemburg, "_ARRAY_MIN_ATOMS", 1 if n == 31 else n + 1)
+    other = (modular(psi, f, 2.0), luxemburg_norm(psi, f).norm)
+    assert bool(array_passes) == (n == 31)
+    for a, b in zip(default, other):
+        assert a == pytest.approx(b, rel=n * 2.0 ** -52, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 32])
+def test_nan_modular_raises(n):
+    psi = YoungFunction(lambda t: math.nan, "nan", {})
+    with pytest.raises(ArithmeticError):
+        modular(psi, lognormal_function(n, 0), 1.0)

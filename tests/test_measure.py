@@ -76,6 +76,19 @@ def test_invalid_atoms_rejected():
             SimpleFunction(tuple(atoms), INF)
 
 
+def test_merged_mass_overflow_rejected():
+    # Two finite masses at one value merge into a mass beyond the double range.
+    with pytest.raises(OverflowError):
+        SimpleFunction(((1.0, 1e308), (1.0, 1e308)), INF)
+
+
+def test_atom_arrays_follow_canonical_order():
+    f = SimpleFunction(((1.0, 2.0), (5.0, 3.0), (1.0, 0.5)), INF)
+    assert f.values.tolist() == [5.0, 1.0]
+    assert f.masses.tolist() == [3.0, 2.5]
+    assert not f.values.flags.writeable and not f.masses.flags.writeable
+
+
 def test_distribution_examples():
     f = SimpleFunction(((3.0, 1.0), (1.0, 2.0)), INF)
     assert distribution(f, 2.0).mass == 1.0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,8 @@ from orlicz import (
 )
 from orlicz.young import E_MINUS_1, _anchor_constant
 
+from conftest import CATALOG_SPECS
+
 E_E_MINUS_1 = 14.154262241479262  # exp(e) - 1, the two-fold iterated-log anchor
 
 
@@ -38,7 +41,10 @@ def test_sinpiecewise_low_branch():
 
 
 def test_zero_maps_to_zero(catalog_family):
-    assert catalog_family.make(2.0)(0.0) == 0.0
+    psi = catalog_family.make(2.0)
+    assert psi(0.0) == 0.0
+    assert psi.evaluate(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert psi.evaluate(np.array([])).size == 0
 
 
 def test_negative_and_nonfinite_rejected():
@@ -46,6 +52,37 @@ def test_negative_and_nonfinite_rejected():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             psi(bad)
+
+
+# Subnormal, tiny, around 1/2 and 1, and large enough to overflow any member.
+PARITY_GRID = (0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-200, 1e-20, 0.25,
+               0.5, math.nextafter(0.5, 1.0), 0.75, math.nextafter(1.0, 0.0), 1.0,
+               math.nextafter(1.0, 2.0), 1.5, 2.0, 10.0, 1e3, 1e20, 1e100, 1e300,
+               1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("q", [1.0, 4.0, 64.0, 4096.0])
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
+def test_array_evaluation_matches_scalar(spec, q):
+    psi = make_family(spec).make(q)
+    got = psi.evaluate(np.array(PARITY_GRID))
+    # One rounding in log or pow is amplified by the exponent it is raised to.
+    rel = 8.0 * (psi.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
+    for t, a in zip(PARITY_GRID, got.tolist()):
+        s = psi(t)
+        if math.isinf(s):
+            assert a == math.inf, (t, s, a)
+        else:
+            assert abs(a - s) <= rel * s, (t, s, a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_array_evaluation_rejects_bad_t(catalog_family, bad):
+    psi = catalog_family.make(2.0)
+    with pytest.raises(DomainError):
+        psi(bad)
+    with pytest.raises(DomainError):
+        psi.evaluate(np.array([1.0, bad, 2.0]))
 
 
 def test_overflow_saturates_to_inf():
@@ -128,6 +165,13 @@ def test_validate_flags_nonzero_origin():
     shifted = YoungFunction(lambda t: t + 1.0, "shifted", {})
     report = validate(shifted)
     assert any(v.axiom == "zero" for v in report.violations)
+
+
+def test_array_evaluation_pins_zero():
+    def shifted(t):
+        return t + 1.0
+    psi = YoungFunction(shifted, "shifted", {}, array_fn=shifted)
+    assert psi.evaluate(np.array([0.0, 1.0])).tolist() == [psi(0.0), psi(1.0)] == [0.0, 2.0]
 
 
 def test_identity_family_not_strict():
