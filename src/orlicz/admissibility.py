@@ -16,6 +16,11 @@ Three layers:
 * growth-ratio monotonicity and the log-bump transfer function with its
   exponential comparison map.
 
+Each verdict reads its samples from grids: one ``family.inverse_grid`` and
+one ``family.evaluate_grid`` per :func:`classify` call, over the union of
+every q a probe may request (the refinement and retry schedules included),
+and one ``inverse_grid`` over ``(u, q)`` per growth scan.
+
 Everything is deterministic and pure; reports are frozen dataclasses.
 """
 
@@ -175,8 +180,8 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float],
     limit after two Richardson stages, or — for monotone tails only — three;
     alternating oscillation; otherwise undetermined.
     """
-    qs = tuple(float(q) for q in qs)
-    vs = tuple(float(v) for v in vs)
+    qs = tuple(map(float, qs))
+    vs = tuple(map(float, vs))
     evidence = tuple(zip(qs, vs))
     n = min(config.tail_len, len(vs))
     tail = vs[-n:]
@@ -190,8 +195,11 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float],
             return LimitEstimate("zero", None, 0.0, 0.0, evidence)
         return LimitEstimate("finite", flat, flat, flat, evidence)
 
-    r1 = _richardson_stage(qs, vs, 1)
-    r2 = _richardson_stage(qs[1:], r1, 2)
+    # Only the last n entries of each stage are read, and stage m needs m
+    # more nodes than that: accelerate the window of the last n + 3 only.
+    window = qs[-(n + 3):]
+    r1 = _richardson_stage(window, vs[-(n + 3):], 1)
+    r2 = _richardson_stage(window[1:], r1, 2)
     r1_tail = r1[-n:]
     r1_ok = all(math.isfinite(r) for r in r1_tail) and len(r1_tail) >= 2
 
@@ -211,7 +219,7 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float],
         # coefficients (C/q with C in the hundreds) leave a C'/q^3 residue a
         # third stage removes.  Gating on monotonicity keeps oscillating
         # sequences out, since acceleration only inflates their swings.
-        r3 = _richardson_stage(qs[2:], r2, 3)
+        r3 = _richardson_stage(window[2:], r2, 3)
         value = _stable_tail(r3, n, config.osc_tol)
     if value is not None:
         return LimitEstimate("finite", value, value, value, evidence)
@@ -237,7 +245,8 @@ def limit_of_values(family: YoungFamily, t: float,
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    return _limit(family, family_value_at(family, t), schedule, config)
+    plan = _plan(family, schedule, config, locked=False)
+    return _limits(family.evaluate_grid, (t,), plan, config)[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float,
@@ -247,24 +256,52 @@ def limit_of_inverses(family: YoungFamily, y: float,
     y = float(y)
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be positive and finite, got {y!r}")
-    return _limit(family, family_inverse_at(family, y), schedule, config)
+    plan = _plan(family, schedule, config, locked=False)
+    return _limits(family.inverse_grid, (y,), plan, config)[0]
 
 
-def _limit(family: YoungFamily, evaluate, schedule: Sequence[float] | None,
-           config: ClassifierConfig) -> LimitEstimate:
+@dataclass(frozen=True)
+class _Plan:
+    """Every q-schedule one probe may read, in the order :func:`_probe` reads
+    them: the base scan, its extra-doublings refinement (empty when it does
+    not apply), the two phase-locked parities, and their ``phase_k_factor``
+    retry (``None`` when it does not apply)."""
+
+    base: tuple[float, ...]
+    longer: tuple[float, ...] = ()
+    parity: tuple[tuple[float, ...], ...] = ((), ())
+    retry: tuple[tuple[float, ...], ...] | None = None
+
+    def qs(self) -> tuple[float, ...]:
+        return tuple(sorted(set(self.base).union(
+            self.longer, *self.parity, *(self.retry or ()))))
+
+
+def _plan(family: YoungFamily, schedule: Sequence[float] | None,
+          config: ClassifierConfig, locked: bool = True) -> _Plan:
+    """The schedules of one probe.  A caller-pinned ``schedule`` is never
+    refined, and without ``locked`` it is classified as-is."""
     if schedule is not None:
-        qs = _check_schedule(schedule)
-        return classify_sequence(qs, [evaluate(q) for q in qs], config)
-    base = geometric_schedule(family.schedule_q0, config.doublings)
-    return _probe(family, evaluate, base, _parity_schedules(family, config),
-                  False, config)
+        base = _check_schedule(schedule)
+        if not locked:
+            return _Plan(base)
+        longer = ()
+    else:
+        base = geometric_schedule(family.schedule_q0, config.doublings)
+        longer = (geometric_schedule(base[0], config.doublings + config.extra_doublings)
+                  if config.extra_doublings > 0 else ())
+    retry = (_parity_schedules(family, config, config.phase_k_max * config.phase_k_factor)
+             if config.phase_k_factor > 1 else None)
+    return _Plan(base, longer, _parity_schedules(family, config), retry)
 
 
-def _schedule_or_default(family: YoungFamily, schedule: Sequence[float] | None,
-                         config: ClassifierConfig) -> tuple[float, ...]:
-    if schedule is None:
-        return geometric_schedule(family.schedule_q0, config.doublings)
-    return _check_schedule(schedule)
+def _limits(grid, points: Sequence[float], plan: _Plan,
+            config: ClassifierConfig) -> list[LimitEstimate]:
+    """One aggregated estimate per point, all read from one ``grid(points,
+    qs)`` over the union of the plan's schedules."""
+    qs = plan.qs()
+    return [_probe(plan, dict(zip(qs, row)), config)
+            for row in grid(points, qs).tolist()]
 
 
 @dataclass(frozen=True)
@@ -337,28 +374,20 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
     return LimitEstimate("undetermined", None, lo, hi, ev)
 
 
-def _probe(family: YoungFamily, evaluate, base: tuple[float, ...],
-           parity_scheds: tuple[tuple[float, ...], ...], extended: bool,
-           config: ClassifierConfig) -> LimitEstimate:
-    geo = classify_sequence(base, [evaluate(q) for q in base], config)
-    if geo.kind == "undetermined" and not extended and config.extra_doublings > 0:
+def _probe(plan: _Plan, value_at: dict, config: ClassifierConfig) -> LimitEstimate:
+    """Aggregated estimate of one sequence ``value_at[q]`` over ``plan``."""
+    def estimate(qs):
+        return classify_sequence(qs, [value_at[q] for q in qs], config) if qs else None
+
+    geo = estimate(plan.base)
+    if geo.kind == "undetermined" and plan.longer:
         # one deterministic refinement with a longer geometric tail
-        longer = geometric_schedule(base[0], config.doublings + config.extra_doublings)
-        geo = classify_sequence(longer, [evaluate(q) for q in longer], config)
-
-    def parity_estimates(scheds):
-        return [classify_sequence(s, [evaluate(q) for q in s], config) if s else None
-                for s in scheds]
-
-    odd, even = parity_estimates(parity_scheds)
-    est = _aggregate(geo, odd, even, config)
-    if est.kind == "undetermined" and config.phase_k_factor > 1:
+        geo = estimate(plan.longer)
+    est = _aggregate(geo, *map(estimate, plan.parity), config)
+    if est.kind == "undetermined" and plan.retry is not None:
         # Slow phase-locked settling (members converging like r^q with r near
         # 1): push the locked subsequences to larger k before giving up.
-        longer = _parity_schedules(family, config,
-                                   config.phase_k_max * config.phase_k_factor)
-        odd, even = parity_estimates(longer)
-        est = _aggregate(geo, odd, even, config)
+        est = _aggregate(geo, *map(estimate, plan.retry), config)
     return est
 
 
@@ -389,7 +418,7 @@ def classify(family: YoungFamily, space: MeasureSpace,
     that contradicts the candidate (bounded above ``beta``, or failing to
     decay below ``alpha``) downgrades the verdict to ``undetermined``.
     """
-    base = _schedule_or_default(family, schedule, config)
+    plan = _plan(family, schedule, config)
     ts = tuple(float(t) for t in (t_grid if t_grid is not None else _DEFAULT_T_GRID))
     ys = tuple(float(y) for y in (y_grid if y_grid is not None else _DEFAULT_Y_GRID))
     if any(t <= 0 or not math.isfinite(t) for t in ts):
@@ -400,17 +429,9 @@ def classify(family: YoungFamily, space: MeasureSpace,
     mass_floor = 1.0 / space.total_mass if space.finite else 0.0
     probe_ys = tuple(sorted(set(y for y in ys if y >= mass_floor)
                             | ({mass_floor} if space.finite else set())))
-    parity_scheds = _parity_schedules(family, config)
-    extended = schedule is not None  # caller pinned the schedule: no refinement
-
-    inverse_evidence = tuple(
-        (y, _probe(family, family_inverse_at(family, y), base, parity_scheds,
-                   extended, config))
-        for y in probe_ys)
-    value_evidence = tuple(
-        (t, _probe(family, family_value_at(family, t), base, parity_scheds,
-                   extended, config))
-        for t in ts)
+    inverse_evidence = tuple(zip(
+        probe_ys, _limits(family.inverse_grid, probe_ys, plan, config)))
+    value_evidence = tuple(zip(ts, _limits(family.evaluate_grid, ts, plan, config)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,
@@ -451,20 +472,6 @@ def classify(family: YoungFamily, space: MeasureSpace,
         return report("alpha_beta_admissible", alpha=0.0, beta=beta)
 
     return report("undetermined")
-
-
-def family_value_at(family: YoungFamily, t: float):
-    """Evaluator ``q -> psi_q(t)`` (picklable-free local helper factory)."""
-    def evaluate(q: float) -> float:
-        return family.make(q)(t)
-    return evaluate
-
-
-def family_inverse_at(family: YoungFamily, y: float):
-    """Evaluator ``q -> psi_q^{-1}(y)``."""
-    def evaluate(q: float) -> float:
-        return family.make(q).inverse(y)
-    return evaluate
 
 
 def _value_side_veto(value_evidence, alpha: float, beta: float,
@@ -524,28 +531,44 @@ def _scan_non_decreasing(ts, rs, mono_tol: float):
     return False, worst[1:]
 
 
-def _monotonicity_report(schedule, ts, ratio_fn, interval,
-                         config: ClassifierConfig) -> MonotonicityReport:
+def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
+                 schedule: Sequence[float] | None, grid_points: int,
+                 config: ClassifierConfig, inverse_form: bool) -> MonotonicityReport:
+    """The one scan kernel behind both growth forms.
+
+    Both read ``psi_q^{-1}(u)`` on the same u-grid ``u = phi(t)``, solved as
+    one grid over ``(u, q)``.  The direct form divides ``t`` by it; the
+    inverse form divides ``phi^{-1}(u)`` and reports against ``u``.
+    """
+    k = float(k)
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"k must be positive and finite, got {k!r}")
+    interval = (0.0, k)
+    if inverse_form:
+        u_hi = phi(k)
+        if not (math.isfinite(u_hi) and u_hi > 0.0):
+            raise DomainError(f"phi(k) must be positive and finite, got {u_hi!r}")
+        interval = (0.0, u_hi)
+    qs = _growth_schedule(schedule if schedule is not None else geometric_schedule(
+        family.schedule_q0, 5))
+    ts = [float(t) for t in np.geomspace(1e-9 * k, k, grid_points)]
+    us = [phi(t) for t in ts]
+    xs, nums = (us, phi.inverse_array(us).tolist()) if inverse_form else (ts, ts)
+
     per_q = []
-    witnesses = {}
-    for q in schedule:
-        rs = ratio_fn(q)
-        ok, witness = _scan_non_decreasing(ts, rs, config.mono_tol)
-        per_q.append((float(q), ok))
-        if not ok:
-            witnesses[float(q)] = witness
+    for q, column in zip(qs, family.inverse_grid(us, qs).T.tolist()):
+        rs = [n / v for n, v in zip(nums, column)]
+        ok, witness = _scan_non_decreasing(xs, rs, config.mono_tol)
+        per_q.append((q, ok))
     threshold = None
     for q, ok in reversed(per_q):
-        if ok:
-            threshold = q
-        else:
+        if not ok:
             break
+        threshold = q
     if threshold is not None:
         return MonotonicityReport(True, interval, threshold, None, tuple(per_q))
-    worst_q = per_q[-1][0]
-    t1, t2, r1, r2 = witnesses[worst_q]
-    return MonotonicityReport(False, interval, None,
-                              (worst_q, t1, t2, r1, r2), tuple(per_q))
+    # no threshold: the largest q failed, and the loop ended on its witness
+    return MonotonicityReport(False, interval, None, (qs[-1], *witness), tuple(per_q))
 
 
 def growth_check(family: YoungFamily, phi: YoungFunction, k: float,
@@ -556,20 +579,7 @@ def growth_check(family: YoungFamily, phi: YoungFunction, k: float,
     The grid is geometric from ``1e-9 * k`` to ``k``; the left endpoint 0 is
     excluded (the ratio is a 0/0 form there).
     """
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive and finite, got {k!r}")
-    qs = schedule if schedule is not None else geometric_schedule(
-        family.schedule_q0, 5)
-    qs = _growth_schedule(qs)
-    ts = [float(t) for t in np.geomspace(1e-9 * k, k, grid_points)]
-    phis = [phi(t) for t in ts]
-
-    def ratio_fn(q: float):
-        psi = family.make(q)
-        return [t / psi.inverse(u) for t, u in zip(ts, phis)]
-
-    return _monotonicity_report(qs, ts, ratio_fn, (0.0, k), config)
+    return _growth_scan(family, phi, k, schedule, grid_points, config, False)
 
 
 def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction, k: float,
@@ -584,23 +594,7 @@ def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction, k: float,
     gridding u geometrically instead would compress the small-t region where
     the violations of fast-growing comparisons live.
     """
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive and finite, got {k!r}")
-    u_hi = phi(k)
-    if not (math.isfinite(u_hi) and u_hi > 0.0):
-        raise DomainError(f"phi(k) must be positive and finite, got {u_hi!r}")
-    qs = schedule if schedule is not None else geometric_schedule(
-        family.schedule_q0, 5)
-    qs = _growth_schedule(qs)
-    us = [phi(float(t)) for t in np.geomspace(1e-9 * k, k, grid_points)]
-    phi_invs = [phi.inverse(u) for u in us]
-
-    def ratio_fn(q: float):
-        psi = family.make(q)
-        return [v / psi.inverse(u) for v, u in zip(phi_invs, us)]
-
-    return _monotonicity_report(qs, us, ratio_fn, (0.0, u_hi), config)
+    return _growth_scan(family, phi, k, schedule, grid_points, config, True)
 
 
 def _growth_schedule(qs: Sequence[float]) -> tuple[float, ...]:

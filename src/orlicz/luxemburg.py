@@ -105,7 +105,10 @@ def luxemburg_norm(psi: YoungFunction, f: SimpleFunction,
         lo, hi = hi, lo
 
     iterations = 0
-    while modular(psi, f, hi) > 1.0:
+    while not 0.0 < hi < math.inf or modular(psi, f, hi) > 1.0:
+        if not 0.0 < hi < math.inf:
+            raise BracketError(f"{psi.label}: the norm lies outside the double range "
+                               f"(upper bracket {hi!r})")
         hi *= 2.0
         iterations += 1
         if iterations > max_iter:

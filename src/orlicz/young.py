@@ -18,7 +18,17 @@ Conventions
   :mod:`orlicz.luxemburg`).
 * Inverses are computed by exponential bracket growth from ``[0, 1]`` followed
   by plain bisection.  Monotonicity is the only structural assumption, so the
-  same code serves every catalog member.
+  same code serves every catalog member.  ``psi.inverse(y)`` solves one ``y``
+  on the scalar path; ``psi.inverse_array(ys)`` and
+  ``family.inverse_grid(ys, qs)`` run the same algorithm in lockstep over a
+  whole array or ``(y, q)`` grid, one numpy evaluation per bisection step,
+  and give bitwise the same results wherever the array and scalar formulas
+  agree on which side of ``y`` each midpoint lies.  A catalog family carries
+  its formula as ``psi(t, q)`` broadcasting over both arrays, so
+  ``family.evaluate_grid(ts, qs)`` is one numpy pass.  Without an array form,
+  the grids fall back to one ``make(q)`` per column and the scalar solver per
+  cell.  The limit diagnostics in :mod:`orlicz.admissibility` read these
+  grids; the norm solver keeps the scalar inverse, since it needs two.
 * Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
   pseudo-Young functions; :func:`validate` reports them via its ``strict``
   flag instead of rejecting them.
@@ -82,6 +92,67 @@ def _as_float(name: str, x: float, *, minimum: float | None = None,
     return x
 
 
+def _check_ys(label: str, ys) -> np.ndarray:
+    ys = np.asarray(ys, dtype=float)
+    if ys.size and not (ys.min() >= 0.0 and ys.max() < math.inf):
+        raise DomainError(f"{label}: inverse needs finite y >= 0, got values "
+                          f"in [{float(ys.min())!r}, {float(ys.max())!r}]")
+    return ys
+
+
+def _bisect_inverse(psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    ys: np.ndarray, label: Callable[[int], str],
+                    rtol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+    """:meth:`YoungFunction.inverse` run in lockstep over a flat array of cells.
+
+    ``psi(ts, cells)`` evaluates, for each index in ``cells``, that cell's
+    member at the matching entry of ``ts``; ``label(cell)`` names the member
+    in an error.  Every cell takes exactly the scalar steps: doubling from
+    ``[0, 1]``, then bisection until the relative width is ``rtol`` or the
+    midpoint no longer splits the bracket, returning the upper end.  Cells
+    leave the working set as they finish, so one step costs one evaluation
+    over the unfinished cells only.
+    """
+    out = np.zeros_like(ys)
+    cells = np.flatnonzero(ys)  # y = 0 maps to 0
+    y = ys[cells]
+    hi = np.ones_like(y)
+    with np.errstate(over="ignore", under="ignore"):
+        below = np.arange(cells.size)
+        doublings = 0
+        while below.size:
+            below = below[psi(hi[below], cells[below]) < y[below]]
+            hi[below] *= 2.0
+            doublings += 1
+            if below.size and doublings > 200:
+                i = below[0]
+                bad = float(psi(hi[i:i + 1], cells[i:i + 1])[0])
+                raise BracketError(
+                    f"{label(cells[i])}: no upper bracket for inverse at "
+                    f"y={float(y[i])!r}; psi({float(hi[i])!r}) = {bad!r}")
+        lo = np.zeros_like(hi)
+
+        def retire(keep):
+            nonlocal cells, y, lo, hi
+            out[cells[~keep]] = hi[~keep]
+            cells, y, lo, hi = cells[keep], y[keep], lo[keep], hi[keep]
+
+        for _ in range(max_iter):
+            if not cells.size:
+                break
+            mid = 0.5 * (lo + hi)
+            split = (lo < mid) & (mid < hi)
+            if not split.all():
+                retire(split)
+                mid = mid[split]
+            below = psi(mid, cells) < y
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            retire(hi - lo > rtol * hi)
+        out[cells] = hi
+    return out
+
+
 @dataclass(frozen=True)
 class YoungFunction:
     """A single Young (or pseudo-Young) function.
@@ -123,9 +194,11 @@ class YoungFunction:
         if not (lo >= 0.0 and hi < math.inf):
             raise DomainError(
                 f"{self.label}: t must be finite and >= 0, got values in [{lo!r}, {hi!r}]")
-        if self.array_fn is None:
-            return np.vectorize(self, otypes=[float])(ts)
+        # Python's float pow raises the FPU overflow flag on its way to
+        # OverflowError, so the element-by-element fallback needs this too.
         with np.errstate(over="ignore", under="ignore"):
+            if self.array_fn is None:
+                return np.vectorize(self, otypes=[float])(ts)
             out = self.array_fn(ts)
         return np.where(ts == 0.0, 0.0, out) if lo == 0.0 else out
 
@@ -163,6 +236,20 @@ class YoungFunction:
             if hi - lo <= rtol * hi:
                 break
         return hi
+
+    def inverse_array(self, ys: np.ndarray) -> np.ndarray:
+        """:meth:`inverse` element by element over a float64 array.
+
+        One batched bisection with the same steps, errors and results per
+        element; without ``array_fn`` it runs :meth:`inverse` per element.
+        """
+        ys = _check_ys(self.label, ys)
+        if self.array_fn is None:
+            out = np.array([self.inverse(y) for y in ys.ravel().tolist()])
+        else:
+            out = _bisect_inverse(lambda ts, cells: self.array_fn(ts), ys.ravel(),
+                                  lambda cell: self.label)
+        return out.reshape(ys.shape)
 
 
 @dataclass(frozen=True)
@@ -273,27 +360,73 @@ class YoungFamily:
     """A one-parameter family ``q -> YoungFunction``.
 
     ``q_min`` is the smallest admissible ``q``; the sentinel ``0.0`` means any
-    ``q > 0`` is allowed.
+    ``q > 0`` is allowed.  ``array_fn(t, q)`` is the family's formula over
+    float64 arrays, broadcasting over both ``t`` and ``q``; without it the
+    grid methods fall back to one member per ``q``.
     """
 
     label: str
     make_fn: Callable[[float], YoungFunction]
     params: dict
     q_min: float
+    array_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def make(self, q: float) -> YoungFunction:
+    def _check_q(self, q: float) -> float:
         q = _as_float(f"{self.label}: q", q)
         if self.q_min > 0.0:
             if q < self.q_min:
                 raise DomainError(f"{self.label} requires q >= {self.q_min}, got {q!r}")
         elif q <= 0.0:
             raise DomainError(f"{self.label} requires q > 0, got {q!r}")
-        return self.make_fn(q)
+        return q
+
+    def make(self, q: float) -> YoungFunction:
+        return self.make_fn(self._check_q(q))
+
+    def evaluate_grid(self, ts, qs) -> np.ndarray:
+        """``psi_q(t)`` for every ``t`` in ``ts`` (rows) and ``q`` in ``qs``
+        (columns), with the semantics of :meth:`YoungFunction.evaluate`."""
+        qs = [self._check_q(q) for q in qs]
+        ts = np.asarray(ts, dtype=float)
+        if self.array_fn is None:
+            return np.array([self.make_fn(q).evaluate(ts) for q in qs]).reshape(
+                len(qs), ts.size).T
+        if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
+            raise DomainError(f"{self.label}: t must be finite and >= 0, got values "
+                              f"in [{float(ts.min())!r}, {float(ts.max())!r}]")
+        col = ts.reshape(-1, 1)
+        with np.errstate(over="ignore", under="ignore"):
+            out = np.broadcast_to(self.array_fn(col, np.array([qs])), (ts.size, len(qs)))
+        return np.where(col == 0.0, 0.0, out)
+
+    def inverse_grid(self, ys, qs) -> np.ndarray:
+        """``psi_q^{-1}(y)`` for every ``y`` in ``ys`` (rows) and ``q`` in
+        ``qs`` (columns): one batched bisection over the whole grid, with
+        the steps, errors and results of :meth:`YoungFunction.inverse` cell
+        by cell."""
+        qs = [self._check_q(q) for q in qs]
+        ys = _check_ys(self.label, ys).ravel()
+        if self.array_fn is None:
+            return np.array([[self.make_fn(q).inverse(y) for q in qs]
+                             for y in ys.tolist()]).reshape(ys.size, len(qs))
+        q_cells = np.tile(qs, ys.size)
+        return _bisect_inverse(
+            lambda ts, cells: self.array_fn(ts, q_cells[cells]), np.repeat(ys, len(qs)),
+            lambda cell: self.make_fn(float(q_cells[cell])).label,
+        ).reshape(ys.size, len(qs))
 
     @property
     def schedule_q0(self) -> float:
         """Default starting point for q-schedules over this family."""
         return max(self.q_min, 1.0)
+
+
+def _over_q(make: Callable[[float], YoungFunction]) -> Callable:
+    """Array form ``psi(t, q)`` of a catalog family whose member formulas take
+    ``q`` and ``log`` as keyword defaults: one member's formula, called with
+    an array ``q`` and ``np.log``, evaluates every member."""
+    fn = make(1.0).fn
+    return lambda t, q: fn(t, q=q, log=np.log)
 
 
 def _iter_log(x: float, n: int, log: Callable = math.log) -> float:
@@ -341,7 +474,7 @@ def power_family() -> YoungFamily:
         def fn(t: float, q: float = q) -> float:
             return t ** q
         return YoungFunction(fn, f"power[q={q:g}]", {"q": q}, array_fn=fn)
-    return YoungFamily("power", make, {}, q_min=1.0)
+    return YoungFamily("power", make, {}, q_min=1.0, array_fn=np.power)
 
 
 def logbump_family(p: float = 1.0) -> YoungFamily:
@@ -358,7 +491,7 @@ def logbump_family(p: float = 1.0) -> YoungFamily:
             return t ** p * log(E_MINUS_1 + t) ** q
         return YoungFunction(fn, f"logbump[p={p:g},q={q:g}]", {"p": p, "q": q},
                              array_fn=partial(fn, log=np.log))
-    return YoungFamily("logbump", make, {"p": p}, q_min=0.0)
+    return YoungFamily("logbump", make, {"p": p}, q_min=0.0, array_fn=_over_q(make))
 
 
 def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -385,7 +518,8 @@ def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
         return YoungFunction(
             fn, f"iterlog[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "c": c},
             array_fn=partial(fn, log=np.log))
-    return YoungFamily("iterlog", make, {"N": N, "p": p, "c": c}, q_min=0.0)
+    return YoungFamily("iterlog", make, {"N": N, "p": p, "c": c}, q_min=0.0,
+                       array_fn=_over_q(make))
 
 
 def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -416,7 +550,8 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
         return YoungFunction(
             fn, f"addie[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "anchors": cs},
             array_fn=partial(fn, log=np.log))
-    return YoungFamily("addie", make, {"N": N, "p": p, "anchors": cs}, q_min=0.0)
+    return YoungFamily("addie", make, {"N": N, "p": p, "anchors": cs}, q_min=0.0,
+                       array_fn=_over_q(make))
 
 
 def sinpiecewise_family() -> YoungFamily:
@@ -427,6 +562,11 @@ def sinpiecewise_family() -> YoungFamily:
     ``(t^q + (2t - 1)^3) / 2`` for ``t >= 1``.  Convex for every ``q >= 1``
     since each branch is convex and one-sided derivatives only jump upward.
     """
+    def array_fn(t: np.ndarray, q, s) -> np.ndarray:
+        # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
+        bump = np.maximum(2.0 * t - 1.0, 0.0)
+        return 0.5 * (t ** q + bump ** np.where(t < 1.0, s, 3.0))
+
     def make(q: float) -> YoungFunction:
         s = 2.0 + math.sin(q)
 
@@ -436,15 +576,11 @@ def sinpiecewise_family() -> YoungFamily:
             if t < 1.0:
                 return 0.5 * (t ** q + (2.0 * t - 1.0) ** s)
             return 0.5 * (t ** q + (2.0 * t - 1.0) ** 3)
-
-        def array_fn(t: np.ndarray, q: float = q, s: float = s) -> np.ndarray:
-            # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
-            bump = np.maximum(2.0 * t - 1.0, 0.0)
-            return 0.5 * (t ** q + bump ** np.where(t < 1.0, s, 3.0))
         return YoungFunction(
             fn, f"sinpiecewise[q={q:g}]", {"q": q, "bump_exponent": s},
-            array_fn=array_fn)
-    return YoungFamily("sinpiecewise", make, {}, q_min=1.0)
+            array_fn=partial(array_fn, q=q, s=s))
+    return YoungFamily("sinpiecewise", make, {}, q_min=1.0,
+                       array_fn=lambda t, q: array_fn(t, q, 2.0 + np.sin(q)))
 
 
 def powerlog_e_family(p: float = 1.0) -> YoungFamily:
@@ -460,7 +596,7 @@ def powerlog_e_family(p: float = 1.0) -> YoungFamily:
             return t ** p * log(math.e + t) ** q
         return YoungFunction(fn, f"powerlog_e[p={p:g},q={q:g}]", {"p": p, "q": q},
                              array_fn=partial(fn, log=np.log))
-    return YoungFamily("powerlog_e", make, {"p": p}, q_min=0.0)
+    return YoungFamily("powerlog_e", make, {"p": p}, q_min=0.0, array_fn=_over_q(make))
 
 
 def identity_family() -> YoungFamily:
@@ -473,7 +609,7 @@ def identity_family() -> YoungFamily:
         def fn(t: float) -> float:
             return t
         return YoungFunction(fn, "identity", {}, strict=False, array_fn=fn)
-    return YoungFamily("identity", make, {}, q_min=0.0)
+    return YoungFamily("identity", make, {}, q_min=0.0, array_fn=lambda t, q: t)
 
 
 _CATALOG: dict[str, tuple[tuple[str, ...], Callable[..., YoungFamily]]] = {

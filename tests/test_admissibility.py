@@ -1,7 +1,9 @@
 """Limit classification, admissibility verdicts, growth-ratio checks."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from orlicz import (
     ClassifierConfig,
     DomainError,
     MeasureSpace,
+    YoungFamily,
+    YoungFunction,
     classify,
     classify_sequence,
     geometric_schedule,
@@ -332,6 +336,7 @@ def test_growth_forms_agree_across_catalog():
         inverse = growth_check_inverse_form(fam, phi, k)
         assert direct.non_decreasing == inverse.non_decreasing
         assert direct.q_threshold == inverse.q_threshold
+        assert direct.per_q == inverse.per_q
 
 
 def test_growth_custom_schedule_reported():
@@ -357,3 +362,82 @@ def test_growth_power_threshold_tracks_r(r):
                        schedule=[1.0, 2.0, 4.0, 8.0])
     expected = next(q for q in (1.0, 2.0, 4.0, 8.0) if q >= r - 1e-12)
     assert rep.q_threshold == expected
+
+
+# ------------------------------------------------ grid path against scalar
+
+# (family, comparison family, comparison q, k): the pairs surveyed by
+# scripts/run_growth_checks.py.
+GROWTH_PAIRS = (("power", "power", 1.5, 5.0), ("power", "power", 2.0, 5.0),
+                ("power", "power", 3.0, 5.0), ("logbump", "power", 3.0, 5.0),
+                ("logbump", "logbump", 1.0, 10.0),
+                ("logbump:p=2", "logbump:p=2", 1.0, 10.0))
+
+
+def _scalar_path(family: YoungFamily) -> YoungFamily:
+    """The family without its array form: every grid cell of an inverse is
+    solved by ``make(q).inverse(y)``, the scalar path."""
+    return replace(family, array_fn=None)
+
+
+@pytest.mark.parametrize("mass", [math.inf, 2.0])
+def test_classify_grid_matches_scalar_path(catalog_family, mass):
+    space = MeasureSpace(mass)
+    got = classify(catalog_family, space)
+    want = classify(_scalar_path(catalog_family), space)
+    assert (got.verdict, got.delta, got.alpha, got.beta) == \
+        (want.verdict, want.delta, want.alpha, want.beta)
+    assert got.inverse_evidence == want.inverse_evidence
+    # Values come from the family's formula over (t, q) arrays here and from
+    # one member per q there: the same up to the array/scalar rounding bound.
+    eps = np.finfo(float).eps
+    p = catalog_family.params.get("p", 1.0)
+    for (t, a), (_, b) in zip(got.value_evidence, want.value_evidence):
+        assert a.kind == b.kind, t
+        for (qa, va), (qb, vb) in zip(a.evidence, b.evidence):
+            assert qa == qb
+            assert va == vb or abs(va - vb) <= 8.0 * (p + qa + 1.0) * eps * abs(vb), (t, qa)
+
+
+@pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])
+@pytest.mark.parametrize("spec,phi_spec,phi_q,k", GROWTH_PAIRS)
+def test_growth_grid_matches_scalar_path(form, spec, phi_spec, phi_q, k):
+    family, phi = make_family(spec), make_family(phi_spec).make(phi_q)
+    want = form(_scalar_path(family), replace(phi, array_fn=None), k)
+    assert form(family, phi, k) == want
+
+
+def test_grid_paths_make_no_scalar_inverse(monkeypatch):
+    calls = []
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    family = make_family("logbump:p=2")
+    phi = make_family("power").make(3.0)
+    count(YoungFunction, "inverse")
+    count(YoungFamily, "make")
+    for space in (INF, MeasureSpace(2.0)):
+        classify(family, space)
+    growth_check(family, phi, 5.0)
+    growth_check_inverse_form(family, phi, 5.0)
+    assert calls == []
+    # the counter does see the scalar path
+    growth_check(_scalar_path(family), phi, 5.0)
+    assert calls.count("inverse") == 6 * 161
+
+
+def test_family_without_array_form_gets_same_verdict():
+    def make(q):
+        return YoungFunction(lambda t, q=q: t ** q, f"user-power[q={q:g}]", {"q": q})
+    user = YoungFamily("user-power", make, {}, q_min=1.0)
+    for space in (INF, MeasureSpace(2.0)):
+        got, want = classify(user, space), classify(power_family(), space)
+        assert (got.verdict, got.delta) == (want.verdict, want.delta) == \
+            ("delta_admissible", got.delta)
+        assert got.inverse_evidence == want.inverse_evidence

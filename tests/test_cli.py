@@ -112,6 +112,14 @@ def test_numeric_failure_exits_3(capsys, ind8):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+def test_norm_beyond_double_range_exits_3(capsys, tmp_path):
+    path = _write_json(tmp_path, "huge.json", {"total_mass": "inf", "atoms": [
+        {"value": 1.900779840119371e+279, "mass": 3.6026157030657704e-09},
+        {"value": 8.721658367086122e+250, "mass": 8.160977779935241e+197}]})
+    assert cli.main(["norm", "--family", "logbump", "--q", "16", "--input", path]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import orlicz.luxemburg as luxemburg
 from orlicz import (
+    BracketError,
     DomainError,
     MeasureSpace,
     SimpleFunction,
@@ -220,3 +221,16 @@ def test_nan_modular_raises(n):
     psi = YoungFunction(lambda t: math.nan, "nan", {})
     with pytest.raises(ArithmeticError):
         modular(psi, lognormal_function(n, 0), 1.0)
+
+
+@pytest.mark.parametrize("spec,q,atoms", [
+    # norm above the largest double: the upper bracket doubles to inf
+    ("logbump", 16.0, ((1.900779840119371e+279, 3.6026157030657704e-09),
+                       (8.721658367086122e+250, 8.160977779935241e+197))),
+    # norm below the smallest subnormal: the seeded upper bracket is 0
+    ("logbump:p=2", 32.0, ((7.5613262105672314e-270, 8.681781245700942e-189),)),
+])
+def test_norm_outside_double_range_is_bracket_error(spec, q, atoms):
+    # Not DomainError: the input is valid, its norm is not representable.
+    with pytest.raises(BracketError, match="outside the double range"):
+        luxemburg_norm(make_family(spec).make(q), SimpleFunction(atoms, INF))

@@ -1,6 +1,7 @@
 """Young-function evaluation, inversion, validation and the family parser."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +11,20 @@ from orlicz import (
     BracketError,
     DomainError,
     FamilySpecError,
+    YoungFamily,
     YoungFunction,
+    geometric_schedule,
     identity_family,
     iterlog_family,
     logbump_family,
     make_family,
+    phase_locked_schedule,
     power_family,
     powerlog_e_family,
     sinpiecewise_family,
     validate,
 )
+from orlicz.admissibility import DEFAULT_CONFIG, _DEFAULT_Y_GRID
 from orlicz.young import E_MINUS_1, _anchor_constant
 
 from conftest import CATALOG_SPECS
@@ -118,6 +123,105 @@ def test_inverse_unbracketable():
     bounded = YoungFunction(lambda t: min(t, 1.0), "bounded", {})
     with pytest.raises(BracketError):
         bounded.inverse(2.0)
+
+
+# ------------------------------------------------------------ grid inverses
+
+# Every q a default classify may read: the extra-doublings scan and the
+# phase_k_factor retry of the phase-locked schedules included.
+Q_UNION = tuple(sorted(
+    set(geometric_schedule(1.0, DEFAULT_CONFIG.doublings + DEFAULT_CONFIG.extra_doublings))
+    | set(phase_locked_schedule(1, DEFAULT_CONFIG.phase_k_max * DEFAULT_CONFIG.phase_k_factor))))
+GRID_YS = (0.0,) + _DEFAULT_Y_GRID
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
+def test_inverse_grid_matches_scalar(spec):
+    family = make_family(spec)
+    got = family.inverse_grid(GRID_YS, Q_UNION)
+    want = np.array([[family.make(q).inverse(y) for q in Q_UNION] for y in GRID_YS])
+    if spec == "iterlog:N=3":
+        # np.log is an ulp off math.log at some points, and L_3(c + t)^q
+        # multiplies that by q: 9e-13 of psi at q = 4096, the size of the
+        # solver's own rtol, so a rare bisection step branches the other way.
+        np.testing.assert_allclose(got, want, rtol=4e-12, atol=0.0)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_inverse_grid_domain():
+    family = power_family()
+    assert family.inverse_grid([0.0, 4.0], [2.0]).tolist() == [[0.0], [2.0]]
+    assert family.inverse_grid([], [2.0]).shape == (0, 1)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            family.inverse_grid([1.0, bad], [2.0])
+    for bad_q in (0.5, math.nan, math.inf):  # power requires q >= 1
+        with pytest.raises(DomainError):
+            family.inverse_grid([1.0], [2.0, bad_q])
+
+
+def _bounded_family(array_form: bool) -> YoungFamily:
+    bounded = YoungFunction(lambda t: min(t, 1.0), "bounded", {},
+                            array_fn=(lambda t: np.minimum(t, 1.0)) if array_form else None)
+    return YoungFamily("bounded", lambda q: bounded, {}, q_min=0.0,
+                       array_fn=(lambda t, q: np.minimum(t, 1.0)) if array_form else None)
+
+
+@pytest.mark.parametrize("array_form", [True, False])
+def test_inverse_grid_unbracketable(array_form):
+    # The bounded member of test_inverse_unbracketable, through the grid and
+    # the member's array inverse: the scalar path's error, message and all.
+    family = _bounded_family(array_form)
+    with pytest.raises(BracketError) as scalar:
+        family.make(1.0).inverse(2.0)
+    with pytest.raises(BracketError) as grid:
+        family.inverse_grid([0.5, 2.0], [1.0, 3.0])
+    with pytest.raises(BracketError) as array:
+        family.make(1.0).inverse_array(np.array([0.5, 2.0]))
+    assert str(grid.value) == str(array.value) == str(scalar.value)
+
+
+def test_grids_fall_back_without_array_form():
+    family = logbump_family(2.0)
+    plain = replace(family, array_fn=None)
+    ys, qs = (0.0, 0.02, 2.0, 1e6), (0.5, 8.0, 4096.0)
+    want = [[family.make(q).inverse(y) for q in qs] for y in ys]
+    assert plain.inverse_grid(ys, qs).tolist() == want
+    ts = np.array(PARITY_GRID)
+    assert np.array_equal(plain.evaluate_grid(ts, qs),
+                          np.array([family.make(q).evaluate(ts) for q in qs]).T)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity",))
+def test_inverse_array_matches_scalar(spec):
+    psi = make_family(spec).make(8.0)
+    ys = np.array(GRID_YS + (0.5, 1e6))
+    want = [psi.inverse(y) for y in ys.tolist()]
+    assert psi.inverse_array(ys).tolist() == want
+    assert replace(psi, array_fn=None).inverse_array(ys).tolist() == want
+    with pytest.raises(DomainError):
+        psi.inverse_array(np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
+def test_evaluate_grid_matches_scalar(spec):
+    family = make_family(spec)
+    qs = (1.0, 4.0, 64.0, 4096.0)
+    got = family.evaluate_grid(np.array(PARITY_GRID), qs)
+    assert got.shape == (len(PARITY_GRID), len(qs))
+    for j, q in enumerate(qs):
+        psi = family.make(q)
+        # the bound of test_array_evaluation_matches_scalar
+        rel = 8.0 * (psi.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
+        for t, a in zip(PARITY_GRID, got[:, j].tolist()):
+            s = psi(t)
+            if math.isinf(s):
+                assert a == math.inf, (t, q, s, a)
+            else:
+                assert abs(a - s) <= rel * s, (t, q, s, a)
+    with pytest.raises(DomainError):
+        family.evaluate_grid([1.0, -1.0], qs)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6),
