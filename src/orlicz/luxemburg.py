@@ -6,15 +6,12 @@ finite sum ``sum_i m_i * psi(a_i / lam)``.  It is strictly decreasing in
 norm is the unique ``lam`` with modular equal to 1 — solved here as an
 equation, never as an inequality scan.
 
-The solver seeds its bracket from two indicator closed forms:
-
-* ``hi = ess_sup(f) / psi^{-1}(1 / support_mass)`` dominates the norm, because
-  replacing every value by the largest one can only increase the modular;
-* ``lo = ess_sup(f) / psi^{-1}(1 / top_mass)`` is dominated by the norm, since
-  keeping only the top atom can only decrease the modular.
-
-Overflowing modular evaluations count as ``+inf``, which is the correct side
-for bracketing (a huge modular just means ``lam`` is too small).
+The solver bisects ``modular > 1`` over every positive double, on the ordered
+bit patterns of the floats (:func:`orlicz.young._bisect`): no bracket to seed
+or grow, at most 63 modular evaluations, and two adjacent doubles at the end
+whatever the scale of ``f``.  A term whose argument ``a_i / lam`` or whose
+value overflows counts as ``+inf``, which is the correct side for bracketing
+(a huge modular just means ``lam`` is too small).
 
 A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
 in one numpy pass, ``masses @ psi(values / lam)``; a smaller one keeps the
@@ -25,12 +22,13 @@ loop below a few dozen atoms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import SimpleFunction, distribution
-from .young import BracketError, DomainError, YoungFunction
+from .young import BracketError, DomainError, YoungFunction, _bisect
 
 __all__ = [
     "NormResult",
@@ -62,6 +60,8 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
     lam = float(lam)
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
         raise DomainError(f"lambda must be positive and finite, got {lam!r}")
+    if f.atoms and f.atoms[0][0] / lam == math.inf:
+        return math.inf  # the largest value over lam overflows
     if len(f.atoms) >= _ARRAY_MIN_ATOMS:
         with np.errstate(over="ignore", under="ignore"):
             total = float(f.masses @ psi.evaluate(f.values / lam))
@@ -85,57 +85,36 @@ def indicator_norm(psi: YoungFunction, mass: float) -> float:
     return 1.0 / psi.inverse(1.0 / m)
 
 
-def luxemburg_norm(psi: YoungFunction, f: SimpleFunction,
-                   max_iter: int = 200) -> NormResult:
+def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
     """Solve ``modular(psi, f, lam) = 1`` for the Luxemburg norm.
 
-    Bisection runs down to a few ulps of relative width so that the modular at
-    the returned point stays within ``~q * eps`` of 1 even for very steep
-    members (large ``q``); of the two final endpoints the one whose modular is
-    closest to 1 is reported.
+    Bisection closes on two adjacent doubles around the root, so the modular
+    at the returned point is within rounding of 1 even for very steep members
+    (large ``q``); of the two the one whose modular is closer to 1 is
+    reported, and ``iterations`` counts the bisection steps.  A norm above the
+    largest double or below the smallest normal one raises
+    :class:`BracketError`: a subnormal carries too few significant bits to be
+    an answer.
     """
     if not f.atoms:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
-    amax, top_mass = f.atoms[0]
-    support = f.support_mass
+    steps = 0
 
-    hi = amax / psi.inverse(1.0 / support)
-    lo = hi if top_mass >= support else amax / psi.inverse(1.0 / top_mass)
-    if lo > hi:
-        lo, hi = hi, lo
+    def above_one(lam: float) -> bool:
+        nonlocal steps
+        steps += 1
+        return modular(psi, f, lam) > 1.0
 
-    iterations = 0
-    while not 0.0 < hi < math.inf or modular(psi, f, hi) > 1.0:
-        if not 0.0 < hi < math.inf:
-            raise BracketError(f"{psi.label}: the norm lies outside the double range "
-                               f"(upper bracket {hi!r})")
-        hi *= 2.0
-        iterations += 1
-        if iterations > max_iter:
-            raise BracketError(f"{psi.label}: no upper bracket for the norm")
-    while modular(psi, f, lo) < 1.0:
-        lo *= 0.5
-        iterations += 1
-        if iterations > max_iter or lo == 0.0:
-            raise BracketError(f"{psi.label}: no lower bracket for the norm")
-
-    while iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        iterations += 1
-        if modular(psi, f, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * hi:
-            break
-
+    lo, hi = _bisect(above_one)
+    if hi == math.inf or lo < sys.float_info.min:
+        raise BracketError(f"{psi.label}: the norm lies outside the double range "
+                           f"[{sys.float_info.min!r}, {sys.float_info.max!r}] "
+                           f"(bracket [{lo!r}, {hi!r}])")
     m_lo = modular(psi, f, lo)
     m_hi = modular(psi, f, hi)
     if abs(m_lo - 1.0) <= abs(m_hi - 1.0):
-        return NormResult(lo, m_lo, iterations, (lo, hi))
-    return NormResult(hi, m_hi, iterations, (lo, hi))
+        return NormResult(lo, m_lo, steps, (lo, hi))
+    return NormResult(hi, m_hi, steps, (lo, hi))
 
 
 def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> float:

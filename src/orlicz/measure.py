@@ -78,11 +78,9 @@ class SimpleFunction:
             if math.isnan(m) or math.isinf(m) or m <= 0.0:
                 raise MeasureModelError(f"atom mass must be finite and > 0, got {mass!r}")
             merged[v] = merged.get(v, 0.0) + m
-        # fsum raises OverflowError when finite masses sum beyond the double
-        # range; a merged mass that already overflowed gets the same error.
-        support = math.fsum(merged.values())
-        if math.isinf(support):
+        if any(math.isinf(m) for m in merged.values()):
             raise OverflowError("atom masses at one value sum beyond the double range")
+        support = _mass_sum(merged.values())
         if self.space.finite and support > self.space.total_mass * (1.0 + 1e-12):
             raise MeasureModelError(
                 f"atom masses sum to {support!r} > total_mass {self.space.total_mass!r}")
@@ -92,8 +90,9 @@ class SimpleFunction:
 
     @property
     def support_mass(self) -> float:
-        """Total mass where the function is nonzero."""
-        return math.fsum(m for _, m in self.atoms)
+        """Total mass where the function is nonzero; ``inf`` when the masses
+        sum beyond the double range."""
+        return _mass_sum(m for _, m in self.atoms)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -104,6 +103,15 @@ class SimpleFunction:
     def masses(self) -> np.ndarray:
         """Atom masses aligned with :attr:`values`, read-only."""
         return _read_only([m for _, m in self.atoms])
+
+
+def _mass_sum(masses) -> float:
+    """Exact sum of finite masses, ``inf`` when it exceeds the double range
+    (where ``math.fsum`` raises ``OverflowError``)."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
 
 
 def _read_only(xs: list[float]) -> np.ndarray:

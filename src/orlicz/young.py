@@ -16,19 +16,21 @@ Conventions
   log function: ``math.log`` for a float, ``np.log`` for an array.  The norm
   solver takes the array path for simple functions with many atoms (see
   :mod:`orlicz.luxemburg`).
-* Inverses are computed by exponential bracket growth from ``[0, 1]`` followed
-  by plain bisection.  Monotonicity is the only structural assumption, so the
-  same code serves every catalog member.  ``psi.inverse(y)`` solves one ``y``
-  on the scalar path; ``psi.inverse_array(ys)`` and
-  ``family.inverse_grid(ys, qs)`` run the same algorithm in lockstep over a
-  whole array or ``(y, q)`` grid, one numpy evaluation per bisection step,
-  and give bitwise the same results wherever the array and scalar formulas
-  agree on which side of ``y`` each midpoint lies.  A catalog family carries
-  its formula as ``psi(t, q)`` broadcasting over both arrays, so
-  ``family.evaluate_grid(ts, qs)`` is one numpy pass.  Without an array form,
-  the grids fall back to one ``make(q)`` per column and the scalar solver per
-  cell.  The limit diagnostics in :mod:`orlicz.admissibility` read these
-  grids; the norm solver keeps the scalar inverse, since it needs two.
+* ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
+  found by :func:`_bisect`, which bisects the ordered int64 bit patterns of
+  ``[0, inf]`` and so reaches two adjacent doubles in at most 63 evaluations
+  at any scale, with no tolerance and no bracket to grow.  Monotonicity is
+  the only structural assumption, so the same code serves every catalog
+  member.  ``psi.inverse_array(ys)`` and ``family.inverse_grid(ys, qs)`` run
+  the same steps in lockstep over a whole array or ``(y, q)`` grid, one numpy
+  evaluation per step, so each cell is exact to the ulp of the array formula
+  and within the array/scalar rounding of the scalar result.  A catalog
+  family carries its formula as ``psi(t, q)`` broadcasting over both arrays,
+  so ``family.evaluate_grid(ts, qs)`` is one numpy pass.  Without an array
+  form, the grids fall back to one ``make(q)`` per column and the scalar
+  solver per cell.  The limit diagnostics in :mod:`orlicz.admissibility` read
+  these grids; the norm solver in :mod:`orlicz.luxemburg` runs
+  :func:`_bisect` on the modular itself.
 * Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
   pseudo-Young functions; :func:`validate` reports them via its ``strict``
   flag instead of rejecting them.
@@ -37,6 +39,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -100,57 +103,62 @@ def _check_ys(label: str, ys) -> np.ndarray:
     return ys
 
 
-def _bisect_inverse(psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    ys: np.ndarray, label: Callable[[int], str],
-                    rtol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+# Positive doubles sort in the same order as their int64 bit patterns, so
+# bisecting the patterns of [0, inf] reaches two adjacent doubles in at most
+# this many halvings: the bit length of the pattern of inf.
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
+_STEPS = _INF_BITS.bit_length()
+
+
+def _bisect(below: Callable[[float], bool], lo: float = 0.0,
+            hi: float = math.inf) -> tuple[float, float]:
+    """Adjacent doubles ``(a, b)`` in ``[lo, hi]`` where ``below`` turns false.
+
+    ``below`` is a predicate that is true up to some point of ``[lo, hi]``
+    and false from there on.  Each step halves the range of bit patterns
+    between ``a`` and ``b``, so it ends in at most ``_STEPS`` evaluations at
+    any scale, with no tolerance.  The endpoints are never evaluated: ``a``
+    is ``lo`` or a point where ``below`` held, ``b`` is ``hi`` or a point
+    where it failed.
+    """
+    i, j = _I64.unpack(_F64.pack(lo))[0], _I64.unpack(_F64.pack(hi))[0]
+    while j - i > 1:
+        mid = i + ((j - i) >> 1)
+        if below(_F64.unpack(_I64.pack(mid))[0]):
+            i = mid
+        else:
+            j = mid
+    return _F64.unpack(_I64.pack(i))[0], _F64.unpack(_I64.pack(j))[0]
+
+
+def _no_upper_bracket(label: str, y: float) -> BracketError:
+    return BracketError(f"{label}: no upper bracket for inverse at y={y!r}; "
+                        "psi(t) < y for every finite t")
+
+
+def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
+                    label: Callable[[int], str]) -> np.ndarray:
     """:meth:`YoungFunction.inverse` run in lockstep over a flat array of cells.
 
-    ``psi(ts, cells)`` evaluates, for each index in ``cells``, that cell's
-    member at the matching entry of ``ts``; ``label(cell)`` names the member
-    in an error.  Every cell takes exactly the scalar steps: doubling from
-    ``[0, 1]``, then bisection until the relative width is ``rtol`` or the
-    midpoint no longer splits the bracket, returning the upper end.  Cells
-    leave the working set as they finish, so one step costs one evaluation
-    over the unfinished cells only.
+    ``psi(ts)`` evaluates each cell's member at the matching entry of
+    ``ts``; ``label(cell)`` names the member in an error.  Every cell runs
+    the steps of :func:`_bisect` from ``[0, inf]``, one evaluation over the
+    whole array per step and ``_STEPS`` steps in all.  A cell whose bracket
+    has closed (its midpoint is its lower end) keeps it.
     """
-    out = np.zeros_like(ys)
-    cells = np.flatnonzero(ys)  # y = 0 maps to 0
-    y = ys[cells]
-    hi = np.ones_like(y)
-    with np.errstate(over="ignore", under="ignore"):
-        below = np.arange(cells.size)
-        doublings = 0
-        while below.size:
-            below = below[psi(hi[below], cells[below]) < y[below]]
-            hi[below] *= 2.0
-            doublings += 1
-            if below.size and doublings > 200:
-                i = below[0]
-                bad = float(psi(hi[i:i + 1], cells[i:i + 1])[0])
-                raise BracketError(
-                    f"{label(cells[i])}: no upper bracket for inverse at "
-                    f"y={float(y[i])!r}; psi({float(hi[i])!r}) = {bad!r}")
-        lo = np.zeros_like(hi)
-
-        def retire(keep):
-            nonlocal cells, y, lo, hi
-            out[cells[~keep]] = hi[~keep]
-            cells, y, lo, hi = cells[keep], y[keep], lo[keep], hi[keep]
-
-        for _ in range(max_iter):
-            if not cells.size:
-                break
-            mid = 0.5 * (lo + hi)
-            split = (lo < mid) & (mid < hi)
-            if not split.all():
-                retire(split)
-                mid = mid[split]
-            below = psi(mid, cells) < y
+    lo = np.zeros(ys.shape, dtype=np.int64)
+    hi = np.full(ys.shape, _INF_BITS, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for _ in range(_STEPS):
+            mid = lo + ((hi - lo) >> 1)  # lo + hi overflows int64
+            below = (psi(mid.view(float)) < ys) | (mid == lo)
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-            retire(hi - lo > rtol * hi)
-        out[cells] = hi
-    return out
+    unbounded = np.flatnonzero(hi == _INF_BITS)
+    if unbounded.size:
+        raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
+    return np.where(ys == 0.0, 0.0, hi.view(float))  # y = 0 maps to 0
 
 
 @dataclass(frozen=True)
@@ -202,40 +210,23 @@ class YoungFunction:
             out = self.array_fn(ts)
         return np.where(ts == 0.0, 0.0, out) if lo == 0.0 else out
 
-    def inverse(self, y: float, rtol: float = 1e-12, max_iter: int = 200) -> float:
-        """Solve ``psi(t) = y`` for ``t >= 0`` by bracketing and bisection.
+    def inverse(self, y: float) -> float:
+        """The smallest double ``t`` with ``psi(t) >= y``: the root of
+        ``psi(t) = y`` to the ulp, by :func:`_bisect` over ``[0, inf]``.
 
-        The bracket starts at ``[0, 1]`` and doubles its upper end until it
-        encloses the root (overflowing evaluations count as ``inf`` and stop
-        the growth).  Bisection then narrows to relative width ``rtol``.  The
-        returned value is the upper end of the final bracket, which makes the
-        result monotone in ``y`` along a shared bisection tree.
+        At most ``_STEPS`` (63) evaluations of ``psi`` at any scale of ``y``;
+        an overflowing evaluation counts as ``inf``.  :class:`BracketError`
+        when ``psi`` stays below ``y`` on every finite ``t``.
         """
         y = float(y)
         if math.isnan(y) or math.isinf(y) or y < 0:
             raise DomainError(f"{self.label}: inverse needs finite y >= 0, got {y!r}")
         if y == 0.0:
             return 0.0
-        lo, hi = 0.0, 1.0
-        doublings = 0
-        while self(hi) < y:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise BracketError(
-                    f"{self.label}: no upper bracket for inverse at y={y!r}; "
-                    f"psi({hi!r}) = {self(hi)!r}")
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= rtol * hi:
-                break
-        return hi
+        t = _bisect(lambda t: self(t) < y)[1]
+        if t == math.inf:
+            raise _no_upper_bracket(self.label, y)
+        return t
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """:meth:`inverse` element by element over a float64 array.
@@ -247,8 +238,7 @@ class YoungFunction:
         if self.array_fn is None:
             out = np.array([self.inverse(y) for y in ys.ravel().tolist()])
         else:
-            out = _bisect_inverse(lambda ts, cells: self.array_fn(ts), ys.ravel(),
-                                  lambda cell: self.label)
+            out = _bisect_inverse(self.array_fn, ys.ravel(), lambda cell: self.label)
         return out.reshape(ys.shape)
 
 
@@ -411,7 +401,7 @@ class YoungFamily:
                              for y in ys.tolist()]).reshape(ys.size, len(qs))
         q_cells = np.tile(qs, ys.size)
         return _bisect_inverse(
-            lambda ts, cells: self.array_fn(ts, q_cells[cells]), np.repeat(ys, len(qs)),
+            lambda ts: self.array_fn(ts, q_cells), np.repeat(ys, len(qs)),
             lambda cell: self.make_fn(float(q_cells[cell])).label,
         ).reshape(ys.size, len(qs))
 
@@ -442,30 +432,9 @@ def _iter_exp(x: float, n: int) -> float:
 
 
 def _anchor_constant(n: int) -> float:
-    """The ``c > 0`` whose n-fold iterated log of ``c + 1`` equals 1.
-
-    Solved by bracket growth plus bisection on ``x = c + 1``; the lower end
-    is where the iterated log vanishes.
-    """
-    lo = _iter_exp(1.0, n - 1)  # L_n(lo) == 0
-    hi = max(2.0 * lo, 2.0)
-    doublings = 0
-    while _iter_log(hi, n) < 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200 or math.isinf(hi):
-            raise BracketError(f"iterated-log anchor for n={n} exceeds double range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _iter_log(mid, n) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return hi - 1.0
+    """The ``c > 0`` whose n-fold iterated log of ``c + 1`` equals 1: ``c + 1``
+    is ``exp`` applied n times to 1."""
+    return _iter_exp(1.0, n) - 1.0
 
 
 def power_family() -> YoungFamily:

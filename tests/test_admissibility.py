@@ -28,6 +28,7 @@ from orlicz import (
     powerlog_e_family,
     sinpiecewise_family,
 )
+from orlicz.admissibility import DEFAULT_CONFIG
 
 INF = MeasureSpace(math.inf)
 GEO = geometric_schedule(1.0, 12)
@@ -380,23 +381,57 @@ def _scalar_path(family: YoungFamily) -> YoungFamily:
     return replace(family, array_fn=None)
 
 
+# A Richardson stage with q^m weights maps errors e1, e2 at nodes q1 < q2 to
+# (q2^m e2 - q1^m e1) / (q2^m - q1^m), at most (r^m + 1) / (r^m - 1) times the
+# larger for r = q2 / q1.  The closest nodes a default probe accelerates are
+# the last two of one parity of the phase_k_factor retry, k = K - 2 and K, and
+# at most three stages run: a factor of about 1.2e6 at K = 192.
+_K = DEFAULT_CONFIG.phase_k_max * DEFAULT_CONFIG.phase_k_factor
+_R = (_K + 0.5) / (_K - 1.5)
+RICHARDSON_AMPLIFICATION = math.prod((_R ** m + 1.0) / (_R ** m - 1.0) for m in (1, 2, 3))
+
+
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
 def test_classify_grid_matches_scalar_path(catalog_family, mass):
     space = MeasureSpace(mass)
     got = classify(catalog_family, space)
     want = classify(_scalar_path(catalog_family), space)
-    assert (got.verdict, got.delta, got.alpha, got.beta) == \
-        (want.verdict, want.delta, want.alpha, want.beta)
-    assert got.inverse_evidence == want.inverse_evidence
-    # Values come from the family's formula over (t, q) arrays here and from
-    # one member per q there: the same up to the array/scalar rounding bound.
+    assert got.verdict == want.verdict
+    # Each path solves its inverses to the ulp of its own psi, and the two
+    # psi differ by the array/scalar rounding bound rel(q); inverses inherit
+    # it.  Raw evidence stays within rel(q), accelerated limits within the
+    # largest rel(q) times the Richardson amplification.
     eps = np.finfo(float).eps
     p = catalog_family.params.get("p", 1.0)
+
+    def rel(q):
+        return 8.0 * (p + q + 1.0) * eps
+
+    raw = [(q, v) for _, est in want.inverse_evidence for q, v in est.evidence]
+    derived = (rel(max(q for q, _ in raw)) * RICHARDSON_AMPLIFICATION
+               * max(abs(v) for _, v in raw))
+
+    def close(a, b, bound):
+        return a is b is None or (a == b or abs(a - b) <= bound)
+
+    for a, b in ((got.delta, want.delta), (got.alpha, want.alpha), (got.beta, want.beta)):
+        assert close(a, b, derived), (a, b)
+    assert [y for y, _ in got.inverse_evidence] == [y for y, _ in want.inverse_evidence]
+    for (y, a), (_, b) in zip(got.inverse_evidence, want.inverse_evidence):
+        assert a.kind == b.kind, y
+        for x1, x2 in ((a.value, b.value), (a.liminf_est, b.liminf_est),
+                       (a.limsup_est, b.limsup_est)):
+            assert close(x1, x2, derived), (y, x1, x2)
+        assert [q for q, _ in a.evidence] == [q for q, _ in b.evidence]
+        for (q, va), (_, vb) in zip(a.evidence, b.evidence):
+            assert abs(va - vb) <= rel(q) * abs(vb), (y, q)
+    # Values come from the family's formula over (t, q) arrays here and from
+    # one member per q there: the same up to the array/scalar rounding bound.
     for (t, a), (_, b) in zip(got.value_evidence, want.value_evidence):
         assert a.kind == b.kind, t
         for (qa, va), (qb, vb) in zip(a.evidence, b.evidence):
             assert qa == qb
-            assert va == vb or abs(va - vb) <= 8.0 * (p + qa + 1.0) * eps * abs(vb), (t, qa)
+            assert va == vb or abs(va - vb) <= rel(qa) * abs(vb), (t, qa)
 
 
 @pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])

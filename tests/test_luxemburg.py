@@ -62,6 +62,15 @@ def test_modular_decreasing_in_lambda(l1, l2):
         assert modular(psi, f, lo) >= modular(psi, f, hi)
 
 
+@pytest.mark.parametrize("n", [1, 40])
+@pytest.mark.parametrize("lam", [1e-308, 5e-324])
+def test_modular_overflowing_argument_is_inf(n, lam):
+    """``a / lam`` beyond the double range is a term of ``+inf``, on the
+    scalar loop (1 atom) and the array pass (40 atoms) alike."""
+    f = SimpleFunction(tuple((float(a), 1.0) for a in range(1, n + 1)), INF)
+    assert modular(power_family().make(2.0), f, lam) == math.inf
+
+
 def test_indicator_closed_form_mass_8():
     psi = power_family().make(3.0)
     f = SimpleFunction(((1.0, 8.0),), INF)
@@ -99,7 +108,8 @@ def test_norm_result_reports_bracket():
     result = luxemburg_norm(power_family().make(2.0), two_atom())
     lo, hi = result.bracket
     assert lo <= result.norm <= hi
-    assert result.iterations > 0
+    assert math.nextafter(lo, math.inf) == hi
+    assert 0 < result.iterations <= 63
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, 64.0, 1024.0, 4096.0])

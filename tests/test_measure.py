@@ -82,6 +82,16 @@ def test_merged_mass_overflow_rejected():
         SimpleFunction(((1.0, 1e308), (1.0, 1e308)), INF)
 
 
+def test_masses_overflowing_only_in_sum():
+    # Each atom's mass is finite; only their total is not.  The function
+    # lives in an infinite space and its norms are representable.
+    f = SimpleFunction(((2.0, 1e308), (1.0, 1e308)), INF)
+    assert f.masses.tolist() == [1e308, 1e308]
+    assert f.support_mass == math.inf
+    with pytest.raises(MeasureModelError):
+        SimpleFunction(((2.0, 1e308), (1.0, 1e308)), MeasureSpace(1.7e308))
+
+
 def test_atom_arrays_follow_canonical_order():
     f = SimpleFunction(((1.0, 2.0), (5.0, 3.0), (1.0, 0.5)), INF)
     assert f.values.tolist() == [5.0, 1.0]

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts under scripts/."""
 
+import csv
 import importlib.util
 import os
 
@@ -29,3 +30,18 @@ def test_run_growth_checks_thresholds(capsys):
                for line in lines)
     assert sum(line.startswith("transfer ") and line.endswith("concave=True")
                for line in lines) == 2
+
+
+def test_run_sweeps_converge_to_sup_norm(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["run_sweeps.py", "--outdir", str(tmp_path)])
+    assert _load("run_sweeps").main() == 0
+    # The paper's limit with C = 1: at the last q (4096) the norm is ||f||_inf.
+    for name, sup in (("power_f31", 3.0), ("logbump_p2", 2.0),
+                      ("iterlog_n2_p1", 2.0), ("iterlog_n2_p3", 2.0)):
+        with open(tmp_path / f"{name}.csv", newline="") as handle:
+            last = list(csv.DictReader(handle))[-1]
+        assert abs(float(last["norm"]) - sup) <= 1e-9 * sup, (name, last)
+    # The phase-locked sinpiecewise members oscillate: no limit, no target.
+    with open(tmp_path / "sinpiecewise_locked.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows and all(row["target"] == "" for row in rows)

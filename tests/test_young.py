@@ -30,6 +30,7 @@ from orlicz.young import E_MINUS_1, _anchor_constant
 from conftest import CATALOG_SPECS
 
 E_E_MINUS_1 = 14.154262241479262  # exp(e) - 1, the two-fold iterated-log anchor
+EPS = np.finfo(float).eps
 
 
 def test_power_pointwise():
@@ -135,18 +136,44 @@ Q_UNION = tuple(sorted(
 GRID_YS = (0.0,) + _DEFAULT_Y_GRID
 
 
+def _psi_rel(psi: YoungFunction) -> float:
+    """The array/scalar Psi bound of test_array_evaluation_matches_scalar.
+
+    It bounds the inverses too: ``t psi'(t) / psi(t) >= 1`` for a Young
+    function, so a relative error in psi moves its inverse by no more.
+    """
+    return 8.0 * (psi.params.get("p", 1.0) + psi.params.get("q", 1.0) + 1.0) * EPS
+
+
+def _assert_smallest_root(psi_at, ys, ts):
+    """``psi_at(t) >= y > psi_at(nextafter(t, 0))`` bitwise, cell by cell,
+    for the evaluation ``psi_at`` of the path that solved ``ts``; ``y = 0``
+    maps to 0."""
+    ys, ts = np.asarray(ys, dtype=float), np.asarray(ts, dtype=float)
+    assert (ts[ys == 0.0] == 0.0).all()
+    with np.errstate(over="ignore", under="ignore"):
+        at, before = psi_at(ts), psi_at(np.nextafter(ts, 0.0))
+    pos = ys > 0.0
+    assert (at[pos] >= ys[pos]).all() and (before[pos] < ys[pos]).all()
+
+
+def _scalar_psi(psi: YoungFunction):
+    return lambda ts: np.array([psi(t) for t in ts.tolist()])
+
+
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
 def test_inverse_grid_matches_scalar(spec):
     family = make_family(spec)
     got = family.inverse_grid(GRID_YS, Q_UNION)
-    want = np.array([[family.make(q).inverse(y) for q in Q_UNION] for y in GRID_YS])
-    if spec == "iterlog:N=3":
-        # np.log is an ulp off math.log at some points, and L_3(c + t)^q
-        # multiplies that by q: 9e-13 of psi at q = 4096, the size of the
-        # solver's own rtol, so a rare bisection step branches the other way.
-        np.testing.assert_allclose(got, want, rtol=4e-12, atol=0.0)
-    else:
-        assert np.array_equal(got, want)
+    # The grid's own psi: the family formula over the cells in the layout
+    # the solver evaluates them in.
+    ys, qs = np.repeat(GRID_YS, len(Q_UNION)), np.tile(Q_UNION, len(GRID_YS))
+    _assert_smallest_root(lambda ts: family.array_fn(ts, qs), ys, got.ravel())
+    for j, q in enumerate(Q_UNION):
+        psi = family.make(q)
+        want = [psi.inverse(y) for y in GRID_YS]
+        _assert_smallest_root(_scalar_psi(psi), GRID_YS, want)
+        np.testing.assert_allclose(got[:, j], want, rtol=_psi_rel(psi), atol=0.0)
 
 
 def test_inverse_grid_domain():
@@ -159,6 +186,38 @@ def test_inverse_grid_domain():
     for bad_q in (0.5, math.nan, math.inf):  # power requires q >= 1
         with pytest.raises(DomainError):
             family.inverse_grid([1.0], [2.0, bad_q])
+
+
+def test_inverse_exact_at_tiny_y():
+    # The old doubling-from-[0, 1] bracket stopped at a relative width of
+    # 1e-12 of its upper end and returned 6.2e-61 here.
+    assert power_family().make(1.0).inverse(1e-100) == 1e-100
+    assert power_family().make(1.0).inverse(5e-324) == 5e-324
+
+
+@pytest.mark.parametrize("y", [5e-324, 1e-300, 0.75, 2.0, 1e300, 1.7976931348623157e308])
+def test_scalar_inverse_psi_calls(y):
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return t ** 3.0
+    YoungFunction(fn, "cube", {}).inverse(y)
+    assert 0 < len(calls) <= 63
+
+
+def test_inverse_grid_array_calls():
+    # Every cell bisects the bit patterns of [0, inf] in lockstep: one
+    # evaluation of the family formula per step, 63 steps, at any scale.
+    family = make_family("logbump:p=2")
+    calls = []
+
+    def counted(t, q):
+        calls.append(t.size)
+        return family.array_fn(t, q)
+    ys, qs = (0.0, 1e-300, 0.5, 2.0, 1e300), (0.5, 8.0, 4096.0)
+    replace(family, array_fn=counted).inverse_grid(ys, qs)
+    assert calls == [len(ys) * len(qs)] * 63
 
 
 def _bounded_family(array_form: bool) -> YoungFamily:
@@ -198,7 +257,10 @@ def test_inverse_array_matches_scalar(spec):
     psi = make_family(spec).make(8.0)
     ys = np.array(GRID_YS + (0.5, 1e6))
     want = [psi.inverse(y) for y in ys.tolist()]
-    assert psi.inverse_array(ys).tolist() == want
+    got = psi.inverse_array(ys)
+    _assert_smallest_root(psi.array_fn, ys, got)
+    np.testing.assert_allclose(got, want, rtol=_psi_rel(psi), atol=0.0)
+    # without an array form every element is the scalar solve
     assert replace(psi, array_fn=None).inverse_array(ys).tolist() == want
     with pytest.raises(DomainError):
         psi.inverse_array(np.array([1.0, -1.0]))
@@ -288,6 +350,21 @@ def test_identity_family_not_strict():
 
 def test_strict_flag_on_superlinear(catalog_family):
     assert validate(catalog_family.make(2.0)).strict
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 7.0, 64.0, 4096.0, 1e5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("name", ["iterlog", "addie"])
+def test_unit_point_exact(name, N, p, q):
+    """``psi_q(1) == 1`` exactly on every path: with the closed-form anchors
+    ``c_j + 1 = exp^j(1)``, each ``L_j(c_j + 1)`` is exactly 1.0 in doubles,
+    so no power of it drifts with q."""
+    family = make_family(f"{name}:N={N},p={p}")
+    psi = family.make(q)
+    assert psi(1.0) == 1.0
+    assert psi.evaluate(np.array([1.0])).tolist() == [1.0]
+    assert family.evaluate_grid([1.0], [q]).tolist() == [[1.0]]
 
 
 def test_iterlog_anchor_constants():
