@@ -38,8 +38,6 @@ from .young import DomainError, E_MINUS_1, YoungFamily, YoungFunction, logbump_f
 
 __all__ = [
     "AdmissibilityReport",
-    "ClassifierConfig",
-    "DEFAULT_CONFIG",
     "FixedPointReport",
     "LimitEstimate",
     "MonotonicityReport",
@@ -59,37 +57,33 @@ __all__ = [
 Kind = Literal["zero", "finite", "infinite", "oscillating", "undetermined"]
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Thresholds for the limit decision rules.
+# The gates of every limit verdict.  _CLASS_TOL is the resolution of every
+# verdict: limits closer together than it are not distinguished, and
+# extrapolated limits smaller than _ZERO_TOL (half of it) count as zero.
+_TAIL_LEN = 5
+_BIG_VALUE = 1e12
+_SMALL_VALUE = 1e-12
+_FLAT_TOL = 1e-5
+_OSC_TOL = 1e-3
+_CLASS_TOL = 1e-2
+_ZERO_TOL = 5e-3
+_GROWTH_FACTOR = 4.0
+_BIG_SLOPE = 1e2
+_DOUBLINGS = 12
+_EXTRA_DOUBLINGS = 2
+_PHASE_K_MAX = 64
+_PHASE_K_FACTOR = 3
+_MARGIN = 0.05
+_MONO_TOL = 1e-8
+_CASE_II_SLACK = 1e-6
 
-    ``class_tol`` is the resolution of every verdict: limits closer together
-    than this are not distinguished, and extrapolated limits smaller than
-    ``zero_tol`` (half of it) count as zero.
-    """
-
-    tail_len: int = 5
-    big_value: float = 1e12
-    small_value: float = 1e-12
-    flat_tol: float = 1e-5
-    osc_tol: float = 1e-3
-    class_tol: float = 1e-2
-    zero_tol: float = 5e-3
-    growth_factor: float = 4.0
-    big_slope: float = 1e2
-    doublings: int = 12
-    extra_doublings: int = 2
-    phase_k_max: int = 64
-    phase_k_factor: int = 3
-    margin: float = 0.05
-    mono_tol: float = 1e-8
-    case_ii_slack: float = 1e-6
-
-
-DEFAULT_CONFIG = ClassifierConfig()
-
-_DEFAULT_T_GRID = tuple(float(t) for t in np.geomspace(0.05, 20.0, 33))
-_DEFAULT_Y_GRID = (0.0005, 0.02, 0.2, 0.45, 0.75, 2.0, 10.0)
+_T_GRID = tuple(np.geomspace(0.05, 20.0, 33).tolist())
+_Y_GRID = (0.0005, 0.02, 0.2, 0.45, 0.75, 2.0, 10.0)
+# growth scans: u-grid size and q-schedule length; T_c fixed-point check
+_GROWTH_POINTS = 161
+_GROWTH_DOUBLINGS = 5
+_TC_GRID_POINTS = 64
+_TC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,13 +127,6 @@ def phase_locked_schedule(k_min: int = 1, k_max: int = 64,
     return tuple(math.pi / 2.0 + k * math.pi for k in ks)
 
 
-def _check_schedule(qs: Sequence[float]) -> tuple[float, ...]:
-    qs = tuple(float(q) for q in qs)
-    if len(qs) < 8 or any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("schedule needs at least 8 strictly increasing q values")
-    return qs
-
-
 def _richardson_stage(nodes: Sequence[float], vals: Sequence[float],
                       m: int) -> list[float]:
     """One Richardson stage with ``q^m`` weights: eliminates a ``C/q^m`` tail
@@ -168,8 +155,7 @@ def _stable_tail(vals: Sequence[float], n: int, tol: float) -> float | None:
     return None
 
 
-def classify_sequence(qs: Sequence[float], vs: Sequence[float],
-                      config: ClassifierConfig = DEFAULT_CONFIG) -> LimitEstimate:
+def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate:
     """Apply the tail decision rule to one sampled sequence.
 
     Order of tests: a flat tail (sequences with exponentially fast settling,
@@ -183,15 +169,15 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float],
     qs = tuple(map(float, qs))
     vs = tuple(map(float, vs))
     evidence = tuple(zip(qs, vs))
-    n = min(config.tail_len, len(vs))
+    n = min(_TAIL_LEN, len(vs))
     tail = vs[-n:]
     lim_lo, lim_hi = min(tail), max(tail)
     nondec = all(b >= a for a, b in zip(tail, tail[1:]))
     noninc = all(b <= a for a, b in zip(tail, tail[1:]))
 
-    flat = _stable_tail(vs, n, config.flat_tol)
+    flat = _stable_tail(vs, n, _FLAT_TOL)
     if flat is not None:
-        if abs(flat) <= config.small_value:
+        if abs(flat) <= _SMALL_VALUE:
             return LimitEstimate("zero", None, 0.0, 0.0, evidence)
         return LimitEstimate("finite", flat, flat, flat, evidence)
 
@@ -203,105 +189,84 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float],
     r1_tail = r1[-n:]
     r1_ok = all(math.isfinite(r) for r in r1_tail) and len(r1_tail) >= 2
 
-    if nondec and (tail[-1] > config.big_value or
-                   (tail[0] > 0.0 and tail[-1] >= config.growth_factor * tail[0]
-                    and r1_ok and r1_tail[-1] > config.big_slope)):
+    if nondec and (tail[-1] > _BIG_VALUE or
+                   (tail[0] > 0.0 and tail[-1] >= _GROWTH_FACTOR * tail[0]
+                    and r1_ok and r1_tail[-1] > _BIG_SLOPE)):
         return LimitEstimate("infinite", None, math.inf, math.inf, evidence)
 
-    if noninc and (tail[-1] < config.small_value or
-                   (r1_ok and abs(r1_tail[-1]) <= config.zero_tol
-                    and abs(r1_tail[-2]) <= config.zero_tol)):
+    if noninc and (tail[-1] < _SMALL_VALUE or
+                   (r1_ok and abs(r1_tail[-1]) <= _ZERO_TOL
+                    and abs(r1_tail[-2]) <= _ZERO_TOL)):
         return LimitEstimate("zero", None, 0.0, 0.0, evidence)
 
-    value = _stable_tail(r2, n, config.osc_tol)
+    value = _stable_tail(r2, n, _OSC_TOL)
     if value is None and (nondec or noninc):
         # Monotone but still drifting after two stages: large low-order
         # coefficients (C/q with C in the hundreds) leave a C'/q^3 residue a
         # third stage removes.  Gating on monotonicity keeps oscillating
         # sequences out, since acceleration only inflates their swings.
         r3 = _richardson_stage(window[2:], r2, 3)
-        value = _stable_tail(r3, n, config.osc_tol)
+        value = _stable_tail(r3, n, _OSC_TOL)
     if value is not None:
         return LimitEstimate("finite", value, value, value, evidence)
 
     deltas = [b - a for a, b in zip(tail, tail[1:])]
     alternating = len(deltas) >= 3 and all(
         d1 * d2 < 0.0 for d1, d2 in zip(deltas, deltas[1:]))
-    if alternating and (lim_hi - lim_lo) > config.osc_tol * max(1.0, abs(tail[-1])):
+    if alternating and (lim_hi - lim_lo) > _OSC_TOL * max(1.0, abs(tail[-1])):
         return LimitEstimate("oscillating", None, lim_lo, lim_hi, evidence)
 
     return LimitEstimate("undetermined", None, lim_lo, lim_hi, evidence)
 
 
-def limit_of_values(family: YoungFamily, t: float,
-                    schedule: Sequence[float] | None = None,
-                    config: ClassifierConfig = DEFAULT_CONFIG) -> LimitEstimate:
+def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     """Classify ``q -> psi_q(t)``.
 
-    With the default schedule the verdict aggregates the geometric scan with
-    the two phase-locked subsequences (needed to certify oscillation); an
-    explicit ``schedule`` is classified as-is.
+    The verdict aggregates the geometric scan with the two phase-locked
+    subsequences (needed to certify oscillation).
     """
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    plan = _plan(family, schedule, config, locked=False)
-    return _limits(family.evaluate_grid, (t,), plan, config)[0]
+    return _limits(family.evaluate_grid, (t,), _plan(family))[0]
 
 
-def limit_of_inverses(family: YoungFamily, y: float,
-                      schedule: Sequence[float] | None = None,
-                      config: ClassifierConfig = DEFAULT_CONFIG) -> LimitEstimate:
+def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     """Classify ``q -> psi_q^{-1}(y)``; scheduling as in :func:`limit_of_values`."""
     y = float(y)
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be positive and finite, got {y!r}")
-    plan = _plan(family, schedule, config, locked=False)
-    return _limits(family.inverse_grid, (y,), plan, config)[0]
+    return _limits(family.inverse_grid, (y,), _plan(family))[0]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """Every q-schedule one probe may read, in the order :func:`_probe` reads
-    them: the base scan, its extra-doublings refinement (empty when it does
-    not apply), the two phase-locked parities, and their ``phase_k_factor``
-    retry (``None`` when it does not apply)."""
+    them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, the two
+    phase-locked parities, and their retry out to ``_PHASE_K_FACTOR`` times
+    as many k."""
 
     base: tuple[float, ...]
-    longer: tuple[float, ...] = ()
-    parity: tuple[tuple[float, ...], ...] = ((), ())
-    retry: tuple[tuple[float, ...], ...] | None = None
+    longer: tuple[float, ...]
+    parity: tuple[tuple[float, ...], ...]
+    retry: tuple[tuple[float, ...], ...]
 
     def qs(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.base).union(
-            self.longer, *self.parity, *(self.retry or ()))))
+        return tuple(sorted(set(self.base).union(self.longer, *self.parity, *self.retry)))
 
 
-def _plan(family: YoungFamily, schedule: Sequence[float] | None,
-          config: ClassifierConfig, locked: bool = True) -> _Plan:
-    """The schedules of one probe.  A caller-pinned ``schedule`` is never
-    refined, and without ``locked`` it is classified as-is."""
-    if schedule is not None:
-        base = _check_schedule(schedule)
-        if not locked:
-            return _Plan(base)
-        longer = ()
-    else:
-        base = geometric_schedule(family.schedule_q0, config.doublings)
-        longer = (geometric_schedule(base[0], config.doublings + config.extra_doublings)
-                  if config.extra_doublings > 0 else ())
-    retry = (_parity_schedules(family, config, config.phase_k_max * config.phase_k_factor)
-             if config.phase_k_factor > 1 else None)
-    return _Plan(base, longer, _parity_schedules(family, config), retry)
+def _plan(family: YoungFamily) -> _Plan:
+    base = geometric_schedule(family.schedule_q0, _DOUBLINGS)
+    return _Plan(base, geometric_schedule(base[0], _DOUBLINGS + _EXTRA_DOUBLINGS),
+                 _parity_schedules(family, _PHASE_K_MAX),
+                 _parity_schedules(family, _PHASE_K_MAX * _PHASE_K_FACTOR))
 
 
-def _limits(grid, points: Sequence[float], plan: _Plan,
-            config: ClassifierConfig) -> list[LimitEstimate]:
+def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
     """One aggregated estimate per point, all read from one ``grid(points,
     qs)`` over the union of the plan's schedules."""
     qs = plan.qs()
-    return [_probe(plan, dict(zip(qs, row)), config)
-            for row in grid(points, qs).tolist()]
+    return [_probe(plan, dict(zip(qs, row))) for row in grid(points, qs).tolist()]
 
 
 @dataclass(frozen=True)
@@ -329,20 +294,17 @@ def _q_admissible(family: YoungFamily, q: float) -> bool:
     return q > 0.0
 
 
-def _parity_schedules(family: YoungFamily, config: ClassifierConfig,
-                      k_max: int | None = None) -> tuple[tuple[float, ...], ...]:
+def _parity_schedules(family: YoungFamily, k_max: int) -> tuple[tuple[float, ...], ...]:
     out = []
     for parity in ("odd", "even"):
-        qs = tuple(q for q in phase_locked_schedule(
-            1, k_max if k_max is not None else config.phase_k_max, parity)
-            if _q_admissible(family, q))
+        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity)
+                   if _q_admissible(family, q))
         out.append(qs if len(qs) >= 8 else ())
     return tuple(out)
 
 
 def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
-               even: LimitEstimate | None,
-               config: ClassifierConfig) -> LimitEstimate:
+               even: LimitEstimate | None) -> LimitEstimate:
     """Combine the geometric estimate with the two phase-locked ones.
 
     Disagreeing finite parity limits override everything (that is exactly the
@@ -355,7 +317,7 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
 
     if (odd is not None and even is not None
             and odd.kind == "finite" and even.kind == "finite"
-            and abs(odd.value - even.value) > config.class_tol):
+            and abs(odd.value - even.value) > _CLASS_TOL):
         lo, hi = sorted((odd.value, even.value))
         return LimitEstimate("oscillating", None, lo, hi, ev)
 
@@ -374,20 +336,20 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
     return LimitEstimate("undetermined", None, lo, hi, ev)
 
 
-def _probe(plan: _Plan, value_at: dict, config: ClassifierConfig) -> LimitEstimate:
+def _probe(plan: _Plan, value_at: dict) -> LimitEstimate:
     """Aggregated estimate of one sequence ``value_at[q]`` over ``plan``."""
     def estimate(qs):
-        return classify_sequence(qs, [value_at[q] for q in qs], config) if qs else None
+        return classify_sequence(qs, [value_at[q] for q in qs]) if qs else None
 
     geo = estimate(plan.base)
-    if geo.kind == "undetermined" and plan.longer:
+    if geo.kind == "undetermined":
         # one deterministic refinement with a longer geometric tail
         geo = estimate(plan.longer)
-    est = _aggregate(geo, *map(estimate, plan.parity), config)
-    if est.kind == "undetermined" and plan.retry is not None:
+    est = _aggregate(geo, *map(estimate, plan.parity))
+    if est.kind == "undetermined":
         # Slow phase-locked settling (members converging like r^q with r near
         # 1): push the locked subsequences to larger k before giving up.
-        est = _aggregate(geo, *map(estimate, plan.retry), config)
+        est = _aggregate(geo, *map(estimate, plan.retry))
     return est
 
 
@@ -398,11 +360,7 @@ def _probe_band(est: LimitEstimate) -> tuple[float, float]:
     return est.liminf_est, est.limsup_est
 
 
-def classify(family: YoungFamily, space: MeasureSpace,
-             schedule: Sequence[float] | None = None,
-             t_grid: Sequence[float] | None = None,
-             y_grid: Sequence[float] | None = None,
-             config: ClassifierConfig = DEFAULT_CONFIG) -> AdmissibilityReport:
+def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     """Admissibility verdict from inverse-limit probes with value-side vetoes.
 
     The inverse side is the characterization: a common finite inverse limit
@@ -416,22 +374,19 @@ def classify(family: YoungFamily, space: MeasureSpace,
 
     The value side never establishes a verdict; a decisive value-side limit
     that contradicts the candidate (bounded above ``beta``, or failing to
-    decay below ``alpha``) downgrades the verdict to ``undetermined``.
+    decay below ``alpha``) downgrades the verdict to ``undetermined``.  A
+    total mass so small that ``1/total_mass`` overflows raises
+    :class:`OverflowError`.
     """
-    plan = _plan(family, schedule, config)
-    ts = tuple(float(t) for t in (t_grid if t_grid is not None else _DEFAULT_T_GRID))
-    ys = tuple(float(y) for y in (y_grid if y_grid is not None else _DEFAULT_Y_GRID))
-    if any(t <= 0 or not math.isfinite(t) for t in ts):
-        raise DomainError("t_grid must be positive and finite")
-    if any(y <= 0 or not math.isfinite(y) for y in ys):
-        raise DomainError("y_grid must be positive and finite")
-
     mass_floor = 1.0 / space.total_mass if space.finite else 0.0
-    probe_ys = tuple(sorted(set(y for y in ys if y >= mass_floor)
+    if math.isinf(mass_floor):
+        raise OverflowError(f"1/total_mass is beyond the double range for "
+                            f"total_mass={space.total_mass!r}")
+    plan = _plan(family)
+    probe_ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                             | ({mass_floor} if space.finite else set())))
-    inverse_evidence = tuple(zip(
-        probe_ys, _limits(family.inverse_grid, probe_ys, plan, config)))
-    value_evidence = tuple(zip(ts, _limits(family.evaluate_grid, ts, plan, config)))
+    inverse_evidence = tuple(zip(probe_ys, _limits(family.inverse_grid, probe_ys, plan)))
+    value_evidence = tuple(zip(_T_GRID, _limits(family.evaluate_grid, _T_GRID, plan)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,
@@ -450,8 +405,8 @@ def classify(family: YoungFamily, space: MeasureSpace,
     if all(k == "finite" for k in kinds):
         values = [est.value for _, est in inverse_evidence]
         delta = statistics.median(values)
-        if all(abs(v - delta) <= config.class_tol for v in values):
-            if _value_side_veto(value_evidence, delta, delta, space, config):
+        if all(abs(v - delta) <= _CLASS_TOL for v in values):
+            if _value_side_veto(value_evidence, delta, delta, space):
                 return report("undetermined")
             return report("delta_admissible", delta=delta)
 
@@ -459,7 +414,7 @@ def classify(family: YoungFamily, space: MeasureSpace,
         bands = [_probe_band(est) for _, est in inverse_evidence]
         alpha = min(lo for lo, _ in bands)
         beta = max(hi for _, hi in bands)
-        if _value_side_veto(value_evidence, alpha, beta, space, config):
+        if _value_side_veto(value_evidence, alpha, beta, space):
             return report("undetermined")
         return report("alpha_beta_admissible", alpha=alpha, beta=beta)
 
@@ -467,7 +422,7 @@ def classify(family: YoungFamily, space: MeasureSpace,
         bands = [_probe_band(est) for _, est in inverse_evidence
                  if est.kind != "zero"]
         beta = max(hi for _, hi in bands)
-        if _value_side_veto(value_evidence, 0.0, beta, space, config):
+        if _value_side_veto(value_evidence, 0.0, beta, space):
             return report("undetermined")
         return report("alpha_beta_admissible", alpha=0.0, beta=beta)
 
@@ -475,7 +430,7 @@ def classify(family: YoungFamily, space: MeasureSpace,
 
 
 def _value_side_veto(value_evidence, alpha: float, beta: float,
-                     space: MeasureSpace, config: ClassifierConfig) -> bool:
+                     space: MeasureSpace) -> bool:
     """True when a decisive value-side limit contradicts the candidate band.
 
     Above ``beta`` the members must blow up, so a limit classified zero or
@@ -486,19 +441,19 @@ def _value_side_veto(value_evidence, alpha: float, beta: float,
     verdict and slow pointwise growth near the threshold is expected.
     """
     for t, est in value_evidence:
-        if t > beta * (1.0 + config.margin):
+        if t > beta * (1.0 + _MARGIN):
             if est.kind in ("zero", "finite", "oscillating"):
                 return True
-        elif alpha > 0.0 and t < alpha * (1.0 - config.margin):
+        elif alpha > 0.0 and t < alpha * (1.0 - _MARGIN):
             if est.kind == "infinite":
                 return True
             if est.kind in ("finite", "oscillating"):
                 high = est.limsup_est
                 if space.finite:
-                    cap = (1.0 / space.total_mass) * (1.0 - config.case_ii_slack)
+                    cap = (1.0 / space.total_mass) * (1.0 - _CASE_II_SLACK)
                     if high >= cap:
                         return True
-                elif high > config.zero_tol:
+                elif high > _ZERO_TOL:
                     return True
     return False
 
@@ -519,11 +474,11 @@ class MonotonicityReport:
     per_q: tuple[tuple[float, bool], ...]
 
 
-def _scan_non_decreasing(ts, rs, mono_tol: float):
+def _scan_non_decreasing(ts, rs):
     worst = None
     for t1, t2, r1, r2 in zip(ts, ts[1:], rs, rs[1:]):
         drop = r1 - r2
-        if drop > mono_tol * max(1.0, abs(r1)):
+        if drop > _MONO_TOL * max(1.0, abs(r1)):
             if worst is None or drop > worst[0]:
                 worst = (drop, t1, t2, r1, r2)
     if worst is None:
@@ -532,33 +487,37 @@ def _scan_non_decreasing(ts, rs, mono_tol: float):
 
 
 def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
-                 schedule: Sequence[float] | None, grid_points: int,
-                 config: ClassifierConfig, inverse_form: bool) -> MonotonicityReport:
+                 inverse_form: bool) -> MonotonicityReport:
     """The one scan kernel behind both growth forms.
 
     Both read ``psi_q^{-1}(u)`` on the same u-grid ``u = phi(t)``, solved as
     one grid over ``(u, q)``.  The direct form divides ``t`` by it; the
-    inverse form divides ``phi^{-1}(u)`` and reports against ``u``.
+    inverse form divides ``phi^{-1}(u)`` and reports against ``u``.  Points
+    where ``phi(t)`` underflows to 0 are dropped, since the ratio is a 0/0
+    form there; fewer than two points left raise :class:`OverflowError`.
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"k must be positive and finite, got {k!r}")
+    points = [(t, u) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()
+              if (u := phi(t)) > 0.0]
+    if len(points) < 2:
+        raise OverflowError(f"{phi.label} is 0 at all but {len(points)} of the "
+                            f"{_GROWTH_POINTS} grid points on (0, {k!r}]")
+    ts, us = map(list, zip(*points))
     interval = (0.0, k)
     if inverse_form:
         u_hi = phi(k)
         if not (math.isfinite(u_hi) and u_hi > 0.0):
             raise DomainError(f"phi(k) must be positive and finite, got {u_hi!r}")
         interval = (0.0, u_hi)
-    qs = _growth_schedule(schedule if schedule is not None else geometric_schedule(
-        family.schedule_q0, 5))
-    ts = [float(t) for t in np.geomspace(1e-9 * k, k, grid_points)]
-    us = [phi(t) for t in ts]
+    qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
     xs, nums = (us, phi.inverse_array(us).tolist()) if inverse_form else (ts, ts)
 
     per_q = []
     for q, column in zip(qs, family.inverse_grid(us, qs).T.tolist()):
         rs = [n / v for n, v in zip(nums, column)]
-        ok, witness = _scan_non_decreasing(xs, rs, config.mono_tol)
+        ok, witness = _scan_non_decreasing(xs, rs)
         per_q.append((q, ok))
     threshold = None
     for q, ok in reversed(per_q):
@@ -571,22 +530,18 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
     return MonotonicityReport(False, interval, None, (qs[-1], *witness), tuple(per_q))
 
 
-def growth_check(family: YoungFamily, phi: YoungFunction, k: float,
-                 schedule: Sequence[float] | None = None, grid_points: int = 161,
-                 config: ClassifierConfig = DEFAULT_CONFIG) -> MonotonicityReport:
+def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> MonotonicityReport:
     """Scan ``t -> t / psi_q^{-1}(phi(t))`` for non-decrease on ``(0, k]``.
 
     The grid is geometric from ``1e-9 * k`` to ``k``; the left endpoint 0 is
-    excluded (the ratio is a 0/0 form there).
+    excluded (the ratio is a 0/0 form there), and so is every point where
+    ``phi(t)`` underflows to 0.
     """
-    return _growth_scan(family, phi, k, schedule, grid_points, config, False)
+    return _growth_scan(family, phi, k, False)
 
 
-def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction, k: float,
-                              schedule: Sequence[float] | None = None,
-                              grid_points: int = 161,
-                              config: ClassifierConfig = DEFAULT_CONFIG,
-                              ) -> MonotonicityReport:
+def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction,
+                              k: float) -> MonotonicityReport:
     """Equivalent scan of ``u -> phi^{-1}(u) / psi_q^{-1}(u)`` on ``(0, phi(k)]``.
 
     The u-grid is the image under ``phi`` of the direct scan's t-grid, so the
@@ -594,14 +549,7 @@ def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction, k: float,
     gridding u geometrically instead would compress the small-t region where
     the violations of fast-growing comparisons live.
     """
-    return _growth_scan(family, phi, k, schedule, grid_points, config, True)
-
-
-def _growth_schedule(qs: Sequence[float]) -> tuple[float, ...]:
-    qs = tuple(float(q) for q in qs)
-    if len(qs) < 2 or any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("growth schedule needs at least 2 strictly increasing q values")
-    return qs
+    return _growth_scan(family, phi, k, True)
 
 
 def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
@@ -648,8 +596,7 @@ class FixedPointReport:
 
 
 def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
-                         grid_hi: float | None = None, grid_points: int = 64,
-                         tol: float = 1e-8) -> FixedPointReport:
+                         grid_hi: float | None = None) -> FixedPointReport:
     """Check ``T_c(t1) = t1`` for ``c = logbump_transfer(p, q0, q, t1)``.
 
     Also evaluates the concavity predicate
@@ -666,12 +613,11 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
         raise DomainError(f"need 0 < q0 < q, got q0={q0!r}, q={q!r}")
 
     residual = abs(tc_map(p, q0, q, c, t1) - t1)
-    ok = residual <= tol * max(1.0, t1)
+    ok = residual <= _TC_TOL * max(1.0, t1)
 
     hi = float(grid_hi) if grid_hi is not None else max(1.0, 2.0 * t1)
     failures = []
-    for t in np.linspace(0.0, hi, grid_points):
-        t = float(t)
+    for t in np.linspace(0.0, hi, _TC_GRID_POINTS).tolist():
         lhs = q0 * c ** (p / q) * math.log(E_MINUS_1 + t) ** (q0 / q)
         rhs = q * math.log(E_MINUS_1 + t) + q - q0
         if not lhs < rhs:

@@ -121,7 +121,8 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     """Distribution-based lower bound ``alpha / psi^{-1}(1 / mu(|f| >= alpha))``.
 
     Always dominated by the Luxemburg norm; 0 when the superlevel set is
-    empty.
+    empty.  A superlevel mass beyond the double range raises
+    :class:`OverflowError`.
     """
     a = float(alpha)
     if math.isnan(a) or math.isinf(a) or a <= 0.0:
@@ -130,5 +131,5 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     if d == 0.0:
         return 0.0
     if math.isinf(d):
-        raise DomainError("superlevel set has infinite measure")
+        raise OverflowError(f"the mass of {{|f| >= {a!r}}} is beyond the double range")
     return a / psi.inverse(1.0 / d)

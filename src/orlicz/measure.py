@@ -134,13 +134,14 @@ def ess_sup(f: SimpleFunction) -> float:
 
 
 def distribution(f: SimpleFunction, alpha: float) -> DistributionSet:
-    """Mass of ``{|f| >= alpha}``.  At ``alpha = 0`` that is the whole space."""
+    """Mass of ``{|f| >= alpha}``.  At ``alpha = 0`` that is the whole space;
+    ``inf`` when the masses sum beyond the double range."""
     a = float(alpha)
     if math.isnan(a) or a < 0.0:
         raise MeasureModelError(f"alpha must be >= 0, got {alpha!r}")
     if a == 0.0:
         return DistributionSet(0.0, f.space.total_mass)
-    return DistributionSet(a, math.fsum(m for v, m in f.atoms if v >= a))
+    return DistributionSet(a, _mass_sum(m for v, m in f.atoms if v >= a))
 
 
 def truncate(f: SimpleFunction, level: float) -> SimpleFunction:

@@ -261,28 +261,27 @@ class ValidationReport:
         return not self.violations
 
 
-def default_validation_grid(n: int = 257, lo: float = 1e-6,
-                            hi: float = 1e3) -> tuple[float, ...]:
-    """0 plus ``n`` geometrically spaced points on ``[lo, hi]``."""
-    return (0.0, *(float(t) for t in np.geomspace(lo, hi, n)))
+def default_validation_grid() -> tuple[float, ...]:
+    """0 plus 257 geometrically spaced points on ``[1e-6, 1e3]``."""
+    return (0.0, *np.geomspace(1e-6, 1e3, 257).tolist())
 
 
 # Midpoint convexity is probed on index pairs at these strides, which keeps the
 # scan near-linear in the grid size while still mixing short and long chords.
 _CONVEXITY_STRIDES = (1, 2, 4, 16, 64, 256)
+# Relative slack of midpoint convexity, and the growth test psi(_T_BIG) > _Y_BIG.
+_CONVEXITY_TOL, _T_BIG, _Y_BIG = 1e-12, 1e8, 1e6
 
 
-def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None,
-             convexity_tol: float = 1e-12, t_big: float = 1e8,
-             y_big: float = 1e6) -> ValidationReport:
+def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None) -> ValidationReport:
     """Check the Young axioms on a grid and report violations as data.
 
     Checked: ``psi(0) = 0`` exactly; strict increase between consecutive grid
-    points; midpoint convexity along stride pairs within ``convexity_tol``
-    (relative); growth ``psi(t_big) > y_big``.  Pairs whose values underflow
+    points; midpoint convexity along stride pairs within ``1e-12``
+    (relative); growth ``psi(1e8) > 1e6``.  Pairs whose values underflow
     to 0 or overflow to inf are skipped — strictness cannot be resolved in
     double precision there.  The ``strict`` flag reports superlinear growth
-    (``psi(t_big) > 2 * psi(t_big / 2)`` beyond rounding); linear-growth
+    (``psi(1e8) > 2 * psi(5e7)`` beyond rounding); linear-growth
     members come back ``strict=False`` without that being a violation.
     """
     if grid is None:
@@ -322,7 +321,7 @@ def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None,
                 continue
             bound = 0.5 * (vs + vt)
             vm = psi(0.5 * (s + t))
-            if vm > bound + convexity_tol * max(1.0, bound):
+            if vm > bound + _CONVEXITY_TOL * max(1.0, bound):
                 violations.append(
                     Violation("convexity", (s, 0.5 * (s + t), t), (vs, vm, vt)))
                 done = True
@@ -330,11 +329,11 @@ def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None,
         if done:
             break
 
-    v_big = psi(t_big)
-    if not v_big > y_big:
-        violations.append(Violation("growth", (t_big,), (v_big,)))
+    v_big = psi(_T_BIG)
+    if not v_big > _Y_BIG:
+        violations.append(Violation("growth", (_T_BIG,), (v_big,)))
 
-    v_half = psi(0.5 * t_big)
+    v_half = psi(0.5 * _T_BIG)
     if math.isinf(v_big) or math.isinf(v_half):
         strict = True
     elif v_half == 0.0:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orlicz import (
-    ClassifierConfig,
     DomainError,
     MeasureSpace,
     YoungFamily,
@@ -28,7 +27,7 @@ from orlicz import (
     powerlog_e_family,
     sinpiecewise_family,
 )
-from orlicz.admissibility import DEFAULT_CONFIG
+from orlicz.admissibility import _PHASE_K_FACTOR, _PHASE_K_MAX
 
 INF = MeasureSpace(math.inf)
 GEO = geometric_schedule(1.0, 12)
@@ -115,17 +114,9 @@ def test_sequence_alternating():
 
 
 def test_sequence_log_divergence_stays_undetermined():
-    vs = [math.log(q + 1.0) for q in GEO]
-    assert classify_sequence(GEO, vs).kind == "undetermined"
-
-
-def test_sequence_respects_config_override():
-    # q^0.4 growth is too slow for the default divergence gates but a looser
-    # config accepts it, so the thresholds are genuinely configurable.
-    vs = [q ** 0.4 for q in GEO]
-    assert classify_sequence(GEO, vs).kind == "undetermined"
-    loose = ClassifierConfig(growth_factor=3.0, big_slope=10.0)
-    assert classify_sequence(GEO, vs, loose).kind == "infinite"
+    # log q, and q^0.4 too, grow too slowly for the divergence gates
+    for vs in ([math.log(q + 1.0) for q in GEO], [q ** 0.4 for q in GEO]):
+        assert classify_sequence(GEO, vs).kind == "undetermined"
 
 
 # -------------------------------------------------------- pointwise limits
@@ -169,11 +160,6 @@ def test_limits_reject_bad_arguments():
         limit_of_inverses(power_family(), -2.0)
 
 
-def test_pinned_schedule_must_increase():
-    with pytest.raises(ValueError):
-        limit_of_values(power_family(), 2.0, schedule=[1.0, 1.0, 2.0])
-
-
 def test_evidence_sorted_by_q():
     est = limit_of_inverses(power_family(), 7.0)
     qs = [q for q, _ in est.evidence]
@@ -207,6 +193,14 @@ def test_classify_iterlog_n2_delta_one():
     rep = classify(make_family("iterlog:N=2"), INF)
     assert rep.verdict == "delta_admissible"
     assert rep.delta == pytest.approx(1.0, abs=1e-2)
+    # At N = 3 the inverse limits have not settled by the end of the schedule:
+    # the verdict may be undetermined, but any decisive one must be delta = 1.
+    for spec in ("iterlog:N=3", "addie:N=3"):
+        for space in (INF, MeasureSpace(2.0)):
+            rep = classify(make_family(spec), space)
+            assert rep.verdict in ("delta_admissible", "undetermined"), (spec, rep)
+            if rep.verdict == "delta_admissible":
+                assert rep.delta == pytest.approx(1.0, abs=1e-2), (spec, rep)
 
 
 def test_classify_sinpiecewise_half_one():
@@ -246,11 +240,10 @@ def test_classify_sinpiecewise_finite_mass_contexts():
     assert rep3.beta == pytest.approx(1.0, abs=1e-2)
 
 
-def test_classify_rejects_bad_grids():
-    with pytest.raises(DomainError):
-        classify(power_family(), INF, y_grid=[0.0, 1.0])
-    with pytest.raises(DomainError):
-        classify(power_family(), INF, t_grid=[-1.0])
+def test_classify_mass_beyond_reciprocal_range_overflows():
+    # 1/total_mass overflows below about 5.6e-309: a numeric failure, not bad input
+    with pytest.raises(OverflowError, match="1e-320"):
+        classify(power_family(), MeasureSpace(1e-320))
 
 
 KNOWN_BANDS = {
@@ -340,27 +333,28 @@ def test_growth_forms_agree_across_catalog():
         assert direct.per_q == inverse.per_q
 
 
-def test_growth_custom_schedule_reported():
-    rep = growth_check(power_family(), power_family().make(2.0), 5.0,
-                       schedule=[1.5, 1.9, 2.0, 4.0])
-    assert [q for q, _ in rep.per_q] == [1.5, 1.9, 2.0, 4.0]
-    assert rep.q_threshold == 2.0
-
-
 def test_growth_rejects_bad_arguments():
     with pytest.raises(DomainError):
         growth_check(power_family(), power_family().make(2.0), 0.0)
-    with pytest.raises(ValueError):
-        growth_check(power_family(), power_family().make(2.0), 5.0,
-                     schedule=[2.0])
+
+
+@pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])
+def test_growth_skips_points_where_phi_underflows(form):
+    # t^40 underflows to 0 at the small end of (0, 1]; those points are dropped
+    # and the exact law q >= 40 shows as a violation at every scheduled q <= 32.
+    rep = form(power_family(), power_family().make(40.0), 1.0)
+    assert [q for q, _ in rep.per_q] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    assert not rep.non_decreasing and rep.witness[0] == 32.0
+    assert not any(ok for _, ok in rep.per_q)
+    with pytest.raises(OverflowError):  # t^40 is 0 on all of (0, 1e-10]
+        form(power_family(), power_family().make(40.0), 1e-10)
 
 
 @given(st.floats(min_value=1.0, max_value=6.0))
 @settings(max_examples=30, deadline=None)
 def test_growth_power_threshold_tracks_r(r):
     """Smallest passing q is the first schedule point >= r (exact law)."""
-    rep = growth_check(power_family(), power_family().make(r), 3.0,
-                       schedule=[1.0, 2.0, 4.0, 8.0])
+    rep = growth_check(power_family(), power_family().make(r), 3.0)
     expected = next(q for q in (1.0, 2.0, 4.0, 8.0) if q >= r - 1e-12)
     assert rep.q_threshold == expected
 
@@ -384,9 +378,9 @@ def _scalar_path(family: YoungFamily) -> YoungFamily:
 # A Richardson stage with q^m weights maps errors e1, e2 at nodes q1 < q2 to
 # (q2^m e2 - q1^m e1) / (q2^m - q1^m), at most (r^m + 1) / (r^m - 1) times the
 # larger for r = q2 / q1.  The closest nodes a default probe accelerates are
-# the last two of one parity of the phase_k_factor retry, k = K - 2 and K, and
+# the last two of one parity of the phase-locked retry, k = K - 2 and K, and
 # at most three stages run: a factor of about 1.2e6 at K = 192.
-_K = DEFAULT_CONFIG.phase_k_max * DEFAULT_CONFIG.phase_k_factor
+_K = _PHASE_K_MAX * _PHASE_K_FACTOR
 _R = (_K + 0.5) / (_K - 1.5)
 RICHARDSON_AMPLIFICATION = math.prod((_R ** m + 1.0) / (_R ** m - 1.0) for m in (1, 2, 3))
 

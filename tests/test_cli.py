@@ -220,6 +220,14 @@ def test_classify_bad_mass_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_classify_mass_with_overflowing_reciprocal_exits_3(capsys):
+    # a valid mass whose reciprocal is beyond the double range
+    assert cli.main(["classify", "--family", "power",
+                     "--total-mass", "1e-320"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "1e-320" in err
+
+
 # ---------------------------------------------------------------- growth
 
 
@@ -238,3 +246,13 @@ def test_growth_violation_report(capsys):
     assert lines[0].startswith("violation at q=32: ratio(")
     assert " > ratio(" in lines[0]
     assert all(line.endswith(": violation") for line in lines[1:])
+
+
+def test_growth_comparison_underflowing_near_zero(capsys):
+    # t^40 underflows to 0 at the small end of the grid; those points are
+    # skipped, and the exact law q >= 40 fails on the whole schedule 1..32.
+    assert cli.main(["growth", "--family", "power", "--phi", "power",
+                     "--q", "40", "--k", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("violation at q=32: ratio(")
+    assert lines[1:] == [f"q={q}: violation" for q in (1, 2, 4, 8, 16, 32)]

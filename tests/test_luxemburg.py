@@ -174,6 +174,11 @@ def test_chebyshev_infinite_level_set_rejected():
     f = two_atom()
     with pytest.raises(DomainError):
         chebyshev_bound(psi, f, 0.0)  # {f >= 0} has infinite measure here
+    # Each mass is finite, but {f >= 0.5} holds both and their sum is not.
+    f = SimpleFunction(((2.0, 1e308), (1.0, 1e308)), INF)
+    with pytest.raises(OverflowError, match="0.5"):
+        chebyshev_bound(psi, f, 0.5)
+    assert chebyshev_bound(psi, f, 1.5) == pytest.approx(1.5e154, rel=1e-12)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.05, max_value=20.0),

@@ -88,6 +88,8 @@ def test_masses_overflowing_only_in_sum():
     f = SimpleFunction(((2.0, 1e308), (1.0, 1e308)), INF)
     assert f.masses.tolist() == [1e308, 1e308]
     assert f.support_mass == math.inf
+    assert distribution(f, 0.5).mass == math.inf  # as support_mass
+    assert distribution(f, 1.5).mass == 1e308
     with pytest.raises(MeasureModelError):
         SimpleFunction(((2.0, 1e308), (1.0, 1e308)), MeasureSpace(1.7e308))
 

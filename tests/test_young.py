@@ -24,7 +24,8 @@ from orlicz import (
     sinpiecewise_family,
     validate,
 )
-from orlicz.admissibility import DEFAULT_CONFIG, _DEFAULT_Y_GRID
+from orlicz.admissibility import (
+    _DOUBLINGS, _EXTRA_DOUBLINGS, _PHASE_K_FACTOR, _PHASE_K_MAX, _Y_GRID)
 from orlicz.young import E_MINUS_1, _anchor_constant
 
 from conftest import CATALOG_SPECS
@@ -128,12 +129,12 @@ def test_inverse_unbracketable():
 
 # ------------------------------------------------------------ grid inverses
 
-# Every q a default classify may read: the extra-doublings scan and the
-# phase_k_factor retry of the phase-locked schedules included.
+# Every q a classify may read: the extra-doublings scan and the retry of the
+# phase-locked schedules included.
 Q_UNION = tuple(sorted(
-    set(geometric_schedule(1.0, DEFAULT_CONFIG.doublings + DEFAULT_CONFIG.extra_doublings))
-    | set(phase_locked_schedule(1, DEFAULT_CONFIG.phase_k_max * DEFAULT_CONFIG.phase_k_factor))))
-GRID_YS = (0.0,) + _DEFAULT_Y_GRID
+    set(geometric_schedule(1.0, _DOUBLINGS + _EXTRA_DOUBLINGS))
+    | set(phase_locked_schedule(1, _PHASE_K_MAX * _PHASE_K_FACTOR))))
+GRID_YS = (0.0,) + _Y_GRID
 
 
 def _psi_rel(psi: YoungFunction) -> float:
