@@ -27,6 +27,7 @@ from orlicz import (
     powerlog_e_family,
     sinpiecewise_family,
 )
+from orlicz import admissibility
 from orlicz.admissibility import _PHASE_K_FACTOR, _PHASE_K_MAX
 
 INF = MeasureSpace(math.inf)
@@ -114,9 +115,18 @@ def test_sequence_alternating():
 
 
 def test_sequence_log_divergence_stays_undetermined():
-    # log q, and q^0.4 too, grow too slowly for the divergence gates
-    for vs in ([math.log(q + 1.0) for q in GEO], [q ** 0.4 for q in GEO]):
-        assert classify_sequence(GEO, vs).kind == "undetermined"
+    vs = [math.log(q + 1.0) for q in GEO]
+    assert classify_sequence(GEO, vs).kind == "undetermined"
+
+
+def test_sequence_respects_config_override(monkeypatch):
+    # q^0.4 growth is too slow for the fixed divergence gates, and only the
+    # gates hold it back: looser module thresholds accept it as divergent.
+    vs = [q ** 0.4 for q in GEO]
+    assert classify_sequence(GEO, vs).kind == "undetermined"
+    monkeypatch.setattr(admissibility, "_GROWTH_FACTOR", 3.0)
+    monkeypatch.setattr(admissibility, "_BIG_SLOPE", 10.0)
+    assert classify_sequence(GEO, vs).kind == "infinite"
 
 
 # -------------------------------------------------------- pointwise limits
