@@ -288,17 +288,10 @@ class AdmissibilityReport:
     value_evidence: tuple[tuple[float, LimitEstimate], ...]
 
 
-def _q_admissible(family: YoungFamily, q: float) -> bool:
-    if family.q_min > 0.0:
-        return q >= family.q_min
-    return q > 0.0
-
-
 def _parity_schedules(family: YoungFamily, k_max: int) -> tuple[tuple[float, ...], ...]:
     out = []
     for parity in ("odd", "even"):
-        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity)
-                   if _q_admissible(family, q))
+        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity) if family.admits(q))
         out.append(qs if len(qs) >= 8 else ())
     return tuple(out)
 
@@ -410,21 +403,14 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
                 return report("undetermined")
             return report("delta_admissible", delta=delta)
 
-    if all(k in ("finite", "oscillating") for k in kinds):
-        bands = [_probe_band(est) for _, est in inverse_evidence]
-        alpha = min(lo for lo, _ in bands)
+    if all(k in ("zero", "finite", "oscillating") for k in kinds):
+        # not all zero (handled above): a zero probe pins alpha at 0
+        bands = [_probe_band(est) for _, est in inverse_evidence if est.kind != "zero"]
+        alpha = 0.0 if "zero" in kinds else min(lo for lo, _ in bands)
         beta = max(hi for _, hi in bands)
         if _value_side_veto(value_evidence, alpha, beta, space):
             return report("undetermined")
         return report("alpha_beta_admissible", alpha=alpha, beta=beta)
-
-    if all(k in ("zero", "finite", "oscillating") for k in kinds):
-        bands = [_probe_band(est) for _, est in inverse_evidence
-                 if est.kind != "zero"]
-        beta = max(hi for _, hi in bands)
-        if _value_side_veto(value_evidence, 0.0, beta, space):
-            return report("undetermined")
-        return report("alpha_beta_admissible", alpha=0.0, beta=beta)
 
     return report("undetermined")
 
@@ -494,23 +480,23 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
     one grid over ``(u, q)``.  The direct form divides ``t`` by it; the
     inverse form divides ``phi^{-1}(u)`` and reports against ``u``.  Points
     where ``phi(t)`` underflows to 0 are dropped, since the ratio is a 0/0
-    form there; fewer than two points left raise :class:`OverflowError`.
+    form there; fewer than two points left, or ``phi(t)`` overflowing at any
+    point, raise :class:`OverflowError`.
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"k must be positive and finite, got {k!r}")
-    points = [(t, u) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()
-              if (u := phi(t)) > 0.0]
+    points = [(t, phi(t)) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()]
+    for t, u in points:
+        if math.isinf(u):
+            raise OverflowError(f"{phi.label} overflows at grid point t={t!r} on (0, {k!r}]")
+    points = [(t, u) for t, u in points if u > 0.0]
     if len(points) < 2:
         raise OverflowError(f"{phi.label} is 0 at all but {len(points)} of the "
                             f"{_GROWTH_POINTS} grid points on (0, {k!r}]")
     ts, us = map(list, zip(*points))
-    interval = (0.0, k)
-    if inverse_form:
-        u_hi = phi(k)
-        if not (math.isfinite(u_hi) and u_hi > 0.0):
-            raise DomainError(f"phi(k) must be positive and finite, got {u_hi!r}")
-        interval = (0.0, u_hi)
+    # geomspace ends exactly on k, so us[-1] is phi(k)
+    interval = (0.0, us[-1]) if inverse_form else (0.0, k)
     qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
     xs, nums = (us, phi.inverse_array(us).tolist()) if inverse_form else (ts, ts)
 

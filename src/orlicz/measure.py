@@ -48,7 +48,6 @@ class MeasureSpace:
     """A sigma-finite measure space, known only through its total mass."""
 
     total_mass: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         m = float(self.total_mass)

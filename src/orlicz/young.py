@@ -2,9 +2,10 @@
 
 A Young function here is a convex, strictly increasing map ``psi`` on
 ``[0, inf)`` with ``psi(0) = 0`` and ``psi(t) -> inf``.  The module keeps the
-representation deliberately small: a :class:`YoungFunction` wraps a scalar
-callable together with a label and its parameters, and a :class:`YoungFamily`
-produces one member per sweep parameter ``q``.
+representation deliberately small: a :class:`YoungFamily` holds the formula
+``psi(t, q)`` of a one-parameter family, and a :class:`YoungFunction` is that
+family at one ``q``, built by ``family.make(q)``.  A formula lives only in its
+family; a member carries no formula, label or parameters of its own.
 
 Conventions
 -----------
@@ -12,8 +13,10 @@ Conventions
   float64 array through ``psi.evaluate(ts)``.  Both map arithmetic overflow
   to ``inf`` — a larger-than-representable value is still a valid upper bound
   for every bracketing use in this package — and both reject a negative or
-  non-finite ``t``.  Each catalog formula is written once, generic over the
-  log function: ``math.log`` for a float, ``np.log`` for an array.  The norm
+  non-finite ``t``.  A family has its scalar formula ``fn(t, q)`` and,
+  optionally, the same formula over arrays, ``array_fn(t, q)``, broadcasting
+  over both; each catalog formula is written once, generic over the log
+  function (``math.log`` for ``fn``, ``np.log`` for ``array_fn``).  The norm
   solver takes the array path for simple functions with many atoms (see
   :mod:`orlicz.luxemburg`).
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
@@ -21,16 +24,16 @@ Conventions
   ``[0, inf]`` and so reaches two adjacent doubles in at most 63 evaluations
   at any scale, with no tolerance and no bracket to grow.  Monotonicity is
   the only structural assumption, so the same code serves every catalog
-  member.  ``psi.inverse_array(ys)`` and ``family.inverse_grid(ys, qs)`` run
-  the same steps in lockstep over a whole array or ``(y, q)`` grid, one numpy
-  evaluation per step, so each cell is exact to the ulp of the array formula
-  and within the array/scalar rounding of the scalar result.  A catalog
-  family carries its formula as ``psi(t, q)`` broadcasting over both arrays,
-  so ``family.evaluate_grid(ts, qs)`` is one numpy pass.  Without an array
-  form, the grids fall back to one ``make(q)`` per column and the scalar
-  solver per cell.  The limit diagnostics in :mod:`orlicz.admissibility` read
-  these grids; the norm solver in :mod:`orlicz.luxemburg` runs
-  :func:`_bisect` on the modular itself.
+  member.  ``family.inverse_grid(ys, qs)`` runs the same steps in lockstep
+  over a whole ``(y, q)`` grid, one numpy evaluation per step, so each cell
+  is exact to the ulp of the array formula and within the array/scalar
+  rounding of the scalar result; ``psi.inverse_array(ys)`` is its one-column
+  case.  ``family.evaluate_grid(ts, qs)`` is one numpy pass of the array
+  formula.  Without an array form, every array and grid method falls back to
+  the scalar formula and the scalar solver cell by cell.  The limit
+  diagnostics in :mod:`orlicz.admissibility` read these grids; the norm
+  solver in :mod:`orlicz.luxemburg` runs :func:`_bisect` on the modular
+  itself.
 * Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
   pseudo-Young functions; :func:`validate` reports them via its ``strict``
   flag instead of rejecting them.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -80,19 +83,6 @@ class FamilySpecError(ValueError):
 
 class BracketError(ArithmeticError):
     """Root bracketing failed; the message carries the last bracket tried."""
-
-
-def _as_float(name: str, x: float, *, minimum: float | None = None,
-              strict: bool = False) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    if minimum is not None:
-        if strict and not x > minimum:
-            raise DomainError(f"{name} must be > {minimum}, got {x!r}")
-        if not strict and x < minimum:
-            raise DomainError(f"{name} must be >= {minimum}, got {x!r}")
-    return x
 
 
 def _check_ys(label: str, ys) -> np.ndarray:
@@ -163,19 +153,21 @@ def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """A single Young (or pseudo-Young) function.
+    """One member ``psi_q`` of a :class:`YoungFamily`: its formula at a fixed ``q``.
 
-    ``fn`` is evaluated only for ``t > 0``; ``t = 0`` short-circuits to ``0.0``
-    so the zero axiom holds exactly regardless of the formula.  ``array_fn``
-    is the same formula over a float64 array; without it :meth:`evaluate`
-    falls back to one ``__call__`` per element.
+    Build one with ``family.make(q)``, which checks ``q``.  The formula is
+    evaluated only for ``t > 0``; ``t = 0`` short-circuits to ``0.0`` so the
+    zero axiom holds exactly regardless of the formula.
     """
 
-    fn: Callable[[float], float]
-    label: str
-    params: dict = field(default_factory=dict)
-    strict: bool = True
-    array_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    family: YoungFamily
+    q: float
+
+    @property
+    def label(self) -> str:
+        """``family[k=v,...,q=...]`` from the family's parameters and ``q``."""
+        params = {**self.family.params, "q": self.q}
+        return f"{self.family.label}[{','.join(f'{k}={v:g}' for k, v in params.items())}]"
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -184,7 +176,7 @@ class YoungFunction:
         if t == 0.0:
             return 0.0
         try:
-            return float(self.fn(t))
+            return float(self.family.fn(t, self.q))
         except OverflowError:
             return math.inf
 
@@ -193,7 +185,8 @@ class YoungFunction:
 
         Same semantics as ``__call__``: a negative or non-finite entry raises
         :class:`DomainError`, ``psi(0) = 0`` exactly, and overflow gives
-        ``inf``.
+        ``inf``.  Without the family's ``array_fn`` it runs ``__call__`` per
+        element.
         """
         ts = np.asarray(ts, dtype=float)
         if not ts.size:
@@ -205,9 +198,9 @@ class YoungFunction:
         # Python's float pow raises the FPU overflow flag on its way to
         # OverflowError, so the element-by-element fallback needs this too.
         with np.errstate(over="ignore", under="ignore"):
-            if self.array_fn is None:
+            if self.family.array_fn is None:
                 return np.vectorize(self, otypes=[float])(ts)
-            out = self.array_fn(ts)
+            out = self.family.array_fn(ts, self.q)
         return np.where(ts == 0.0, 0.0, out) if lo == 0.0 else out
 
     def inverse(self, y: float) -> float:
@@ -229,17 +222,9 @@ class YoungFunction:
         return t
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
-        """:meth:`inverse` element by element over a float64 array.
-
-        One batched bisection with the same steps, errors and results per
-        element; without ``array_fn`` it runs :meth:`inverse` per element.
-        """
-        ys = _check_ys(self.label, ys)
-        if self.array_fn is None:
-            out = np.array([self.inverse(y) for y in ys.ravel().tolist()])
-        else:
-            out = _bisect_inverse(self.array_fn, ys.ravel(), lambda cell: self.label)
-        return out.reshape(ys.shape)
+        """:meth:`inverse` element by element over a float64 array: the
+        one-column :meth:`YoungFamily.inverse_grid` at this ``q``."""
+        return self.family.inverse_grid(ys, (self.q,)).reshape(np.shape(ys))
 
 
 @dataclass(frozen=True)
@@ -297,7 +282,7 @@ def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None) -> Valid
     # Probe the raw formula: the evaluation wrapper pins psi(0) to 0, so only
     # fn itself can reveal a broken origin.
     try:
-        v0 = float(psi.fn(0.0))
+        v0 = float(psi.family.fn(0.0, psi.q))
     except Exception:
         v0 = math.nan
     if v0 != 0.0:
@@ -346,31 +331,40 @@ def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None) -> Valid
 
 @dataclass(frozen=True)
 class YoungFamily:
-    """A one-parameter family ``q -> YoungFunction``.
+    """A one-parameter family of Young functions ``psi_q``.
 
-    ``q_min`` is the smallest admissible ``q``; the sentinel ``0.0`` means any
-    ``q > 0`` is allowed.  ``array_fn(t, q)`` is the family's formula over
-    float64 arrays, broadcasting over both ``t`` and ``q``; without it the
-    grid methods fall back to one member per ``q``.
+    ``fn(t, q)`` is the formula of the member at ``q`` for a float ``t > 0``;
+    ``array_fn(t, q)`` is the same formula over float64 arrays, broadcasting
+    over both ``t`` and ``q``.  Without ``array_fn`` the array and grid
+    methods fall back to ``fn`` cell by cell.  ``params`` are the numeric
+    parameters that fix the family (the keys of its spec), and they label
+    its members.
+    ``q_min`` is the smallest admissible ``q``; the sentinel ``0.0`` means
+    any ``q > 0`` is allowed.
     """
 
     label: str
-    make_fn: Callable[[float], YoungFunction]
+    fn: Callable[[float, float], float]
     params: dict
     q_min: float
     array_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
+    def admits(self, q: float) -> bool:
+        """Whether ``q`` lies in the family's domain."""
+        return q >= self.q_min if self.q_min > 0.0 else q > 0.0
+
     def _check_q(self, q: float) -> float:
-        q = _as_float(f"{self.label}: q", q)
-        if self.q_min > 0.0:
-            if q < self.q_min:
-                raise DomainError(f"{self.label} requires q >= {self.q_min}, got {q!r}")
-        elif q <= 0.0:
-            raise DomainError(f"{self.label} requires q > 0, got {q!r}")
+        q = float(q)
+        if math.isnan(q) or math.isinf(q):
+            raise DomainError(f"{self.label}: q must be finite, got {q!r}")
+        if not self.admits(q):
+            bound = f">= {self.q_min}" if self.q_min > 0.0 else "> 0"
+            raise DomainError(f"{self.label} requires q {bound}, got {q!r}")
         return q
 
     def make(self, q: float) -> YoungFunction:
-        return self.make_fn(self._check_q(q))
+        """The member at ``q``, after checking that the family admits it."""
+        return YoungFunction(self, self._check_q(q))
 
     def evaluate_grid(self, ts, qs) -> np.ndarray:
         """``psi_q(t)`` for every ``t`` in ``ts`` (rows) and ``q`` in ``qs``
@@ -378,7 +372,7 @@ class YoungFamily:
         qs = [self._check_q(q) for q in qs]
         ts = np.asarray(ts, dtype=float)
         if self.array_fn is None:
-            return np.array([self.make_fn(q).evaluate(ts) for q in qs]).reshape(
+            return np.array([YoungFunction(self, q).evaluate(ts) for q in qs]).reshape(
                 len(qs), ts.size).T
         if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
             raise DomainError(f"{self.label}: t must be finite and >= 0, got values "
@@ -396,26 +390,18 @@ class YoungFamily:
         qs = [self._check_q(q) for q in qs]
         ys = _check_ys(self.label, ys).ravel()
         if self.array_fn is None:
-            return np.array([[self.make_fn(q).inverse(y) for q in qs]
+            return np.array([[YoungFunction(self, q).inverse(y) for q in qs]
                              for y in ys.tolist()]).reshape(ys.size, len(qs))
         q_cells = np.tile(qs, ys.size)
         return _bisect_inverse(
             lambda ts: self.array_fn(ts, q_cells), np.repeat(ys, len(qs)),
-            lambda cell: self.make_fn(float(q_cells[cell])).label,
+            lambda cell: YoungFunction(self, float(q_cells[cell])).label,
         ).reshape(ys.size, len(qs))
 
     @property
     def schedule_q0(self) -> float:
         """Default starting point for q-schedules over this family."""
         return max(self.q_min, 1.0)
-
-
-def _over_q(make: Callable[[float], YoungFunction]) -> Callable:
-    """Array form ``psi(t, q)`` of a catalog family whose member formulas take
-    ``q`` and ``log`` as keyword defaults: one member's formula, called with
-    an array ``q`` and ``np.log``, evaluates every member."""
-    fn = make(1.0).fn
-    return lambda t, q: fn(t, q=q, log=np.log)
 
 
 def _iter_log(x: float, n: int, log: Callable = math.log) -> float:
@@ -436,13 +422,28 @@ def _anchor_constant(n: int) -> float:
     return _iter_exp(1.0, n) - 1.0
 
 
+def _check_p(name: str, p: float) -> float:
+    p = float(p)
+    if not math.isfinite(p) or p < 1.0:
+        raise FamilySpecError(f"{name} requires p >= 1, got {p!r}")
+    return p
+
+
+def _check_N(name: str, N: int) -> int:
+    N = int(N)
+    if N < 1:
+        raise FamilySpecError(f"{name} requires integer N >= 1, got {N!r}")
+    if N > 3:
+        raise FamilySpecError(
+            f"{name} anchor for N={N} is not representable in double precision (N <= 3)")
+    return N
+
+
 def power_family() -> YoungFamily:
     """``t^q`` for ``q >= 1``."""
-    def make(q: float) -> YoungFunction:
-        def fn(t: float, q: float = q) -> float:
-            return t ** q
-        return YoungFunction(fn, f"power[q={q:g}]", {"q": q}, array_fn=fn)
-    return YoungFamily("power", make, {}, q_min=1.0, array_fn=np.power)
+    def fn(t, q):
+        return t ** q
+    return YoungFamily("power", fn, {}, q_min=1.0, array_fn=fn)
 
 
 def logbump_family(p: float = 1.0) -> YoungFamily:
@@ -450,16 +451,11 @@ def logbump_family(p: float = 1.0) -> YoungFamily:
 
     The shift ``e - 1`` pins ``psi_q(1) = 1`` for every ``q``.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise FamilySpecError(f"logbump requires p >= 1, got {p!r}")
+    p = _check_p("logbump", p)
 
-    def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, log: Callable = math.log) -> float:
-            return t ** p * log(E_MINUS_1 + t) ** q
-        return YoungFunction(fn, f"logbump[p={p:g},q={q:g}]", {"p": p, "q": q},
-                             array_fn=partial(fn, log=np.log))
-    return YoungFamily("logbump", make, {"p": p}, q_min=0.0, array_fn=_over_q(make))
+    def fn(t, q, log: Callable = math.log):
+        return t ** p * log(E_MINUS_1 + t) ** q
+    return YoungFamily("logbump", fn, {"p": p}, q_min=0.0, array_fn=partial(fn, log=np.log))
 
 
 def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -468,26 +464,13 @@ def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
 
     Doubles cannot represent the anchor beyond ``N = 3``.
     """
-    N = int(N)
-    p = float(p)
-    if N < 1:
-        raise FamilySpecError(f"iterlog requires integer N >= 1, got {N!r}")
-    if N > 3:
-        raise FamilySpecError(
-            f"iterlog anchor for N={N} is not representable in double precision (N <= 3)")
-    if not math.isfinite(p) or p < 1.0:
-        raise FamilySpecError(f"iterlog requires p >= 1, got {p!r}")
+    N, p = _check_N("iterlog", N), _check_p("iterlog", p)
     c = _anchor_constant(N)
 
-    def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, c: float = c, N: int = N,
-               log: Callable = math.log) -> float:
-            return t ** p * _iter_log(c + t, N, log) ** q
-        return YoungFunction(
-            fn, f"iterlog[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "c": c},
-            array_fn=partial(fn, log=np.log))
-    return YoungFamily("iterlog", make, {"N": N, "p": p, "c": c}, q_min=0.0,
-                       array_fn=_over_q(make))
+    def fn(t, q, log: Callable = math.log):
+        return t ** p * _iter_log(c + t, N, log) ** q
+    return YoungFamily("iterlog", fn, {"N": N, "p": p}, q_min=0.0,
+                       array_fn=partial(fn, log=np.log))
 
 
 def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -497,29 +480,16 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     With those anchors every factor equals 1 at ``t = 1``, so ``psi_q(1)`` does
     not depend on ``q``.
     """
-    N = int(N)
-    p = float(p)
-    if N < 1:
-        raise FamilySpecError(f"addie requires integer N >= 1, got {N!r}")
-    if N > 3:
-        raise FamilySpecError(
-            f"addie anchor for N={N} is not representable in double precision (N <= 3)")
-    if not math.isfinite(p) or p < 1.0:
-        raise FamilySpecError(f"addie requires p >= 1, got {p!r}")
+    N, p = _check_N("addie", N), _check_p("addie", p)
     cs = tuple(_anchor_constant(j) for j in range(1, N + 1))
 
-    def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, cs: tuple = cs, N: int = N,
-               log: Callable = math.log) -> float:
-            base = t
-            for j, c in enumerate(cs, start=1):
-                base = base * _iter_log(c + t, j, log)  # not *=: t may be an array
-            return base ** p * _iter_log(cs[-1] + t, N, log) ** q
-        return YoungFunction(
-            fn, f"addie[N={N},p={p:g},q={q:g}]", {"N": N, "p": p, "q": q, "anchors": cs},
-            array_fn=partial(fn, log=np.log))
-    return YoungFamily("addie", make, {"N": N, "p": p, "anchors": cs}, q_min=0.0,
-                       array_fn=_over_q(make))
+    def fn(t, q, log: Callable = math.log):
+        base = t
+        for j, c in enumerate(cs, start=1):
+            base = base * _iter_log(c + t, j, log)  # not *=: t may be an array
+        return base ** p * _iter_log(cs[-1] + t, N, log) ** q
+    return YoungFamily("addie", fn, {"N": N, "p": p}, q_min=0.0,
+                       array_fn=partial(fn, log=np.log))
 
 
 def sinpiecewise_family() -> YoungFamily:
@@ -530,41 +500,30 @@ def sinpiecewise_family() -> YoungFamily:
     ``(t^q + (2t - 1)^3) / 2`` for ``t >= 1``.  Convex for every ``q >= 1``
     since each branch is convex and one-sided derivatives only jump upward.
     """
-    def array_fn(t: np.ndarray, q, s) -> np.ndarray:
+    def fn(t, q):
+        if t <= 0.5:
+            return 0.5 * t ** q
+        if t < 1.0:
+            return 0.5 * (t ** q + (2.0 * t - 1.0) ** (2.0 + math.sin(q)))
+        return 0.5 * (t ** q + (2.0 * t - 1.0) ** 3)
+
+    def array_fn(t, q):
         # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
         bump = np.maximum(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** q + bump ** np.where(t < 1.0, s, 3.0))
-
-    def make(q: float) -> YoungFunction:
-        s = 2.0 + math.sin(q)
-
-        def fn(t: float, q: float = q, s: float = s) -> float:
-            if t <= 0.5:
-                return 0.5 * t ** q
-            if t < 1.0:
-                return 0.5 * (t ** q + (2.0 * t - 1.0) ** s)
-            return 0.5 * (t ** q + (2.0 * t - 1.0) ** 3)
-        return YoungFunction(
-            fn, f"sinpiecewise[q={q:g}]", {"q": q, "bump_exponent": s},
-            array_fn=partial(array_fn, q=q, s=s))
-    return YoungFamily("sinpiecewise", make, {}, q_min=1.0,
-                       array_fn=lambda t, q: array_fn(t, q, 2.0 + np.sin(q)))
+        return 0.5 * (t ** q + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
+    return YoungFamily("sinpiecewise", fn, {}, q_min=1.0, array_fn=array_fn)
 
 
 def powerlog_e_family(p: float = 1.0) -> YoungFamily:
     """``t^p * log(e + t)^q``.  The log factor exceeds 1 for every ``t > 0``,
     so the family blows up pointwise as ``q`` grows and no normalization
     anchor exists."""
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise FamilySpecError(f"powerlog_e requires p >= 1, got {p!r}")
+    p = _check_p("powerlog_e", p)
 
-    def make(q: float) -> YoungFunction:
-        def fn(t: float, p: float = p, q: float = q, log: Callable = math.log) -> float:
-            return t ** p * log(math.e + t) ** q
-        return YoungFunction(fn, f"powerlog_e[p={p:g},q={q:g}]", {"p": p, "q": q},
-                             array_fn=partial(fn, log=np.log))
-    return YoungFamily("powerlog_e", make, {"p": p}, q_min=0.0, array_fn=_over_q(make))
+    def fn(t, q, log: Callable = math.log):
+        return t ** p * log(math.e + t) ** q
+    return YoungFamily("powerlog_e", fn, {"p": p}, q_min=0.0,
+                       array_fn=partial(fn, log=np.log))
 
 
 def identity_family() -> YoungFamily:
@@ -573,11 +532,9 @@ def identity_family() -> YoungFamily:
     Usable wherever a comparison function is required; flagged non-strict by
     :func:`validate` because its growth is exactly linear.
     """
-    def make(q: float) -> YoungFunction:
-        def fn(t: float) -> float:
-            return t
-        return YoungFunction(fn, "identity", {}, strict=False, array_fn=fn)
-    return YoungFamily("identity", make, {}, q_min=0.0, array_fn=lambda t, q: t)
+    def fn(t, q):
+        return t
+    return YoungFamily("identity", fn, {}, q_min=0.0, array_fn=fn)
 
 
 _CATALOG: dict[str, tuple[tuple[str, ...], Callable[..., YoungFamily]]] = {

@@ -360,6 +360,19 @@ def test_growth_skips_points_where_phi_underflows(form):
         form(power_family(), power_family().make(40.0), 1e-10)
 
 
+@pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])
+def test_growth_rejects_phi_overflowing_on_grid(form):
+    # t^2 overflows for t > 1.3e154: a valid input the scan cannot resolve,
+    # reported as a numeric failure naming phi and the first overflowing t.
+    with pytest.raises(OverflowError, match=r"power\[q=2\] overflows at grid point t="):
+        form(power_family(), power_family().make(2.0), 1e200)
+
+
+def test_growth_inverse_form_interval_ends_at_phi_k():
+    rep = growth_check_inverse_form(power_family(), power_family().make(3.0), 5.0)
+    assert rep.interval == (0.0, 125.0)
+
+
 @given(st.floats(min_value=1.0, max_value=6.0))
 @settings(max_examples=30, deadline=None)
 def test_growth_power_threshold_tracks_r(r):
@@ -442,7 +455,7 @@ def test_classify_grid_matches_scalar_path(catalog_family, mass):
 @pytest.mark.parametrize("spec,phi_spec,phi_q,k", GROWTH_PAIRS)
 def test_growth_grid_matches_scalar_path(form, spec, phi_spec, phi_q, k):
     family, phi = make_family(spec), make_family(phi_spec).make(phi_q)
-    want = form(_scalar_path(family), replace(phi, array_fn=None), k)
+    want = form(_scalar_path(family), replace(phi.family, array_fn=None).make(phi_q), k)
     assert form(family, phi, k) == want
 
 
@@ -472,9 +485,7 @@ def test_grid_paths_make_no_scalar_inverse(monkeypatch):
 
 
 def test_family_without_array_form_gets_same_verdict():
-    def make(q):
-        return YoungFunction(lambda t, q=q: t ** q, f"user-power[q={q:g}]", {"q": q})
-    user = YoungFamily("user-power", make, {}, q_min=1.0)
+    user = YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0)
     for space in (INF, MeasureSpace(2.0)):
         got, want = classify(user, space), classify(power_family(), space)
         assert (got.verdict, got.delta) == (want.verdict, want.delta) == \

@@ -1,6 +1,9 @@
 """The public signatures of the limit diagnostics stay free of tuning knobs:
-the classifier gates, schedules, grids and tolerances are module constants."""
+the classifier gates, schedules, grids and tolerances are module constants.
+The data types carry only the fields that define them: a member is its
+family at one ``q``."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -18,11 +21,23 @@ SIGNATURES = {
     "tc_fixed_point_check": ["p", "q0", "q", "c", "t1", "grid_hi"],
 }
 
+FIELDS = {
+    "YoungFunction": ["family", "q"],
+    "YoungFamily": ["label", "fn", "params", "q_min", "array_fn"],
+    "MeasureSpace": ["total_mass"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_signature_pinned(name):
     params = inspect.signature(getattr(orlicz, name)).parameters
     assert list(params) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dataclass_fields_pinned(name):
+    fields = dataclasses.fields(getattr(orlicz, name))
+    assert [f.name for f in fields] == FIELDS[name]
 
 
 def test_no_classifier_config_export():

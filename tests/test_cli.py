@@ -248,6 +248,16 @@ def test_growth_violation_report(capsys):
     assert all(line.endswith(": violation") for line in lines[1:])
 
 
+def test_growth_comparison_overflowing_exits_3(capsys):
+    # t^2 overflows on the top of the grid (0, 1e200]: a numeric failure,
+    # not bad input.
+    assert cli.main(["growth", "--family", "power", "--phi", "power",
+                     "--q", "2", "--k", "1e200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: power[q=2] overflows at grid point t=")
+
+
 def test_growth_comparison_underflowing_near_zero(capsys):
     # t^40 underflows to 0 at the small end of the grid; those points are
     # skipped, and the exact law q >= 40 fails on the whole schedule 1..32.

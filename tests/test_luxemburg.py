@@ -12,6 +12,7 @@ from orlicz import (
     DomainError,
     MeasureSpace,
     SimpleFunction,
+    YoungFamily,
     YoungFunction,
     chebyshev_bound,
     indicator_norm,
@@ -233,7 +234,7 @@ def test_paths_agree_at_cutoff(monkeypatch, spec, q, n):
 
 @pytest.mark.parametrize("n", [1, 32])
 def test_nan_modular_raises(n):
-    psi = YoungFunction(lambda t: math.nan, "nan", {})
+    psi = YoungFamily("nan", lambda t, q: math.nan, {}, q_min=0.0).make(1.0)
     with pytest.raises(ArithmeticError):
         modular(psi, lognormal_function(n, 0), 1.0)
 

@@ -74,7 +74,7 @@ def test_array_evaluation_matches_scalar(spec, q):
     psi = make_family(spec).make(q)
     got = psi.evaluate(np.array(PARITY_GRID))
     # One rounding in log or pow is amplified by the exponent it is raised to.
-    rel = 8.0 * (psi.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
+    rel = 8.0 * (psi.family.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
     for t, a in zip(PARITY_GRID, got.tolist()):
         s = psi(t)
         if math.isinf(s):
@@ -122,7 +122,7 @@ def test_inverse_domain():
 
 def test_inverse_unbracketable():
     # Bounded fake function: doubling can never reach y=2.
-    bounded = YoungFunction(lambda t: min(t, 1.0), "bounded", {})
+    bounded = YoungFamily("bounded", lambda t, q: min(t, 1.0), {}, q_min=0.0).make(1.0)
     with pytest.raises(BracketError):
         bounded.inverse(2.0)
 
@@ -143,7 +143,7 @@ def _psi_rel(psi: YoungFunction) -> float:
     It bounds the inverses too: ``t psi'(t) / psi(t) >= 1`` for a Young
     function, so a relative error in psi moves its inverse by no more.
     """
-    return 8.0 * (psi.params.get("p", 1.0) + psi.params.get("q", 1.0) + 1.0) * EPS
+    return 8.0 * (psi.family.params.get("p", 1.0) + psi.q + 1.0) * EPS
 
 
 def _assert_smallest_root(psi_at, ys, ts):
@@ -200,10 +200,10 @@ def test_inverse_exact_at_tiny_y():
 def test_scalar_inverse_psi_calls(y):
     calls = []
 
-    def fn(t):
+    def fn(t, q):
         calls.append(t)
         return t ** 3.0
-    YoungFunction(fn, "cube", {}).inverse(y)
+    YoungFamily("cube", fn, {}, q_min=0.0).make(1.0).inverse(y)
     assert 0 < len(calls) <= 63
 
 
@@ -222,9 +222,7 @@ def test_inverse_grid_array_calls():
 
 
 def _bounded_family(array_form: bool) -> YoungFamily:
-    bounded = YoungFunction(lambda t: min(t, 1.0), "bounded", {},
-                            array_fn=(lambda t: np.minimum(t, 1.0)) if array_form else None)
-    return YoungFamily("bounded", lambda q: bounded, {}, q_min=0.0,
+    return YoungFamily("bounded", lambda t, q: min(t, 1.0), {}, q_min=0.0,
                        array_fn=(lambda t, q: np.minimum(t, 1.0)) if array_form else None)
 
 
@@ -250,7 +248,7 @@ def test_grids_fall_back_without_array_form():
     assert plain.inverse_grid(ys, qs).tolist() == want
     ts = np.array(PARITY_GRID)
     assert np.array_equal(plain.evaluate_grid(ts, qs),
-                          np.array([family.make(q).evaluate(ts) for q in qs]).T)
+                          np.array([plain.make(q).evaluate(ts) for q in qs]).T)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity",))
@@ -259,10 +257,10 @@ def test_inverse_array_matches_scalar(spec):
     ys = np.array(GRID_YS + (0.5, 1e6))
     want = [psi.inverse(y) for y in ys.tolist()]
     got = psi.inverse_array(ys)
-    _assert_smallest_root(psi.array_fn, ys, got)
+    _assert_smallest_root(lambda ts: psi.family.array_fn(ts, psi.q), ys, got)
     np.testing.assert_allclose(got, want, rtol=_psi_rel(psi), atol=0.0)
     # without an array form every element is the scalar solve
-    assert replace(psi, array_fn=None).inverse_array(ys).tolist() == want
+    assert replace(psi.family, array_fn=None).make(psi.q).inverse_array(ys).tolist() == want
     with pytest.raises(DomainError):
         psi.inverse_array(np.array([1.0, -1.0]))
 
@@ -276,7 +274,7 @@ def test_evaluate_grid_matches_scalar(spec):
     for j, q in enumerate(qs):
         psi = family.make(q)
         # the bound of test_array_evaluation_matches_scalar
-        rel = 8.0 * (psi.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
+        rel = 8.0 * (psi.family.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
         for t, a in zip(PARITY_GRID, got[:, j].tolist()):
             s = psi(t)
             if math.isinf(s):
@@ -322,22 +320,22 @@ def test_validate_iterlog_wide_grid():
 
 
 def test_validate_flags_concave_probe():
-    probe = YoungFunction(math.sqrt, "sqrt", {})
+    probe = YoungFamily("sqrt", lambda t, q: math.sqrt(t), {}, q_min=0.0).make(1.0)
     report = validate(probe)
     assert not report.ok
     assert any(v.axiom == "convexity" for v in report.violations)
 
 
 def test_validate_flags_nonzero_origin():
-    shifted = YoungFunction(lambda t: t + 1.0, "shifted", {})
+    shifted = YoungFamily("shifted", lambda t, q: t + 1.0, {}, q_min=0.0).make(1.0)
     report = validate(shifted)
     assert any(v.axiom == "zero" for v in report.violations)
 
 
 def test_array_evaluation_pins_zero():
-    def shifted(t):
+    def shifted(t, q):
         return t + 1.0
-    psi = YoungFunction(shifted, "shifted", {}, array_fn=shifted)
+    psi = YoungFamily("shifted", shifted, {}, q_min=0.0, array_fn=shifted).make(1.0)
     assert psi.evaluate(np.array([0.0, 1.0])).tolist() == [psi(0.0), psi(1.0)] == [0.0, 2.0]
 
 
@@ -418,3 +416,18 @@ def test_family_q_domain_enforced(catalog_family):
 def test_member_labels_carry_parameters():
     psi = make_family("logbump:p=2").make(8.0)
     assert "p=2" in psi.label and "q=8" in psi.label
+
+
+@pytest.mark.parametrize("spec,label", [
+    ("power", "power[q=4]"),
+    ("logbump:p=2", "logbump[p=2,q=4]"),
+    ("iterlog:N=2", "iterlog[N=2,p=1,q=4]"),
+    ("addie:N=3", "addie[N=3,p=1,q=4]"),
+    ("sinpiecewise", "sinpiecewise[q=4]"),
+    ("powerlog_e", "powerlog_e[p=1,q=4]"),
+    ("identity", "identity[q=4]"),
+])
+def test_catalog_member_labels(spec, label):
+    psi = make_family(spec).make(4.0)
+    assert psi.label == label
+    assert (psi.family.label, psi.q) == (spec.partition(":")[0], 4.0)
