@@ -20,19 +20,21 @@ Conventions
   solver takes the array path for simple functions with many atoms (see
   :mod:`orlicz.luxemburg`).
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
-  found by :func:`_bisect`, which bisects the ordered int64 bit patterns of
-  ``[0, inf]`` and so reaches two adjacent doubles in at most 63 evaluations
-  at any scale, with no tolerance and no bracket to grow.  Monotonicity is
-  the only structural assumption, so the same code serves every catalog
-  member.  ``family.inverse_grid(ys, qs)`` runs the same steps in lockstep
-  over a whole ``(y, q)`` grid, one numpy evaluation per step, so each cell
+  found by :func:`_root`, an ITP search over the ordered int64 bit patterns
+  of ``[0, inf]`` that reaches two adjacent doubles in at most 64
+  evaluations at any scale (about 17 for a norm), with no tolerance and no
+  bracket to grow.  The exact test ``psi(t) < y`` decides every step, so
+  monotonicity is the only structural assumption for the result and the
+  same code serves every catalog member; ``log y - log psi(t)`` only places
+  the probes.  ``family.inverse_grid(ys, qs)`` bisects in lockstep over a
+  whole ``(y, q)`` grid, 63 steps of one numpy evaluation each, so each cell
   is exact to the ulp of the array formula and within the array/scalar
   rounding of the scalar result; ``psi.inverse_array(ys)`` is its one-column
   case.  ``family.evaluate_grid(ts, qs)`` is one numpy pass of the array
   formula.  Without an array form, every array and grid method falls back to
   the scalar formula and the scalar solver cell by cell.  The limit
   diagnostics in :mod:`orlicz.admissibility` read these grids; the norm
-  solver in :mod:`orlicz.luxemburg` runs :func:`_bisect` on the modular
+  solver in :mod:`orlicz.luxemburg` runs :func:`_root` on the modular
   itself.
 * Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
   pseudo-Young functions; :func:`validate` reports them via its ``strict``
@@ -93,33 +95,118 @@ def _check_ys(label: str, ys) -> np.ndarray:
     return ys
 
 
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _bits(x: float) -> int:
+    return _I64.unpack(_F64.pack(x))[0]
+
+
+def _double(k: int) -> float:
+    return _F64.unpack(_I64.pack(k))[0]
+
+
 # Positive doubles sort in the same order as their int64 bit patterns, so
 # bisecting the patterns of [0, inf] reaches two adjacent doubles in at most
 # this many halvings: the bit length of the pattern of inf.
-_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
-_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
+_INF_BITS = _bits(math.inf)
 _STEPS = _INF_BITS.bit_length()
 
+# The ITP search of :func:`_root` (Oliveri & Takahashi, ACM TOMS 47(1), 2020).
+# _N0 probes of slack over bisection let it follow the interpolated estimate;
+# each estimate moves _TRUNCATE patterns toward the midpoint, so that once it
+# is right to the pattern the next two probes straddle the root; below a
+# width of _BIT_SECANT patterns the secant runs on the patterns, where log x
+# can no longer tell neighbouring doubles apart.  The convexity jump lands
+# on the root itself for a linear psi, so it overshoots by a relative
+# _OVERSHOOT of its length to cross the root despite rounding.
+_N0 = 1
+_TRUNCATE = 1
+_BIT_SECANT = 1 << 40
+_OVERSHOOT = 2.0 ** -20
 
-def _bisect(below: Callable[[float], bool], lo: float = 0.0,
-            hi: float = math.inf) -> tuple[float, float]:
+
+def _exp_bits(log_x: float) -> int:
+    """The pattern of ``exp(log_x)``, saturating at the pattern of ``inf``."""
+    try:
+        return _bits(math.exp(log_x))
+    except OverflowError:
+        return _INF_BITS
+
+
+def _secant(i: int, j: int, gi: float, gj: float) -> int | None:
+    """The pattern where the line through the gaps at patterns ``i < j``
+    crosses 0, clipped to ``[i, j]``; ``None`` when a gap is not finite or
+    the two are equal."""
+    if not (math.isfinite(gi) and math.isfinite(gj)) or gi == gj:
+        return None
+    f = min(max(gi / (gi - gj), 0.0), 1.0)
+    if j - i < _BIT_SECANT:
+        return i + round(f * (j - i))
+    a, b = math.log(_double(i)), math.log(_double(j))
+    return _exp_bits(a + f * (b - a))
+
+
+def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
+          hi: float = math.inf) -> tuple[float, float]:
     """Adjacent doubles ``(a, b)`` in ``[lo, hi]`` where ``below`` turns false.
 
-    ``below`` is a predicate that is true up to some point of ``[lo, hi]``
-    and false from there on.  Each step halves the range of bit patterns
-    between ``a`` and ``b``, so it ends in at most ``_STEPS`` evaluations at
-    any scale, with no tolerance.  The endpoints are never evaluated: ``a``
-    is ``lo`` or a point where ``below`` held, ``b`` is ``hi`` or a point
-    where it failed.
+    ``probe(x)`` returns ``(below, gap)``.  ``below`` is a predicate that is
+    true up to some point of ``[lo, hi]`` and false from there on; it alone
+    decides which end of the bracket moves.  ``gap`` is a log ratio that
+    falls through 0 near that point (``log modular``, ``log y - log psi``);
+    it only places the next probe, so any value, ``±inf`` or NaN included,
+    leaves the result unchanged.
+
+    The search runs on the ordered int64 bit patterns of the doubles.  The
+    first probe with a finite gap is followed by one convexity jump to
+    ``x * e**gap``, which crosses the root when ``psi(t) / t`` is
+    nondecreasing.  After that each estimate is the secant of the gaps at
+    the two ends against ``log x`` (against the pattern once the ends are
+    close), with the Anderson-Bjorck scaling of the gap at an end that
+    stays put.  ITP truncates the estimate and projects it onto a shrinking
+    radius around the midpoint pattern, so the search ends in at most
+    ``_STEPS + _N0`` probes from ``[0, inf]`` whatever the gaps say, with no
+    tolerance.  The endpoints are never probed: ``a`` is ``lo`` or a point
+    where ``below`` held, ``b`` is ``hi`` or a point where it failed.
     """
-    i, j = _I64.unpack(_F64.pack(lo))[0], _I64.unpack(_F64.pack(hi))[0]
+    i, j = _bits(lo), _bits(hi)
+    gi = gj = math.nan  # the gap at each end; NaN until that end is probed
+    n_max = (j - i - 1).bit_length() + _N0
+    k, jump, jumped, moved = 0, None, False, None
     while j - i > 1:
-        mid = i + ((j - i) >> 1)
-        if below(_F64.unpack(_I64.pack(mid))[0]):
-            i = mid
+        w = j - i
+        mid = i + (w >> 1)
+        if jump is None:
+            x = _secant(i, j, gi, gj)
+        else:  # a jump beyond the bracket tells nothing new
+            x, jump = (jump if i <= jump <= j else None), None
+        if x is None:
+            x = mid
         else:
-            j = mid
-    return _F64.unpack(_I64.pack(i))[0], _F64.unpack(_I64.pack(j))[0]
+            x += _TRUNCATE if x < mid else -_TRUNCATE if x > mid else 0
+            r = (1 << (n_max - k - 1)) - ((w + 1) >> 1)  # next w <= 2**(n_max-k-1)
+            x = min(max(x, mid - r, i + 1), mid + r, j - 1)
+        t = _double(x)
+        below, gap = probe(t)
+        k += 1
+        if below == moved:  # the same end moves again: damp the other's gap
+            g = gi if below else gj
+            m = 1.0 - gap / g if g else 0.5
+            m = m if 0.0 < m < 1.0 else 0.5
+            if below:
+                gj *= m
+            else:
+                gi *= m
+        moved = below
+        if below:
+            i, gi = x, gap
+        else:
+            j, gj = x, gap
+        if not jumped and math.isfinite(gap):
+            jumped = True
+            jump = _exp_bits(math.log(t) + gap * (1.0 + _OVERSHOOT))
+    return _double(i), _double(j)
 
 
 def _no_upper_bracket(label: str, y: float) -> BracketError:
@@ -129,11 +216,12 @@ def _no_upper_bracket(label: str, y: float) -> BracketError:
 
 def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
                     label: Callable[[int], str]) -> np.ndarray:
-    """:meth:`YoungFunction.inverse` run in lockstep over a flat array of cells.
+    """The result of :meth:`YoungFunction.inverse` for a flat array of cells,
+    by bisection in lockstep.
 
     ``psi(ts)`` evaluates each cell's member at the matching entry of
-    ``ts``; ``label(cell)`` names the member in an error.  Every cell runs
-    the steps of :func:`_bisect` from ``[0, inf]``, one evaluation over the
+    ``ts``; ``label(cell)`` names the member in an error.  Every cell
+    bisects the bit patterns of ``[0, inf]``, one evaluation over the
     whole array per step and ``_STEPS`` steps in all.  A cell whose bracket
     has closed (its midpoint is its lower end) keeps it.
     """
@@ -205,18 +293,31 @@ class YoungFunction:
 
     def inverse(self, y: float) -> float:
         """The smallest double ``t`` with ``psi(t) >= y``: the root of
-        ``psi(t) = y`` to the ulp, by :func:`_bisect` over ``[0, inf]``.
+        ``psi(t) = y`` to the ulp, by :func:`_root` over ``[0, inf]``.
 
-        At most ``_STEPS`` (63) evaluations of ``psi`` at any scale of ``y``;
-        an overflowing evaluation counts as ``inf``.  :class:`BracketError`
-        when ``psi`` stays below ``y`` on every finite ``t``.
+        At most ``_STEPS + _N0`` (64) evaluations of ``psi`` at any scale of
+        ``y``; an overflowing evaluation counts as ``inf``.  The test
+        ``psi(t) < y`` decides each step, and ``log(y / psi(t))`` only places
+        the next probe.  :class:`BracketError` when ``psi`` stays below ``y``
+        on every finite ``t``.
         """
         y = float(y)
         if math.isnan(y) or math.isinf(y) or y < 0:
             raise DomainError(f"{self.label}: inverse needs finite y >= 0, got {y!r}")
         if y == 0.0:
             return 0.0
-        t = _bisect(lambda t: self(t) < y)[1]
+
+        def probe(t: float) -> tuple[bool, float]:
+            v = self(t)
+            if not v > 0.0:
+                return v < y, math.inf
+            # The log of the ratio keeps full precision near the root, where
+            # log y - log v cancels; the difference serves where y / v
+            # leaves the double range.
+            ratio = y / v
+            gap = math.log(ratio) if 0.0 < ratio < math.inf else math.log(y) - math.log(v)
+            return v < y, gap
+        t = _root(probe)[1]
         if t == math.inf:
             raise _no_upper_bracket(self.label, y)
         return t
@@ -385,8 +486,8 @@ class YoungFamily:
     def inverse_grid(self, ys, qs) -> np.ndarray:
         """``psi_q^{-1}(y)`` for every ``y`` in ``ys`` (rows) and ``q`` in
         ``qs`` (columns): one batched bisection over the whole grid, with
-        the steps, errors and results of :meth:`YoungFunction.inverse` cell
-        by cell."""
+        the errors and results of :meth:`YoungFunction.inverse` cell by
+        cell."""
         qs = [self._check_q(q) for q in qs]
         ys = _check_ys(self.label, ys).ravel()
         if self.array_fn is None:

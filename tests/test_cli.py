@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
 
+import orlicz
 from orlicz import cli
 from orlicz.young import BracketError
 
@@ -61,10 +63,14 @@ def test_norm_unit_indicator(capsys, unit_ind):
 
 
 def test_norm_subprocess_bytes(ind8):
+    # The child imports the package this process imported, installed or not.
+    src = os.path.dirname(os.path.dirname(orlicz.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "orlicz.cli", "norm", "--family", "power",
          "--q", "3", "--input", ind8],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == b"2.00000000000\n"
     assert proc.stderr == b""

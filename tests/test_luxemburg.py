@@ -110,7 +110,25 @@ def test_norm_result_reports_bracket():
     lo, hi = result.bracket
     assert lo <= result.norm <= hi
     assert math.nextafter(lo, math.inf) == hi
-    assert 0 < result.iterations <= 63
+    # ITP's one probe of slack over bisection: at most 64, not 63, from [0, inf]
+    assert 0 < result.iterations <= 64
+
+
+@pytest.mark.parametrize("spec,q", [("power", 2.0), ("logbump:p=2", 64.0),
+                                    ("sinpiecewise", 33.0)])
+def test_norm_reuses_its_probes(monkeypatch, spec, q):
+    # The two ends of the bracket were probed by the search: their modulars
+    # are not evaluated again, so every evaluation is a counted step.
+    calls = []
+    original = luxemburg.modular
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(luxemburg, "modular", counted)
+    result = luxemburg_norm(make_family(spec).make(q), two_atom())
+    assert len(calls) == result.iterations
+    assert set(result.bracket) <= set(calls)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, 64.0, 1024.0, 4096.0])

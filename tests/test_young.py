@@ -204,7 +204,8 @@ def test_scalar_inverse_psi_calls(y):
         calls.append(t)
         return t ** 3.0
     YoungFamily("cube", fn, {}, q_min=0.0).make(1.0).inverse(y)
-    assert 0 < len(calls) <= 63
+    # ITP's one probe of slack over bisection: at most 64, not 63, from [0, inf]
+    assert 0 < len(calls) <= 64
 
 
 def test_inverse_grid_array_calls():
