@@ -22,7 +22,7 @@ Conventions
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
   found by :func:`_root`, an ITP search over the ordered int64 bit patterns
   of ``[0, inf]`` that reaches two adjacent doubles in at most 64
-  evaluations at any scale (about 17 for a norm), with no tolerance and no
+  evaluations at any scale (about 15 for a norm), with no tolerance and no
   bracket to grow.  The exact test ``psi(t) < y`` decides every step, so
   monotonicity is the only structural assumption for the result and the
   same code serves every catalog member; ``log y - log psi(t)`` only places
@@ -119,11 +119,26 @@ _STEPS = _INF_BITS.bit_length()
 # width of _BIT_SECANT patterns the secant runs on the patterns, where log x
 # can no longer tell neighbouring doubles apart.  The convexity jump lands
 # on the root itself for a linear psi, so it overshoots by a relative
-# _OVERSHOOT of its length to cross the root despite rounding.
+# _OVERSHOOT of its length to cross the root despite rounding.  It is taken
+# at most _JUMPS times, and after the first only while the gap is at least
+# _JUMP_GAP: closer in, the secant is converging and a jump, which overshoots
+# the root by the elasticity of psi, would only cost a probe.  When the
+# secant through the moving end's last two probes is available, a stall
+# steps _STALL_STEP times that secant's step instead, if that is shorter:
+# past a root the secant approaches from the convex side, short of the
+# jump.  An infinite gap (a modular that overflows, or underflows to 0)
+# enters a secant as +-_INF_GAP, about the span of log over the doubles:
+# the true gap is at least 709 and usually thousands, and a stand-in that
+# small puts the next probe where psi is subnormal and a call costs several
+# times more.
 _N0 = 1
 _TRUNCATE = 1
 _BIT_SECANT = 1 << 40
 _OVERSHOOT = 2.0 ** -20
+_JUMPS = 3
+_JUMP_GAP = 2.0 ** -10
+_STALL_STEP = 1.5
+_INF_GAP = 1500.0
 
 
 def _exp_bits(log_x: float) -> int:
@@ -134,17 +149,32 @@ def _exp_bits(log_x: float) -> int:
         return _INF_BITS
 
 
+def _step_bits(x: float, log_step: float) -> int:
+    """The pattern of ``x * e**log_step``.  A short step multiplies: ``log x``
+    carries too few bits to land within a few patterns of ``x``."""
+    if abs(log_step) < 1.0:
+        return _bits(x * math.exp(log_step))
+    return _exp_bits(math.log(x) + log_step)
+
+
 def _secant(i: int, j: int, gi: float, gj: float) -> int | None:
     """The pattern where the line through the gaps at patterns ``i < j``
-    crosses 0, clipped to ``[i, j]``; ``None`` when a gap is not finite or
-    the two are equal."""
-    if not (math.isfinite(gi) and math.isfinite(gj)) or gi == gj:
+    crosses 0, clipped to ``[i, j]``; ``None`` when a gap is NaN or the two
+    are equal.  An infinite gap counts as ``+-_INF_GAP``."""
+    if math.isinf(gi):
+        gi = math.copysign(_INF_GAP, gi)
+    if math.isinf(gj):
+        gj = math.copysign(_INF_GAP, gj)
+    if math.isnan(gi) or math.isnan(gj) or gi == gj:
         return None
-    f = min(max(gi / (gi - gj), 0.0), 1.0)
+    fi = min(max(gi / (gi - gj), 0.0), 1.0)
     if j - i < _BIT_SECANT:
-        return i + round(f * (j - i))
-    a, b = math.log(_double(i)), math.log(_double(j))
-    return _exp_bits(a + f * (b - a))
+        return i + round(fi * (j - i))
+    xi, xj = _double(i), _double(j)
+    span = math.log(xj) - math.log(xi)
+    if fi <= 0.5:  # step from the nearer end
+        return _step_bits(xi, fi * span)
+    return _step_bits(xj, -min(max(gj / (gj - gi), 0.0), 1.0) * span)
 
 
 def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
@@ -159,21 +189,25 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
     leaves the result unchanged.
 
     The search runs on the ordered int64 bit patterns of the doubles.  The
-    first probe with a finite gap is followed by one convexity jump to
+    first probe with a finite gap is followed by a convexity jump to
     ``x * e**gap``, which crosses the root when ``psi(t) / t`` is
     nondecreasing.  After that each estimate is the secant of the gaps at
     the two ends against ``log x`` (against the pattern once the ends are
-    close), with the Anderson-Bjorck scaling of the gap at an end that
-    stays put.  ITP truncates the estimate and projects it onto a shrinking
-    radius around the midpoint pattern, so the search ends in at most
-    ``_STEPS + _N0`` probes from ``[0, inf]`` whatever the gaps say, with no
-    tolerance.  The endpoints are never probed: ``a`` is ``lo`` or a point
+    close, and from the nearer end).  When two estimates in a row move the
+    same end, the gap at the other end is scaled down (Anderson-Bjorck), and
+    while the gap is not small the end that moved steps again, by the jump
+    or by half again the secant step through its last two probes, whichever
+    is shorter, if that cuts the bracket to its nearest eighth; ``_JUMPS``
+    jumps and steps in all.  ITP truncates the estimate and projects
+    it onto a shrinking radius around the midpoint pattern, so the search
+    ends in at most ``_STEPS + _N0`` probes from ``[0, inf]`` whatever the
+    gaps say, with no tolerance.  The endpoints are never probed: ``a`` is ``lo`` or a point
     where ``below`` held, ``b`` is ``hi`` or a point where it failed.
     """
     i, j = _bits(lo), _bits(hi)
     gi = gj = math.nan  # the gap at each end; NaN until that end is probed
     n_max = (j - i - 1).bit_length() + _N0
-    k, jump, jumped, moved = 0, None, False, None
+    k, jump, jumps, moved = 0, None, 0, None
     while j - i > 1:
         w = j - i
         mid = i + (w >> 1)
@@ -181,6 +215,7 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
             x = _secant(i, j, gi, gj)
         else:  # a jump beyond the bracket tells nothing new
             x, jump = (jump if i <= jump <= j else None), None
+        estimated = x is not None
         if x is None:
             x = mid
         else:
@@ -190,22 +225,32 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
         t = _double(x)
         below, gap = probe(t)
         k += 1
-        if below == moved:  # the same end moves again: damp the other's gap
-            g = gi if below else gj
+        stalled = estimated and below == moved  # two estimates moved one end
+        if stalled:  # damp the gap at the end that stays put
+            g, x_old = (gi, i) if below else (gj, j)
             m = 1.0 - gap / g if g else 0.5
-            m = m if 0.0 < m < 1.0 else 0.5
+            m = m if 0.0 < m <= 1.0 else 0.5
             if below:
                 gj *= m
             else:
                 gi *= m
-        moved = below
+        moved = below if estimated else None
         if below:
             i, gi = x, gap
         else:
             j, gj = x, gap
-        if not jumped and math.isfinite(gap):
-            jumped = True
-            jump = _exp_bits(math.log(t) + gap * (1.0 + _OVERSHOOT))
+        if math.isfinite(gap) and (jumps == 0 or stalled and jumps < _JUMPS
+                                   and abs(gap) >= _JUMP_GAP):
+            step = gap * (1.0 + _OVERSHOOT)
+            if stalled and math.isfinite(g) and g != gap:
+                local = _STALL_STEP * gap * math.log(t / _double(x_old)) / (g - gap)
+                if 0.0 < local / step < 1.0:
+                    step = local
+            to = _step_bits(t, step)
+            # A stalled secant creeps up on the root from one side; a step
+            # from there, when it lands close, cuts the far side at once.
+            if jumps == 0 or i < to < j and abs(to - x) < (j - i) >> 3:
+                jump, jumps, moved = to, jumps + 1, None
     return _double(i), _double(j)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import orlicz.luxemburg as luxemburg
 from orlicz import BracketError, MeasureSpace, SimpleFunction, luxemburg_norm, make_family
-from orlicz.young import _root
+from orlicz.young import _root, _secant
 
 from conftest import CATALOG_SPECS
 
@@ -152,3 +152,40 @@ def test_linear_members_take_few_steps(monkeypatch, spec):
     # log modular is linear in log lam: the midpoint, the convexity jump and
     # a secant or two close the bracket.
     assert max(_steps(monkeypatch, spec, 1.0, ("lognormal",))) <= 8
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 100])
+def test_secant_lands_next_to_a_near_end(k):
+    # Gaps exactly linear in log x on [1e100, 1e300], root k patterns from
+    # one end.  log x has too few bits there to place the estimate (its ulp
+    # is 2.8e-14, a pattern 2.2e-16); a step from the nearer end does.
+    lo, hi = bits(1e100), bits(1e300)
+    for root in (double(lo + k), double(hi - k)):
+        x = _secant(lo, hi, math.log(root / double(lo)), math.log(root / double(hi)))
+        assert abs(x - bits(root)) <= 1
+
+
+def test_one_sided_secants_keep_few_steps(monkeypatch):
+    # sinpiecewise bends sharply between the first probes and the root, so
+    # secants used to creep up on it from one side until the slack was spent
+    # and the search bisected to the end: 3 of these 80 solves took all 64
+    # steps.  With the step after a stall and the finite stand-in for an
+    # infinite gap they take 9-28, most of them 11-15.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return MODULAR(*args)
+    monkeypatch.setattr(luxemburg, "modular", counted)
+    rng = random.Random(11)
+    steps = []
+    for q in (33.0, 64.0):
+        psi = make_family("sinpiecewise").make(q)
+        for n in (8, 64):
+            for _ in range(20):
+                atoms = [(rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
+                         for _ in range(n)]
+                calls.clear()
+                luxemburg_norm(psi, SimpleFunction(atoms, INF))
+                steps.append(len(calls))
+    assert max(steps) <= 32
