@@ -27,11 +27,8 @@ Everything is deterministic and pure; reports are frozen dataclasses.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
-
-import numpy as np
 
 from .measure import MeasureSpace
 from .young import DomainError, E_MINUS_1, YoungFamily, YoungFunction, logbump_family
@@ -77,7 +74,20 @@ _MARGIN = 0.05
 _MONO_TOL = 1e-8
 _CASE_II_SLACK = 1e-6
 
-_T_GRID = tuple(np.geomspace(0.05, 20.0, 33).tolist())
+# 33 geometrically spaced value-side probes on [0.05, 20]: the doubles of
+# numpy.geomspace(0.05, 20.0, 33), written out so importing needs no numpy.
+_T_GRID = (
+    0.05, 0.06029542755153481, 0.07271077167244767, 0.08768254131184518,
+    0.1057371263440564, 0.12750930481971073, 0.15376456101806876,
+    0.1854259989771704, 0.22360679774997896, 0.2696493494752911,
+    0.32517245631211816, 0.39212824562643883, 0.47287080450158786,
+    0.5702389466812295, 0.6876560219336321, 0.8292502770175191, 1.0,
+    1.2059085510306964, 1.4542154334489537, 1.753650826236904,
+    2.114742526881128, 2.550186096394215, 3.075291220361376,
+    3.7085199795434085, 4.47213595499958, 5.392986989505823,
+    6.503449126242364, 7.842564912528778, 9.457416090031758,
+    11.404778933624593, 13.753120438672644, 16.585005540350384, 20.0,
+)
 _Y_GRID = (0.0005, 0.02, 0.2, 0.45, 0.75, 2.0, 10.0)
 # growth scans: u-grid size and q-schedule length; T_c fixed-point check
 _GROWTH_POINTS = 161
@@ -396,8 +406,9 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
         return report("inadmissible_vanishing")
 
     if all(k == "finite" for k in kinds):
-        values = [est.value for _, est in inverse_evidence]
-        delta = statistics.median(values)
+        values = sorted(est.value for _, est in inverse_evidence)
+        half = len(values) // 2  # the median
+        delta = values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
         if all(abs(v - delta) <= _CLASS_TOL for v in values):
             if _value_side_veto(value_evidence, delta, delta, space):
                 return report("undetermined")
@@ -486,6 +497,7 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"k must be positive and finite, got {k!r}")
+    import numpy as np
     points = [(t, phi(t)) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()]
     for t, u in points:
         if math.isinf(u):
@@ -602,6 +614,7 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
     ok = residual <= _TC_TOL * max(1.0, t1)
 
     hi = float(grid_hi) if grid_hi is not None else max(1.0, 2.0 * t1)
+    import numpy as np
     failures = []
     for t in np.linspace(0.0, hi, _TC_GRID_POINTS).tolist():
         lhs = q0 * c ** (p / q) * math.log(E_MINUS_1 + t) ** (q0 / q)

@@ -14,8 +14,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .admissibility import classify, growth_check, phase_locked_schedule
 from .luxemburg import luxemburg_norm
 from .measure import MeasureSpace, ess_sup, read_simple_function
@@ -25,11 +23,38 @@ __all__ = ["main"]
 
 
 def _fmt_sig(x: float) -> str:
-    """12 significant digits, positional; exact zero collapses to ``0``."""
+    """12 significant digits, positional; exact zero collapses to ``0``.
+
+    For finite ``x`` the output of numpy's ``format_float_positional(x,
+    precision=12, unique=False, fractional=False, trim="k")``: the exact
+    decimal digits of ``x``, rounded half-even to 12 if there are more; a
+    round-up drops the zeros its carry leaves, a truncation keeps them.  The
+    fraction is padded with zeros to ``12 - max(whole digits, 1)`` places and
+    the point stays when it has none.
+    """
     if x == 0.0:
         return "0"
-    return np.format_float_positional(
-        x, precision=12, unique=False, fractional=False, trim="k")
+    from decimal import Decimal
+    sign, digits, exp = Decimal(x).as_tuple()
+    text = "".join(map(str, digits))
+    kept = text.rstrip("0")
+    exp += len(text) - len(kept)  # x = +-int(kept) * 10**exp
+    if len(kept) > 12:
+        kept, rest = kept[:12], kept[12:]
+        exp += len(rest)
+        # rest has no trailing zeros: "5" alone is an exact tie
+        if rest > "5" or rest == "5" and kept[-1] in "13579":
+            carried = str(int(kept) + 1)
+            kept = carried.rstrip("0")
+            exp += len(carried) - len(kept)
+    point = len(kept) + exp  # digits before the decimal point
+    if exp >= 0:
+        whole, frac = kept + "0" * exp, ""
+    elif point > 0:
+        whole, frac = kept[:point], kept[point:]
+    else:
+        whole, frac = "0", "0" * -point + kept
+    return f"{'-' * sign}{whole}.{frac.ljust(12 - len(whole), '0')}"
 
 
 def _parse_mass(text: str) -> float:
@@ -54,6 +79,7 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
             f"need 0 < q-min <= q-max, got {args.q_min!r}..{args.q_max!r}")
     if args.q_steps < 1:
         raise ValueError(f"q-steps must be >= 1, got {args.q_steps!r}")
+    import numpy as np
     qs = []
     for q in np.geomspace(args.q_min, args.q_max, args.q_steps):
         q = float(q)

@@ -19,7 +19,8 @@ is too small).
 A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
 in one numpy pass, ``masses @ psi(values / lam)``; a smaller one keeps the
 Python loop over its atoms, because numpy's fixed per-call cost outweighs the
-loop below a few dozen atoms.
+loop below a few dozen atoms.  numpy is imported on the first such pass, so
+the norms of small functions never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .measure import SimpleFunction, distribution
 from .young import BracketError, DomainError, YoungFunction, _root
@@ -73,6 +72,7 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
     if f.atoms and f.atoms[0][0] / lam == math.inf:
         return math.inf  # the largest value over lam overflows
     if len(f.atoms) >= _ARRAY_MIN_ATOMS:
+        import numpy as np
         with np.errstate(over="ignore", under="ignore"):
             total = float(f.masses @ psi.evaluate(f.values / lam))
     else:

@@ -9,7 +9,7 @@ Atoms are canonicalized at construction: equal values merge by summing their
 masses, atoms are sorted by decreasing value, and zero-value atoms are dropped
 (their mass belongs to the complement, which the distribution handles through
 ``total_mass``).  The atoms are also available as two read-only float64
-arrays, ``values`` and ``masses``, built on first use.
+arrays, ``values`` and ``masses``, built (and numpy imported) on first use.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DistributionSet",
@@ -114,6 +116,7 @@ def _mass_sum(masses) -> float:
 
 
 def _read_only(xs: list[float]) -> np.ndarray:
+    import numpy as np
     a = np.array(xs, dtype=float)
     a.flags.writeable = False
     return a

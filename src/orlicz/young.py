@@ -16,9 +16,13 @@ Conventions
   non-finite ``t``.  A family has its scalar formula ``fn(t, q)`` and,
   optionally, the same formula over arrays, ``array_fn(t, q)``, broadcasting
   over both; each catalog formula is written once, generic over the log
-  function (``math.log`` for ``fn``, ``np.log`` for ``array_fn``).  The norm
-  solver takes the array path for simple functions with many atoms (see
-  :mod:`orlicz.luxemburg`).
+  function (``math.log`` for ``fn``, :func:`_array_log` for ``array_fn``).
+  The norm solver takes the array path for simple functions with many atoms
+  (see :mod:`orlicz.luxemburg`).
+* numpy is imported where an array is first built, never at module level, so
+  building families and members and the scalar paths (``psi(t)``,
+  ``psi.inverse(y)``, and the norms of small simple functions) never load
+  it.
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
   found by :func:`_root`, an ITP search over the ordered int64 bit patterns
   of ``[0, inf]`` that reaches two adjacent doubles in at most 64
@@ -47,9 +51,10 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 E_MINUS_1 = math.e - 1.0
 
@@ -88,6 +93,7 @@ class BracketError(ArithmeticError):
 
 
 def _check_ys(label: str, ys) -> np.ndarray:
+    import numpy as np
     ys = np.asarray(ys, dtype=float)
     if ys.size and not (ys.min() >= 0.0 and ys.max() < math.inf):
         raise DomainError(f"{label}: inverse needs finite y >= 0, got values "
@@ -270,6 +276,7 @@ def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
     whole array per step and ``_STEPS`` steps in all.  A cell whose bracket
     has closed (its midpoint is its lower end) keeps it.
     """
+    import numpy as np
     lo = np.zeros(ys.shape, dtype=np.int64)
     hi = np.full(ys.shape, _INF_BITS, dtype=np.int64)
     with np.errstate(all="ignore"):
@@ -321,6 +328,7 @@ class YoungFunction:
         ``inf``.  Without the family's ``array_fn`` it runs ``__call__`` per
         element.
         """
+        import numpy as np
         ts = np.asarray(ts, dtype=float)
         if not ts.size:
             return np.zeros_like(ts)
@@ -370,6 +378,7 @@ class YoungFunction:
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """:meth:`inverse` element by element over a float64 array: the
         one-column :meth:`YoungFamily.inverse_grid` at this ``q``."""
+        import numpy as np
         return self.family.inverse_grid(ys, (self.q,)).reshape(np.shape(ys))
 
 
@@ -394,6 +403,7 @@ class ValidationReport:
 
 def default_validation_grid() -> tuple[float, ...]:
     """0 plus 257 geometrically spaced points on ``[1e-6, 1e3]``."""
+    import numpy as np
     return (0.0, *np.geomspace(1e-6, 1e3, 257).tolist())
 
 
@@ -515,6 +525,7 @@ class YoungFamily:
     def evaluate_grid(self, ts, qs) -> np.ndarray:
         """``psi_q(t)`` for every ``t`` in ``ts`` (rows) and ``q`` in ``qs``
         (columns), with the semantics of :meth:`YoungFunction.evaluate`."""
+        import numpy as np
         qs = [self._check_q(q) for q in qs]
         ts = np.asarray(ts, dtype=float)
         if self.array_fn is None:
@@ -533,6 +544,7 @@ class YoungFamily:
         ``qs`` (columns): one batched bisection over the whole grid, with
         the errors and results of :meth:`YoungFunction.inverse` cell by
         cell."""
+        import numpy as np
         qs = [self._check_q(q) for q in qs]
         ys = _check_ys(self.label, ys).ravel()
         if self.array_fn is None:
@@ -548,6 +560,13 @@ class YoungFamily:
     def schedule_q0(self) -> float:
         """Default starting point for q-schedules over this family."""
         return max(self.q_min, 1.0)
+
+
+def _array_log(x: np.ndarray) -> np.ndarray:
+    """``np.log``, the log of the catalog's ``array_fn`` formulas.  numpy is
+    imported on the first call, so building a family does not load it."""
+    import numpy as np
+    return np.log(x)
 
 
 def _iter_log(x: float, n: int, log: Callable = math.log) -> float:
@@ -601,7 +620,7 @@ def logbump_family(p: float = 1.0) -> YoungFamily:
 
     def fn(t, q, log: Callable = math.log):
         return t ** p * log(E_MINUS_1 + t) ** q
-    return YoungFamily("logbump", fn, {"p": p}, q_min=0.0, array_fn=partial(fn, log=np.log))
+    return YoungFamily("logbump", fn, {"p": p}, q_min=0.0, array_fn=partial(fn, log=_array_log))
 
 
 def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -616,7 +635,7 @@ def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     def fn(t, q, log: Callable = math.log):
         return t ** p * _iter_log(c + t, N, log) ** q
     return YoungFamily("iterlog", fn, {"N": N, "p": p}, q_min=0.0,
-                       array_fn=partial(fn, log=np.log))
+                       array_fn=partial(fn, log=_array_log))
 
 
 def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -635,7 +654,7 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
             base = base * _iter_log(c + t, j, log)  # not *=: t may be an array
         return base ** p * _iter_log(cs[-1] + t, N, log) ** q
     return YoungFamily("addie", fn, {"N": N, "p": p}, q_min=0.0,
-                       array_fn=partial(fn, log=np.log))
+                       array_fn=partial(fn, log=_array_log))
 
 
 def sinpiecewise_family() -> YoungFamily:
@@ -654,6 +673,7 @@ def sinpiecewise_family() -> YoungFamily:
         return 0.5 * (t ** q + (2.0 * t - 1.0) ** 3)
 
     def array_fn(t, q):
+        import numpy as np
         # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
         bump = np.maximum(2.0 * t - 1.0, 0.0)
         return 0.5 * (t ** q + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
@@ -669,7 +689,7 @@ def powerlog_e_family(p: float = 1.0) -> YoungFamily:
     def fn(t, q, log: Callable = math.log):
         return t ** p * log(math.e + t) ** q
     return YoungFamily("powerlog_e", fn, {"p": p}, q_min=0.0,
-                       array_fn=partial(fn, log=np.log))
+                       array_fn=partial(fn, log=_array_log))
 
 
 def identity_family() -> YoungFamily:

@@ -46,6 +46,11 @@ def test_geometric_schedule_rejects_bad_q0():
         geometric_schedule(0.0)
 
 
+def test_t_grid_is_geomspace():
+    assert len(admissibility._T_GRID) == 33
+    assert admissibility._T_GRID == tuple(np.geomspace(0.05, 20.0, 33).tolist())
+
+
 def test_phase_locked_parity():
     odd = phase_locked_schedule(1, 6, "odd")
     even = phase_locked_schedule(1, 6, "even")

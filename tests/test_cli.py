@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import struct
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orlicz
 from orlicz import cli
@@ -81,6 +84,39 @@ def test_fmt_sig_rendering():
     assert cli._fmt_sig(2.0) == "2.00000000000"
     assert cli._fmt_sig(1.0671404006768237) == "1.06714040068"
     assert cli._fmt_sig(123.456) == "123.456000000"
+
+
+def _numpy_sig(x):
+    # The formatter the stdlib code replaces, kept here as its oracle.
+    return np.format_float_positional(x, precision=12, unique=False,
+                                      fractional=False, trim="k")
+
+
+@pytest.mark.parametrize("x, text", [
+    (0.5, "0.50000000000"),
+    (0.1, "0.100000000000"),
+    (1234567890125.0, "1234567890120."),  # a 13-digit tie rounds to even
+    (1234567890135.0, "1234567890140."),
+    (0.99999999999999, "1.00000000000"),  # a run of 9s carries
+    (9999999999999.0, "10000000000000."),
+    (0.0123456789019600, "0.012345678902"),  # a round-up drops its zeros
+    (0.05, "0.0500000000000"),  # a truncation keeps them
+    (5e-324, None),
+    (1e300, None),
+    (sys.float_info.max, "1797693134860" + "0" * 296 + "."),
+])
+def test_fmt_sig_pinned(x, text):
+    assert cli._fmt_sig(x) == _numpy_sig(x)
+    if text is not None:
+        assert cli._fmt_sig(x) == text
+
+
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1))
+@settings(max_examples=2000, deadline=None)
+def test_fmt_sig_matches_numpy(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    if math.isfinite(x) and x != 0.0:
+        assert cli._fmt_sig(x) == _numpy_sig(x)
 
 
 # ---------------------------------------------------------------- exit codes
