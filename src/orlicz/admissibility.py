@@ -17,8 +17,9 @@ Three layers:
   exponential comparison map.
 
 Each verdict reads its samples from grids: one ``family.inverse_grid`` and
-one ``family.evaluate_grid`` per :func:`classify` call, over the union of
-every q a probe may request (the refinement and retry schedules included),
+one ``family.evaluate_grid`` per :func:`classify` call over the q that every
+probe reads (the base scan, its refinement and the two parities), one more of
+each over the retry's other q for the probes still undetermined after that,
 and one ``inverse_grid`` over ``(u, q)`` per growth scan.
 
 Everything is deterministic and pure; reports are frozen dataclasses.
@@ -174,11 +175,16 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     accelerated slope); monotone decay (tail below ``small_value``, or the
     accelerated tail extrapolating below ``zero_tol``); a stable accelerated
     limit after two Richardson stages, or — for monotone tails only — three;
-    alternating oscillation; otherwise undetermined.
+    alternating oscillation; otherwise undetermined.  A NaN value raises
+    :class:`ArithmeticError` naming the first q that has one.
     """
     qs = tuple(map(float, qs))
     vs = tuple(map(float, vs))
     evidence = tuple(zip(qs, vs))
+    if math.isnan(sum(vs)):  # a cheap screen: true for any NaN (and for inf - inf)
+        for q, v in evidence:
+            if math.isnan(v):
+                raise ArithmeticError(f"sequence value at q={q!r} is NaN")
     n = min(_TAIL_LEN, len(vs))
     tail = vs[-n:]
     lim_lo, lim_hi = min(tail), max(tail)
@@ -251,7 +257,7 @@ def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Every q-schedule one probe may read, in the order :func:`_probe` reads
+    """Every q-schedule one probe may read, in the order :func:`_limits` reads
     them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, the two
     phase-locked parities, and their retry out to ``_PHASE_K_FACTOR`` times
     as many k."""
@@ -260,9 +266,6 @@ class _Plan:
     longer: tuple[float, ...]
     parity: tuple[tuple[float, ...], ...]
     retry: tuple[tuple[float, ...], ...]
-
-    def qs(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.base).union(self.longer, *self.parity, *self.retry)))
 
 
 def _plan(family: YoungFamily) -> _Plan:
@@ -273,10 +276,27 @@ def _plan(family: YoungFamily) -> _Plan:
 
 
 def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
-    """One aggregated estimate per point, all read from one ``grid(points,
-    qs)`` over the union of the plan's schedules."""
-    qs = plan.qs()
-    return [_probe(plan, dict(zip(qs, row))) for row in grid(points, qs).tolist()]
+    """One aggregated estimate per point, read from at most two grids.
+
+    Every point reads the base scan, its refinement and the two parities
+    from one ``grid(points, first)``.  Only the points still undetermined
+    then read the retry, from one more grid over them and the retry's q not
+    in ``first``.  Each cell is solved on its own, so a point's estimate is
+    the one a single grid over every schedule would give.
+    """
+    first = sorted(set(plan.base).union(plan.longer, *plan.parity))
+    rows = [dict(zip(first, row)) for row in grid(points, first).tolist()]
+    geos = [_geometric(plan, row) for row in rows]
+    ests = [_aggregate(geo, *_parities(plan.parity, row)) for geo, row in zip(geos, rows)]
+    redo = [i for i, est in enumerate(ests) if est.kind == "undetermined"]
+    if redo:
+        # Slow phase-locked settling (members converging like r^q with r near
+        # 1): push the locked subsequences to larger k before giving up.
+        extra = sorted(set().union(*plan.retry).difference(first))
+        for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
+            rows[i].update(zip(extra, row))
+            ests[i] = _aggregate(geos[i], *_parities(plan.retry, rows[i]))
+    return ests
 
 
 @dataclass(frozen=True)
@@ -339,21 +359,19 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
     return LimitEstimate("undetermined", None, lo, hi, ev)
 
 
-def _probe(plan: _Plan, value_at: dict) -> LimitEstimate:
-    """Aggregated estimate of one sequence ``value_at[q]`` over ``plan``."""
-    def estimate(qs):
-        return classify_sequence(qs, [value_at[q] for q in qs]) if qs else None
+def _estimate(qs: tuple[float, ...], value_at: dict) -> LimitEstimate:
+    return classify_sequence(qs, [value_at[q] for q in qs])
 
-    geo = estimate(plan.base)
-    if geo.kind == "undetermined":
-        # one deterministic refinement with a longer geometric tail
-        geo = estimate(plan.longer)
-    est = _aggregate(geo, *map(estimate, plan.parity))
-    if est.kind == "undetermined":
-        # Slow phase-locked settling (members converging like r^q with r near
-        # 1): push the locked subsequences to larger k before giving up.
-        est = _aggregate(geo, *map(estimate, plan.retry))
-    return est
+
+def _geometric(plan: _Plan, value_at: dict) -> LimitEstimate:
+    """The base scan's estimate, or its refinement's when it is undetermined."""
+    geo = _estimate(plan.base, value_at)
+    return _estimate(plan.longer, value_at) if geo.kind == "undetermined" else geo
+
+
+def _parities(schedules, value_at: dict) -> list[LimitEstimate | None]:
+    """The estimate of each phase-locked schedule, None for an empty one."""
+    return [_estimate(qs, value_at) if qs else None for qs in schedules]
 
 
 def _probe_band(est: LimitEstimate) -> tuple[float, float]:

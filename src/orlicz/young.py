@@ -651,8 +651,9 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     def fn(t, q, log: Callable = math.log):
         base = t
         for j, c in enumerate(cs, start=1):
-            base = base * _iter_log(c + t, j, log)  # not *=: t may be an array
-        return base ** p * _iter_log(cs[-1] + t, N, log) ** q
+            factor = _iter_log(c + t, j, log)  # the last one is L_N(c_N + t)
+            base = base * factor  # not *=: t may be an array
+        return base ** p * factor ** q
     return YoungFamily("addie", fn, {"N": N, "p": p}, q_min=0.0,
                        array_fn=partial(fn, log=_array_log))
 

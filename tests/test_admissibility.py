@@ -29,6 +29,7 @@ from orlicz import (
 )
 from orlicz import admissibility
 from orlicz.admissibility import _PHASE_K_FACTOR, _PHASE_K_MAX
+from conftest import CATALOG_SPECS
 
 INF = MeasureSpace(math.inf)
 GEO = geometric_schedule(1.0, 12)
@@ -122,6 +123,30 @@ def test_sequence_alternating():
 def test_sequence_log_divergence_stays_undetermined():
     vs = [math.log(q + 1.0) for q in GEO]
     assert classify_sequence(GEO, vs).kind == "undetermined"
+
+
+@pytest.mark.parametrize("position", [0, 3, 7])
+def test_sequence_nan_raises_naming_its_q(position):
+    # min/max would drop a NaN or not depending on where it sits: the band
+    # would depend on the order, so a NaN is a numeric failure instead.
+    qs = [2.0 ** j for j in range(8)]
+    vs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    vs[position] = math.nan
+    with pytest.raises(ArithmeticError, match=rf"q={qs[position]!r} is NaN"):
+        classify_sequence(qs, vs)
+
+
+def test_sequence_inf_minus_inf_is_no_nan():
+    # the sum that screens for a NaN is NaN here too, yet no value is
+    vs = [1.0, math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert classify_sequence([2.0 ** j for j in range(8)], vs).kind == "finite"
+
+
+def test_classify_raises_on_nan_values():
+    nan_above_ten = YoungFamily("nan-power", lambda t, q: t ** q if t <= 10.0 else math.nan,
+                                {}, q_min=1.0)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        classify(nan_above_ten, INF)
 
 
 def test_sequence_respects_config_override(monkeypatch):
@@ -496,3 +521,88 @@ def test_family_without_array_form_gets_same_verdict():
         assert (got.verdict, got.delta) == (want.verdict, want.delta) == \
             ("delta_admissible", got.delta)
         assert got.inverse_evidence == want.inverse_evidence
+
+
+# ------------------------------------------------- two-stage grid reading
+
+def _reference_limits(grid, points, plan):
+    """Every point reads every column of the plan from one grid, as a single
+    stage does: the estimates the two-stage reading must reproduce."""
+    qs = sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+    out = []
+    for row in grid(points, qs).tolist():
+        value_at = dict(zip(qs, row))
+
+        def estimate(schedule):
+            return classify_sequence(schedule, [value_at[q] for q in schedule]) \
+                if schedule else None
+        geo = estimate(plan.base)
+        if geo.kind == "undetermined":
+            geo = estimate(plan.longer)
+        est = admissibility._aggregate(geo, *map(estimate, plan.parity))
+        if est.kind == "undetermined":
+            est = admissibility._aggregate(geo, *map(estimate, plan.retry))
+        out.append(est)
+    return out
+
+
+TWO_STAGE_FAMILIES = [*CATALOG_SPECS, "iterlog:N=3", "addie:N=3", "identity", "user-power"]
+
+
+def _two_stage_family(spec):
+    if spec == "user-power":
+        return YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0)
+    return make_family(spec)
+
+
+@pytest.mark.parametrize("mass", [math.inf, 2.0])
+@pytest.mark.parametrize("spec", TWO_STAGE_FAMILIES)
+def test_classify_equals_single_grid_reference(spec, mass, monkeypatch):
+    family, space = _two_stage_family(spec), MeasureSpace(mass)
+    got = classify(family, space)
+    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    assert got == classify(family, space)
+
+
+@pytest.mark.parametrize("spec,t,y", [("sinpiecewise", 0.75, 0.45), ("iterlog:N=2", 2.0, 0.0005),
+                                      ("addie:N=2", 0.5, 0.0005), ("power", 1.5, 7.0)])
+def test_pointwise_limits_equal_single_grid_reference(spec, t, y, monkeypatch):
+    family = make_family(spec)
+    got = limit_of_values(family, t), limit_of_inverses(family, y)
+    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    assert got == (limit_of_values(family, t), limit_of_inverses(family, y))
+
+
+def _record_inverse_grids(monkeypatch):
+    calls = []
+    original = YoungFamily.inverse_grid
+
+    def recorded(self, ys, qs):
+        calls.append((list(ys), list(qs)))
+        return original(self, ys, qs)
+    monkeypatch.setattr(YoungFamily, "inverse_grid", recorded)
+    return calls
+
+
+def test_settled_probes_solve_only_the_first_stage(monkeypatch):
+    calls = _record_inverse_grids(monkeypatch)
+    classify(power_family(), INF)
+    plan = admissibility._plan(power_family())
+    first = sorted(set(plan.base).union(plan.longer, *plan.parity))
+    assert calls == [(list(admissibility._Y_GRID), first)]
+    assert len(first) == 79
+
+
+def test_undetermined_probe_alone_reads_the_retry(monkeypatch):
+    calls = _record_inverse_grids(monkeypatch)
+    family = sinpiecewise_family()
+    report = classify(family, INF)
+    plan = admissibility._plan(family)
+    first = set(plan.base).union(plan.longer, *plan.parity)
+    retry_only = sorted(set().union(*plan.retry) - first)
+    assert len(calls) == 2 and len(calls[0][1]) == 79
+    assert calls[1] == ([0.45], retry_only) and len(retry_only) == 128
+    # the retried probe's evidence holds the retry columns, the others' do not
+    for y, est in report.inverse_evidence:
+        read = {q for q, _ in est.evidence}
+        assert read.isdisjoint(retry_only) == (y != 0.45), y

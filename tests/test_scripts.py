@@ -45,3 +45,14 @@ def test_run_sweeps_converge_to_sup_norm(tmp_path, monkeypatch, capsys):
     with open(tmp_path / "sinpiecewise_locked.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert rows and all(row["target"] == "" for row in rows)
+
+
+def test_output_digest_repeats(capsys):
+    digest = _load("output_digest")
+    runs = []
+    for _ in range(2):
+        assert digest.main() == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == ["classify", "growth", "norm", "cli"]
+    assert all(len(line.split()[2]) == 64 for line in runs[0])
