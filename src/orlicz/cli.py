@@ -4,17 +4,20 @@ verdicts and growth-ratio checks.
 Output is deterministic: the same invocation produces byte-identical stdout
 and CSV.  Exit codes: 0 success, 2 bad input (family spec, flags, JSON), 3
 numeric failure (bracketing or overflow in the solvers).
+
+Each subcommand imports what it runs when it runs: ``norm`` loads neither
+the limit diagnostics of ``orlicz.admissibility`` nor numpy.  The
+diagnostics are looked up through the ``orlicz`` package, so a patch on
+``orlicz.classify`` or ``orlicz.growth_check`` reaches the CLI.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from typing import Sequence
 
-from .admissibility import classify, growth_check, phase_locked_schedule
 from .luxemburg import luxemburg_norm
 from .measure import MeasureSpace, ess_sup, read_simple_function
 from .young import make_family
@@ -73,6 +76,7 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
             raise ValueError(
                 f"phase-locked sweep needs 1 <= q-min <= q-max as integer k bounds, "
                 f"got {args.q_min!r}..{args.q_max!r}")
+        from . import phase_locked_schedule
         return list(phase_locked_schedule(k_min, k_max))
     if not (args.q_min > 0 and args.q_max >= args.q_min):
         raise ValueError(
@@ -100,6 +104,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import classify
     family = make_family(args.family)
     f = read_simple_function(args.input)
     qs = _sweep_qs(args)
@@ -126,12 +131,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _write_csv(handle, rows: Sequence[tuple[str, str, str, str]]) -> None:
+    import csv
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(("q", "norm", "target", "abs_error"))
     writer.writerows(rows)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import classify
     family = make_family(args.family)
     space = MeasureSpace(_parse_mass(args.total_mass))
     report = classify(family, space)
@@ -149,6 +156,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
+    from . import growth_check
     family = make_family(args.family)
     phi = make_family(args.phi).make(args.q)
     report = growth_check(family, phi, args.k)

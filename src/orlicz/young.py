@@ -265,6 +265,10 @@ def _no_upper_bracket(label: str, y: float) -> BracketError:
                         "psi(t) < y for every finite t")
 
 
+def _nan_psi(label: str, t: float) -> ArithmeticError:
+    return ArithmeticError(f"{label}: psi({t!r}) is NaN")
+
+
 def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
                     label: Callable[[int], str]) -> np.ndarray:
     """The result of :meth:`YoungFunction.inverse` for a flat array of cells,
@@ -274,7 +278,8 @@ def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
     ``ts``; ``label(cell)`` names the member in an error.  Every cell
     bisects the bit patterns of ``[0, inf]``, one evaluation over the
     whole array per step and ``_STEPS`` steps in all.  A cell whose bracket
-    has closed (its midpoint is its lower end) keeps it.
+    has closed (its midpoint is its lower end) keeps it.  A cell whose
+    result a NaN of ``psi`` decided raises ``ArithmeticError``.
     """
     import numpy as np
     lo = np.zeros(ys.shape, dtype=np.int64)
@@ -285,9 +290,18 @@ def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
             below = (psi(mid.view(float)) < ys) | (mid == lo)
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-    unbounded = np.flatnonzero(hi == _INF_BITS)
-    if unbounded.size:
-        raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
+        unbounded = np.flatnonzero(hi == _INF_BITS)
+        if unbounded.size:
+            raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
+        # The upper end moves only to a value at or above y or to a NaN, so a
+        # NaN that decided a cell is still its upper end: one more evaluation
+        # finds it, where a NaN screen at every step cost ~10% of the solve.
+        ts = hi.view(float)
+        vs = psi(ts)
+        if math.isnan(vs.sum()):  # a cheap screen: true for any NaN (and for inf - inf)
+            nan = np.flatnonzero(np.isnan(vs) & (ys > 0.0))
+            if nan.size:
+                raise _nan_psi(label(nan[0]), float(ts[nan[0]]))
     return np.where(ys == 0.0, 0.0, hi.view(float))  # y = 0 maps to 0
 
 
@@ -352,7 +366,8 @@ class YoungFunction:
         ``y``; an overflowing evaluation counts as ``inf``.  The test
         ``psi(t) < y`` decides each step, and ``log(y / psi(t))`` only places
         the next probe.  :class:`BracketError` when ``psi`` stays below ``y``
-        on every finite ``t``.
+        on every finite ``t``; ``ArithmeticError`` when a probe finds ``psi``
+        NaN.
         """
         y = float(y)
         if math.isnan(y) or math.isinf(y) or y < 0:
@@ -363,6 +378,8 @@ class YoungFunction:
         def probe(t: float) -> tuple[bool, float]:
             v = self(t)
             if not v > 0.0:
+                if math.isnan(v):
+                    raise _nan_psi(self.label, t)
                 return v < y, math.inf
             # The log of the ratio keeps full precision near the root, where
             # log y - log v cancels; the difference serves where y / v

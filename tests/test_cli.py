@@ -154,6 +154,17 @@ def test_numeric_failure_exits_3(capsys, ind8):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+def test_classify_nan_psi_exits_3(capsys):
+    # t**q with a NaN hole on (1e-3, 1.9): an inverse probe meets the hole.
+    family = orlicz.YoungFamily(
+        "nan-gap", lambda t, q: math.nan if 1e-3 < t < 1.9 else t ** q, {}, q_min=1.0,
+        array_fn=lambda t, q: np.where((t > 1e-3) & (t < 1.9), np.nan, t ** q))
+    with mock.patch.object(cli, "make_family", return_value=family):
+        assert cli.main(["classify", "--family", "nan-gap"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: nan-gap[q=") and err.endswith(") is NaN\n")
+
+
 def test_norm_beyond_double_range_exits_3(capsys, tmp_path):
     path = _write_json(tmp_path, "huge.json", {"total_mass": "inf", "atoms": [
         {"value": 1.900779840119371e+279, "mass": 3.6026157030657704e-09},

@@ -56,3 +56,18 @@ def test_output_digest_repeats(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == ["classify", "growth", "norm", "cli"]
     assert all(len(line.split()[2]) == 64 for line in runs[0])
+
+
+def test_import_cost_lists_the_modules_each_import_loads(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["import_cost.py", "--runs", "1"])
+    assert _load("import_cost").main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(lines) if not line.startswith("  ")]
+    assert [lines[i].split(":")[0] for i in heads] == ["import orlicz", "import orlicz.cli"]
+    assert all(lines[i].endswith(" ms of 1 runs") for i in heads)
+    modules = [sorted(line.split()[0] for line in lines[i + 1:j])
+               for i, j in zip(heads, heads[1:] + [len(lines)])]
+    # The limit diagnostics load on first use, not with the package or the CLI.
+    assert modules == [["orlicz", "orlicz.luxemburg", "orlicz.measure", "orlicz.young"],
+                       ["orlicz", "orlicz.cli", "orlicz.luxemburg", "orlicz.measure",
+                        "orlicz.young"]]

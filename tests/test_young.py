@@ -210,7 +210,8 @@ def test_scalar_inverse_psi_calls(y):
 
 def test_inverse_grid_array_calls():
     # Every cell bisects the bit patterns of [0, inf] in lockstep: one
-    # evaluation of the family formula per step, 63 steps, at any scale.
+    # evaluation of the family formula per step, 63 steps, at any scale,
+    # then one at the upper ends that checks them for NaN.
     family = make_family("logbump:p=2")
     calls = []
 
@@ -219,7 +220,7 @@ def test_inverse_grid_array_calls():
         return family.array_fn(t, q)
     ys, qs = (0.0, 1e-300, 0.5, 2.0, 1e300), (0.5, 8.0, 4096.0)
     replace(family, array_fn=counted).inverse_grid(ys, qs)
-    assert calls == [len(ys) * len(qs)] * 63
+    assert calls == [len(ys) * len(qs)] * 64
 
 
 def _bounded_family(array_form: bool) -> YoungFamily:
@@ -239,6 +240,49 @@ def test_inverse_grid_unbracketable(array_form):
     with pytest.raises(BracketError) as array:
         family.make(1.0).inverse_array(np.array([0.5, 2.0]))
     assert str(grid.value) == str(array.value) == str(scalar.value)
+
+
+def _nan_gap_family(array_form: bool) -> YoungFamily:
+    """``t**q`` with a NaN hole on (1e-3, 1.9), below the root 2 of ``y = 4`` at q = 2."""
+    return YoungFamily(
+        "nan-gap", lambda t, q: math.nan if 1e-3 < t < 1.9 else t ** q, {}, q_min=1.0,
+        array_fn=(lambda t, q: np.where((t > 1e-3) & (t < 1.9), np.nan, t ** q))
+        if array_form else None)
+
+
+def test_inverse_nan_psi_raises():
+    # Read as "at or above y", the NaN hole gave 0.001 here with no error.
+    with pytest.raises(ArithmeticError, match=r"^nan-gap\[q=2\]: psi\(.*\) is NaN$") as err:
+        _nan_gap_family(False).make(2.0).inverse(4.0)
+    t = float(str(err.value).split("psi(")[1].split(")")[0])
+    assert 1e-3 < t < 1.9
+    assert not isinstance(err.value, BracketError)
+
+
+@pytest.mark.parametrize("array_form", [True, False])
+def test_inverse_grid_nan_psi_raises(array_form):
+    family = _nan_gap_family(array_form)
+    with pytest.raises(ArithmeticError, match=r"^nan-gap\[q=2\]: psi\(.*\) is NaN$"):
+        family.inverse_grid([4.0], [2.0])
+    with pytest.raises(ArithmeticError, match=r"^nan-gap\[q=3\]: "):
+        family.inverse_grid([0.0, 5e-324, 4.0], [3.0])  # the failing cell is named
+
+
+def test_inverse_grid_ignores_nan_that_decides_no_cell():
+    # The raw array form is NaN at t = 0, which only closed brackets
+    # evaluate (the scalar path never evaluates psi(0)), and on (2.5, 4),
+    # above the roots: the bisection meets that hole and moves below it.
+    hits = []
+
+    def array_fn(t, q):
+        hole = (t == 0.0) | (t > 2.5) & (t < 4.0)
+        hits.append(int(hole.sum()))
+        return np.where(hole, np.nan, t ** q)
+    family = YoungFamily("nan-holes", lambda t, q: t ** q, {}, q_min=1.0, array_fn=array_fn)
+    ys, qs = (0.0, 5e-324, 1e-320, 2.0, 36.0), (1.0, 2.0)
+    want = [[family.make(q).inverse(y) for q in qs] for y in ys]
+    assert family.inverse_grid(ys, qs).tolist() == want
+    assert sum(hits) > 0
 
 
 def test_grids_fall_back_without_array_form():
