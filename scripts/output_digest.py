@@ -4,10 +4,13 @@
 Groups: the ``classify`` reports of the catalog and of one family without an
 array form, on an infinite and a finite space; both growth-check forms on the
 surveyed comparison pairs; Luxemburg norms of seeded 1-8-atom functions over
-the catalog at q in {1, 4, 64, 4096}; and the stdout of the ``norm``,
-``classify``, ``growth`` and ``sweep`` commands.  Each group hashes the ``repr`` of its outputs in a fixed order, so
-two source trees give the same results exactly when they print the same
-lines:
+the catalog at q in {1, 4, 64, 4096}, split into ``norms`` (the norm, its
+modular and the bracket) and ``norm_steps`` (the modular evaluations each
+solve took); and the stdout of the ``norm``, ``classify``, ``growth`` and
+``sweep`` commands.  Each group hashes the ``repr`` of its outputs in a fixed
+order, so two source trees give the same results exactly when they print
+the same lines, and a change to the root finder that keeps every answer
+differs in ``norm_steps`` alone:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -65,7 +68,8 @@ def growth_reports():
     return out
 
 
-def norms():
+def norm_solves():
+    """The ``NormResult`` of each seeded solve, or the exception's text."""
     rng = random.Random(SEED)
     space = orlicz.MeasureSpace(math.inf)
     out = []
@@ -77,8 +81,20 @@ def norms():
                 atoms = tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
                               for _ in range(rng.randint(1, 8)))
                 f = orlicz.SimpleFunction(atoms, space)
-                out.append(_outcome(lambda: orlicz.luxemburg_norm(psi, f)))
+                try:
+                    out.append(orlicz.luxemburg_norm(psi, f))
+                except (ValueError, ArithmeticError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def norms():
+    return [r if isinstance(r, str) else repr((r.norm, r.modular_at_norm, r.bracket))
+            for r in norm_solves()]
+
+
+def norm_steps():
+    return [r if isinstance(r, str) else repr(r.iterations) for r in norm_solves()]
 
 
 def cli_stdout():
@@ -106,7 +122,7 @@ def cli_stdout():
 
 
 GROUPS = (("classify", classify_reports), ("growth", growth_reports),
-          ("norm", norms), ("cli", cli_stdout))
+          ("norms", norms), ("norm_steps", norm_steps), ("cli", cli_stdout))
 
 
 def main() -> int:

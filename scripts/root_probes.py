@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Probes of the root finder ``orlicz.young._root``, family by family.
+
+Two sets of solves, each printed as one line per family with the mean and
+the largest number of probes per solve and how many solves took 40 or more:
+
+* ``inverse``: scalar ``psi.inverse(y)`` at every q of the classify plan
+  (the base scan, its refinement, both phase-locked parities and their
+  retry) times every probe level of ``admissibility._Y_GRID``;
+* ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
+  ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
+  q = 2^0..2^12.
+
+A probe is one evaluation of psi (inverse) or of the modular (norm).  The
+counts wrap the probe that each solve hands to ``_root``; the search itself
+runs unchanged.  A solve that ends in ``BracketError`` counts too.
+
+    PYTHONPATH=src python scripts/root_probes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import random
+import sys
+
+import orlicz
+import orlicz.luxemburg as luxemburg
+import orlicz.young as young
+from orlicz import admissibility
+
+SPECS = ("power", "logbump", "logbump:p=2", "iterlog", "iterlog:N=2", "addie",
+         "addie:N=2", "sinpiecewise", "powerlog_e", "identity")
+NORM_QS = tuple(2.0 ** j for j in range(13))
+LONG = 40  # a solve at or above this many probes is counted apart
+
+
+def seeded_functions():
+    """The atoms of ``tests/test_root.py``'s ``FUNCTIONS``, in its order."""
+    rng = random.Random(8)
+    out = []
+    for n in range(1, 9):
+        out.append(tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
+                         for _ in range(n)))
+        out.append(tuple((10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
+                         for _ in range(n)))
+    return out
+
+
+def plan_qs(family) -> list[float]:
+    """Every q the classifier may solve for ``family``."""
+    plan = admissibility._plan(family)
+    return sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+
+
+@contextlib.contextmanager
+def counted_roots():
+    """Within the block, each ``_root`` call appends its number of probes."""
+    counts: list[int] = []
+    root = young._root
+
+    def counted(probe, *args):
+        n = 0
+
+        def wrapped(x):
+            nonlocal n
+            n += 1
+            return probe(x)
+        try:
+            return root(wrapped, *args)
+        finally:
+            counts.append(n)
+    young._root = luxemburg._root = counted
+    try:
+        yield counts
+    finally:
+        young._root = luxemburg._root = root
+
+
+def inverse_probes(spec: str) -> list[int]:
+    family = orlicz.make_family(spec)
+    with counted_roots() as counts:
+        for q in plan_qs(family):
+            psi = family.make(q)
+            for y in admissibility._Y_GRID:
+                with contextlib.suppress(orlicz.BracketError):
+                    psi.inverse(y)
+    return counts
+
+
+def norm_probes(spec: str) -> list[int]:
+    family = orlicz.make_family(spec)
+    space = orlicz.MeasureSpace(math.inf)
+    functions = [orlicz.SimpleFunction(atoms, space) for atoms in seeded_functions()]
+    with counted_roots() as counts:
+        for q in NORM_QS:
+            psi = family.make(q)
+            for f in functions:
+                with contextlib.suppress(orlicz.BracketError):
+                    orlicz.luxemburg_norm(psi, f)
+    return counts
+
+
+def main() -> int:
+    print(f"{'solve':8}{'family':14}{'solves':>7}{'mean':>8}{'max':>5}{f'>={LONG}':>6}")
+    for kind, probes in (("inverse", inverse_probes), ("norm", norm_probes)):
+        for spec in SPECS:
+            counts = probes(spec)
+            print(f"{kind:8}{spec:14}{len(counts):7d}{sum(counts) / len(counts):8.2f}"
+                  f"{max(counts):5d}{sum(n >= LONG for n in counts):6d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,8 @@ equation, never as an inequality scan.
 The solver searches every positive double for the point where
 ``modular > 1`` turns false, on the ordered bit patterns of the floats
 (:func:`orlicz.young._root`): no bracket to seed or grow, two adjacent
-doubles at the end whatever the scale of ``f``, and at most 64 modular
-evaluations, about 15 on average.  That exact test alone decides each step;
+doubles at the end whatever the scale of ``f``, and at most 67 modular
+evaluations, about 13 on average.  That exact test alone decides each step;
 ``log modular`` only places the next probe, by ITP interpolation.  A term
 whose argument ``a_i / lam`` or whose value overflows counts as ``+inf``,
 which is the correct side for bracketing (a huge modular just means ``lam``
@@ -50,7 +50,7 @@ class NormResult:
     """The norm, its modular, and how the search reached it.
 
     ``iterations`` counts the search steps, one modular evaluation each: at
-    most 64, typically about 15.  ``bracket`` is the pair of adjacent doubles
+    most 67, typically about 13.  ``bracket`` is the pair of adjacent doubles
     around the root; ``norm`` is the one whose modular is closer to 1.
     """
 

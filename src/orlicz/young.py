@@ -25,8 +25,8 @@ Conventions
   it.
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
   found by :func:`_root`, an ITP search over the ordered int64 bit patterns
-  of ``[0, inf]`` that reaches two adjacent doubles in at most 64
-  evaluations at any scale (about 15 for a norm), with no tolerance and no
+  of ``[0, inf]`` that reaches two adjacent doubles in at most 67
+  evaluations at any scale (about 13 for a norm), with no tolerance and no
   bracket to grow.  The exact test ``psi(t) < y`` decides every step, so
   monotonicity is the only structural assumption for the result and the
   same code serves every catalog member; ``log y - log psi(t)`` only places
@@ -119,16 +119,19 @@ _INF_BITS = _bits(math.inf)
 _STEPS = _INF_BITS.bit_length()
 
 # The ITP search of :func:`_root` (Oliveri & Takahashi, ACM TOMS 47(1), 2020).
-# _N0 probes of slack over bisection let it follow the interpolated estimate;
-# each estimate moves _TRUNCATE patterns toward the midpoint, so that once it
-# is right to the pattern the next two probes straddle the root; below a
-# width of _BIT_SECANT patterns the secant runs on the patterns, where log x
-# can no longer tell neighbouring doubles apart.  The convexity jump lands
-# on the root itself for a linear psi, so it overshoots by a relative
-# _OVERSHOOT of its length to cross the root despite rounding.  It is taken
-# at most _JUMPS times, and after the first only while the gap is at least
-# _JUMP_GAP: closer in, the secant is converging and a jump, which overshoots
-# the root by the elasticity of psi, would only cost a probe.  When the
+# _N0 probes of slack over bisection let it follow the interpolated estimate,
+# and each jump below adds one probe to that budget, so a jump that lands in
+# the far half of the bracket does not spend the slack: at most
+# _STEPS + _N0 + _JUMPS probes in all.  Each estimate moves _TRUNCATE
+# patterns toward the midpoint, so that once it is right to the pattern the
+# next two probes straddle the root; below a width of _BIT_SECANT patterns
+# the secant runs on the patterns, where log x can no longer tell
+# neighbouring doubles apart.  The convexity jump lands on the root itself
+# for a linear psi, so it overshoots by a relative _OVERSHOOT of its length
+# to cross the root despite rounding.  It is taken at most _JUMPS times,
+# and after the first only while the gap is at least _JUMP_GAP: closer in,
+# the secant is converging and a jump, which overshoots the root by the
+# elasticity of psi, would only cost a probe.  When the
 # secant through the moving end's last two probes is available, a stall
 # steps _STALL_STEP times that secant's step instead, if that is shorter:
 # past a root the secant approaches from the convex side, short of the
@@ -136,7 +139,8 @@ _STEPS = _INF_BITS.bit_length()
 # enters a secant as +-_INF_GAP, about the span of log over the doubles:
 # the true gap is at least 709 and usually thousands, and a stand-in that
 # small puts the next probe where psi is subnormal and a call costs several
-# times more.
+# times more.  The damping scales it down from there like a finite gap;
+# kept infinite, it let secants creep up on the root from the other side.
 _N0 = 1
 _TRUNCATE = 1
 _BIT_SECANT = 1 << 40
@@ -163,20 +167,21 @@ def _step_bits(x: float, log_step: float) -> int:
     return _exp_bits(math.log(x) + log_step)
 
 
-def _secant(i: int, j: int, gi: float, gj: float) -> int | None:
+def _secant(i: int, j: int, gi: float, gj: float, xi: float, xj: float) -> int | None:
     """The pattern where the line through the gaps at patterns ``i < j``
     crosses 0, clipped to ``[i, j]``; ``None`` when a gap is NaN or the two
-    are equal.  An infinite gap counts as ``+-_INF_GAP``."""
+    are equal.  ``xi`` and ``xj`` are the doubles of ``i`` and ``j``.  An
+    infinite gap counts as ``+-_INF_GAP``."""
     if math.isinf(gi):
         gi = math.copysign(_INF_GAP, gi)
     if math.isinf(gj):
         gj = math.copysign(_INF_GAP, gj)
     if math.isnan(gi) or math.isnan(gj) or gi == gj:
         return None
-    fi = min(max(gi / (gi - gj), 0.0), 1.0)
+    fi = gi / (gi - gj)
+    fi = 0.0 if fi < 0.0 else 1.0 if fi > 1.0 else fi
     if j - i < _BIT_SECANT:
         return i + round(fi * (j - i))
-    xi, xj = _double(i), _double(j)
     span = math.log(xj) - math.log(xi)
     if fi <= 0.5:  # step from the nearer end
         return _step_bits(xi, fi * span)
@@ -200,17 +205,21 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
     nondecreasing.  After that each estimate is the secant of the gaps at
     the two ends against ``log x`` (against the pattern once the ends are
     close, and from the nearer end).  When two estimates in a row move the
-    same end, the gap at the other end is scaled down (Anderson-Bjorck), and
+    same end, the gap at the other end is scaled down (Anderson-Bjorck; an
+    infinite gap from ``+-_INF_GAP``), and
     while the gap is not small the end that moved steps again, by the jump
     or by half again the secant step through its last two probes, whichever
     is shorter, if that cuts the bracket to its nearest eighth; ``_JUMPS``
-    jumps and steps in all.  ITP truncates the estimate and projects
-    it onto a shrinking radius around the midpoint pattern, so the search
-    ends in at most ``_STEPS + _N0`` probes from ``[0, inf]`` whatever the
-    gaps say, with no tolerance.  The endpoints are never probed: ``a`` is ``lo`` or a point
-    where ``below`` held, ``b`` is ``hi`` or a point where it failed.
+    jumps and steps in all, each with one more probe of budget.  ITP
+    truncates the estimate and projects it onto a shrinking radius around
+    the midpoint pattern, so the search ends in at most
+    ``_STEPS + _N0 + _JUMPS`` probes from ``[0, inf]`` whatever the gaps
+    say, with no tolerance.  The endpoints are never probed: ``a`` is ``lo``
+    or a point where ``below`` held, ``b`` is ``hi`` or a point where it
+    failed.
     """
     i, j = _bits(lo), _bits(hi)
+    a, b = _double(i), _double(j)  # the ends as doubles
     gi = gj = math.nan  # the gap at each end; NaN until that end is probed
     n_max = (j - i - 1).bit_length() + _N0
     k, jump, jumps, moved = 0, None, 0, None
@@ -218,7 +227,7 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
         w = j - i
         mid = i + (w >> 1)
         if jump is None:
-            x = _secant(i, j, gi, gj)
+            x = _secant(i, j, gi, gj, a, b)
         else:  # a jump beyond the bracket tells nothing new
             x, jump = (jump if i <= jump <= j else None), None
         estimated = x is not None
@@ -227,29 +236,37 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
         else:
             x += _TRUNCATE if x < mid else -_TRUNCATE if x > mid else 0
             r = (1 << (n_max - k - 1)) - ((w + 1) >> 1)  # next w <= 2**(n_max-k-1)
-            x = min(max(x, mid - r, i + 1), mid + r, j - 1)
+            # min(max(x, mid - r, i + 1), mid + r, j - 1), without the calls
+            if x < mid - r:
+                x = mid - r
+            if x <= i:
+                x = i + 1
+            if x > mid + r:
+                x = mid + r
+            if x >= j:
+                x = j - 1
         t = _double(x)
         below, gap = probe(t)
         k += 1
         stalled = estimated and below == moved  # two estimates moved one end
-        if stalled:  # damp the gap at the end that stays put
-            g, x_old = (gi, i) if below else (gj, j)
+        if stalled:  # damp the gap at the end that stays put, an infinite one too
+            g, t_old = (gi, a) if below else (gj, b)
             m = 1.0 - gap / g if g else 0.5
             m = m if 0.0 < m <= 1.0 else 0.5
             if below:
-                gj *= m
+                gj = (math.copysign(_INF_GAP, gj) if math.isinf(gj) else gj) * m
             else:
-                gi *= m
+                gi = (math.copysign(_INF_GAP, gi) if math.isinf(gi) else gi) * m
         moved = below if estimated else None
         if below:
-            i, gi = x, gap
+            i, gi, a = x, gap, t
         else:
-            j, gj = x, gap
+            j, gj, b = x, gap, t
         if math.isfinite(gap) and (jumps == 0 or stalled and jumps < _JUMPS
                                    and abs(gap) >= _JUMP_GAP):
             step = gap * (1.0 + _OVERSHOOT)
             if stalled and math.isfinite(g) and g != gap:
-                local = _STALL_STEP * gap * math.log(t / _double(x_old)) / (g - gap)
+                local = _STALL_STEP * gap * math.log(t / t_old) / (g - gap)
                 if 0.0 < local / step < 1.0:
                     step = local
             to = _step_bits(t, step)
@@ -257,7 +274,8 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
             # from there, when it lands close, cuts the far side at once.
             if jumps == 0 or i < to < j and abs(to - x) < (j - i) >> 3:
                 jump, jumps, moved = to, jumps + 1, None
-    return _double(i), _double(j)
+                n_max += 1
+    return a, b
 
 
 def _no_upper_bracket(label: str, y: float) -> BracketError:
@@ -362,8 +380,8 @@ class YoungFunction:
         """The smallest double ``t`` with ``psi(t) >= y``: the root of
         ``psi(t) = y`` to the ulp, by :func:`_root` over ``[0, inf]``.
 
-        At most ``_STEPS + _N0`` (64) evaluations of ``psi`` at any scale of
-        ``y``; an overflowing evaluation counts as ``inf``.  The test
+        At most ``_STEPS + _N0 + _JUMPS`` (67) evaluations of ``psi`` at any
+        scale of ``y``; an overflowing evaluation counts as ``inf``.  The test
         ``psi(t) < y`` decides each step, and ``log(y / psi(t))`` only places
         the next probe.  :class:`BracketError` when ``psi`` stays below ``y``
         on every finite ``t``; ``ArithmeticError`` when a probe finds ``psi``

@@ -54,7 +54,8 @@ def test_output_digest_repeats(capsys):
         assert digest.main() == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    assert [line.split()[0] for line in runs[0]] == ["classify", "growth", "norm", "cli"]
+    assert [line.split()[0] for line in runs[0]] == [
+        "classify", "growth", "norms", "norm_steps", "cli"]
     assert all(len(line.split()[2]) == 64 for line in runs[0])
 
 
@@ -71,3 +72,22 @@ def test_import_cost_lists_the_modules_each_import_loads(monkeypatch, capsys):
     assert modules == [["orlicz", "orlicz.luxemburg", "orlicz.measure", "orlicz.young"],
                        ["orlicz", "orlicz.cli", "orlicz.luxemburg", "orlicz.measure",
                         "orlicz.young"]]
+
+
+def test_root_probes_counts_every_solve(capsys):
+    from orlicz import young
+    from test_root import FUNCTIONS
+    probes = _load("root_probes")
+    assert probes.seeded_functions() == [atoms for _, atoms in FUNCTIONS]
+    assert probes.main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["solve", "family", "solves", "mean", "max", ">=40"]
+    table = {(row.split()[0], row.split()[1]): row.split()[2:] for row in rows}
+    assert list(table) == [(kind, spec) for kind in ("inverse", "norm")
+                           for spec in probes.SPECS]
+    for (kind, spec), (solves, mean, top, long) in table.items():
+        # 207 plan q x 7 probe levels; 16 functions x 13 q
+        assert int(solves) == (1449 if kind == "inverse" else 208), (kind, spec)
+        assert 1.0 <= float(mean) <= int(top) <= young._STEPS + young._N0 + young._JUMPS
+        assert 0 <= int(long) <= int(solves)
+    assert table[("inverse", "power")][3] == "0"
