@@ -1,49 +1,20 @@
 """Exact Luxemburg norms of simple functions and limit diagnostics for
 one-parameter Young-function families.
 
-Every public name is exported here.  The norm side (``orlicz.young``,
-``orlicz.measure``, ``orlicz.luxemburg``) is imported with the package; the
-limit diagnostics of ``orlicz.admissibility`` are imported on the first read
-of one of their names, such as ``orlicz.classify``, so ``import orlicz`` and
-the norm paths never compile them.
+Every public name is exported here, and each is written once, in the
+``__all__`` of its module.  The norm side (``orlicz.young``,
+``orlicz.measure``, ``orlicz.luxemburg``) is imported with the package and
+republished whole.  The limit diagnostics of ``orlicz.admissibility`` are
+imported on the first read of one of their names, such as
+``orlicz.classify``, so ``import orlicz`` and the norm paths never compile
+them; ``_ADMISSIBILITY`` names them, because reading the module's own
+``__all__`` would import it.
 """
 
-from .young import (
-    BracketError,
-    DomainError,
-    FamilySpecError,
-    ValidationReport,
-    Violation,
-    YoungFamily,
-    YoungFunction,
-    addie_family,
-    identity_family,
-    iterlog_family,
-    logbump_family,
-    make_family,
-    power_family,
-    powerlog_e_family,
-    sinpiecewise_family,
-    validate,
-)
-from .measure import (
-    InputFormatError,
-    MeasureModelError,
-    MeasureSpace,
-    SimpleFunction,
-    distribution,
-    ess_sup,
-    read_simple_function,
-    simple_function_from_json,
-    truncate,
-)
-from .luxemburg import (
-    NormResult,
-    chebyshev_bound,
-    indicator_norm,
-    luxemburg_norm,
-    modular,
-)
+from . import luxemburg, measure, young
+from .young import *
+from .measure import *
+from .luxemburg import *
 
 # No norm needs the limit diagnostics, so ``orlicz.admissibility`` is imported
 # when one of its names is first read (PEP 562); the name is then bound here
@@ -81,51 +52,7 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "BracketError",
-    "DomainError",
-    "FamilySpecError",
-    "FixedPointReport",
-    "InputFormatError",
-    "LimitEstimate",
-    "MeasureModelError",
-    "MeasureSpace",
-    "MonotonicityReport",
-    "NormResult",
-    "SimpleFunction",
-    "ValidationReport",
-    "Violation",
-    "YoungFamily",
-    "YoungFunction",
-    "addie_family",
-    "chebyshev_bound",
-    "classify",
-    "classify_sequence",
-    "distribution",
-    "ess_sup",
-    "geometric_schedule",
-    "growth_check",
-    "growth_check_inverse_form",
-    "identity_family",
-    "indicator_norm",
-    "iterlog_family",
-    "limit_of_inverses",
-    "limit_of_values",
-    "logbump_family",
-    "logbump_transfer",
-    "luxemburg_norm",
-    "make_family",
-    "modular",
-    "phase_locked_schedule",
-    "power_family",
-    "powerlog_e_family",
-    "read_simple_function",
-    "simple_function_from_json",
-    "sinpiecewise_family",
-    "tc_fixed_point_check",
-    "tc_map",
-    "truncate",
-    "validate",
-    "__version__",
-]
+__all__ = ["__version__", *sorted(_ADMISSIBILITY)]
+__all__ += young.__all__
+__all__ += measure.__all__
+__all__ += luxemburg.__all__

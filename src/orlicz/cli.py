@@ -37,27 +37,13 @@ def _fmt_sig(x: float) -> str:
     """
     if x == 0.0:
         return "0"
-    from decimal import Decimal
-    sign, digits, exp = Decimal(x).as_tuple()
-    text = "".join(map(str, digits))
-    kept = text.rstrip("0")
-    exp += len(text) - len(kept)  # x = +-int(kept) * 10**exp
-    if len(kept) > 12:
-        kept, rest = kept[:12], kept[12:]
-        exp += len(rest)
-        # rest has no trailing zeros: "5" alone is an exact tie
-        if rest > "5" or rest == "5" and kept[-1] in "13579":
-            carried = str(int(kept) + 1)
-            kept = carried.rstrip("0")
-            exp += len(carried) - len(kept)
-    point = len(kept) + exp  # digits before the decimal point
-    if exp >= 0:
-        whole, frac = kept + "0" * exp, ""
-    elif point > 0:
-        whole, frac = kept[:point], kept[point:]
-    else:
-        whole, frac = "0", "0" * -point + kept
-    return f"{'-' * sign}{whole}.{frac.ljust(12 - len(whole), '0')}"
+    from decimal import ROUND_HALF_EVEN, Context, Decimal
+    exact, context = Decimal(x), Context(prec=12, rounding=ROUND_HALF_EVEN)
+    rounded = context.plus(exact)
+    if rounded.copy_abs() > exact.copy_abs():  # rounded up: drop the carry's zeros
+        rounded = context.normalize(rounded)
+    whole, _, frac = format(rounded, "f").partition(".")
+    return f"{whole}.{frac.ljust(12 - len(whole.lstrip('-')), '0')}"
 
 
 def _parse_mass(text: str) -> float:
@@ -71,16 +57,16 @@ def _parse_mass(text: str) -> float:
 
 def _sweep_qs(args: argparse.Namespace) -> list[float]:
     if args.phase_locked:
-        k_min, k_max = int(args.q_min), int(args.q_max)
-        if k_min < 1 or k_max < k_min:
+        if not (args.q_min.is_integer() and args.q_max.is_integer()
+                and 1 <= args.q_min <= args.q_max):
             raise ValueError(
                 f"phase-locked sweep needs 1 <= q-min <= q-max as integer k bounds, "
                 f"got {args.q_min!r}..{args.q_max!r}")
         from . import phase_locked_schedule
-        return list(phase_locked_schedule(k_min, k_max))
-    if not (args.q_min > 0 and args.q_max >= args.q_min):
+        return list(phase_locked_schedule(int(args.q_min), int(args.q_max)))
+    if not 0 < args.q_min <= args.q_max < math.inf:
         raise ValueError(
-            f"need 0 < q-min <= q-max, got {args.q_min!r}..{args.q_max!r}")
+            f"need 0 < q-min <= q-max < inf, got {args.q_min!r}..{args.q_max!r}")
     if args.q_steps < 1:
         raise ValueError(f"q-steps must be >= 1, got {args.q_steps!r}")
     import numpy as np

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DistributionSet",
     "InputFormatError",
     "MeasureModelError",
     "MeasureSpace",

@@ -59,7 +59,6 @@ if TYPE_CHECKING:
 E_MINUS_1 = math.e - 1.0
 
 __all__ = [
-    "E_MINUS_1",
     "BracketError",
     "DomainError",
     "FamilySpecError",
@@ -68,7 +67,6 @@ __all__ = [
     "YoungFamily",
     "YoungFunction",
     "addie_family",
-    "default_validation_grid",
     "identity_family",
     "iterlog_family",
     "logbump_family",
@@ -122,9 +120,9 @@ _STEPS = _INF_BITS.bit_length()
 # _N0 probes of slack over bisection let it follow the interpolated estimate,
 # and each jump below adds one probe to that budget, so a jump that lands in
 # the far half of the bracket does not spend the slack: at most
-# _STEPS + _N0 + _JUMPS probes in all.  Each estimate moves _TRUNCATE
-# patterns toward the midpoint, so that once it is right to the pattern the
-# next two probes straddle the root; below a width of _BIT_SECANT patterns
+# _STEPS + _N0 + _JUMPS probes in all.  Unlike ITP, the estimate is not
+# truncated toward the midpoint: the exact predicate decides every step, and
+# the truncation only cost probes.  Below a width of _BIT_SECANT patterns
 # the secant runs on the patterns, where log x can no longer tell
 # neighbouring doubles apart.  The convexity jump lands on the root itself
 # for a linear psi, so it overshoots by a relative _OVERSHOOT of its length
@@ -142,7 +140,6 @@ _STEPS = _INF_BITS.bit_length()
 # times more.  The damping scales it down from there like a finite gap;
 # kept infinite, it let secants creep up on the root from the other side.
 _N0 = 1
-_TRUNCATE = 1
 _BIT_SECANT = 1 << 40
 _OVERSHOOT = 2.0 ** -20
 _JUMPS = 3
@@ -211,8 +208,8 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
     or by half again the secant step through its last two probes, whichever
     is shorter, if that cuts the bracket to its nearest eighth; ``_JUMPS``
     jumps and steps in all, each with one more probe of budget.  ITP
-    truncates the estimate and projects it onto a shrinking radius around
-    the midpoint pattern, so the search ends in at most
+    projects the estimate onto a shrinking radius around the midpoint
+    pattern, so the search ends in at most
     ``_STEPS + _N0 + _JUMPS`` probes from ``[0, inf]`` whatever the gaps
     say, with no tolerance.  The endpoints are never probed: ``a`` is ``lo``
     or a point where ``below`` held, ``b`` is ``hi`` or a point where it
@@ -234,7 +231,6 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
         if x is None:
             x = mid
         else:
-            x += _TRUNCATE if x < mid else -_TRUNCATE if x > mid else 0
             r = (1 << (n_max - k - 1)) - ((w + 1) >> 1)  # next w <= 2**(n_max-k-1)
             # min(max(x, mid - r, i + 1), mid + r, j - 1), without the calls
             if x < mid - r:

@@ -242,6 +242,9 @@ def test_sweep_rejects_bad_bounds(capsys, ind8):
     assert cli.main(base + ["--q-min", "8", "--q-max", "4"]) == 2
     assert cli.main(base + ["--q-steps", "0"]) == 2
     assert cli.main(base + ["--phase-locked", "--q-min", "0", "--q-max", "4"]) == 2
+    assert cli.main(base + ["--phase-locked", "--q-min", "1.5", "--q-max", "3.7"]) == 2
+    assert cli.main(base + ["--phase-locked", "--q-max", "inf"]) == 2
+    assert cli.main(base + ["--q-max", "inf"]) == 2
     capsys.readouterr()
 
 

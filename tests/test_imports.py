@@ -157,3 +157,12 @@ def test_cli_calls_the_package_diagnostics(monkeypatch, tmp_path, capsys):
                      "--q", "2", "--k", "5"]) == 0
     capsys.readouterr()
     assert calls == ["classify", "classify", "growth_check"]
+
+
+def test_one_list_of_public_names():
+    # Each name is written once, in its module's __all__; _ADMISSIBILITY is
+    # the one copy, kept so that listing the names does not import them.
+    from orlicz import admissibility, luxemburg, measure, young
+    modules = (young, measure, luxemburg, admissibility)
+    assert set(orlicz.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    assert orlicz._ADMISSIBILITY == set(admissibility.__all__)

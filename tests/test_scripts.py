@@ -91,3 +91,19 @@ def test_root_probes_counts_every_solve(capsys):
         assert 1.0 <= float(mean) <= int(top) <= young._STEPS + young._N0 + young._JUMPS
         assert 0 <= int(long) <= int(solves)
     assert table[("inverse", "power")][3] == "0"
+
+
+def test_code_lines_counts_each_module(monkeypatch, capsys):
+    code_lines = _load("code_lines")
+    source = ('"""Doc\nstring."""\n\n# comment\nX = 1  # code\n\n\n'
+              'def f():\n    """Doc."""\n    return "#"\n')
+    assert code_lines.count(source) == (10, 3)
+    monkeypatch.setattr("sys.argv", ["code_lines.py"])
+    assert code_lines.main() == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "code"]
+    assert [row[0] for row in rows] == ["__init__.py", "admissibility.py", "cli.py",
+                                        "luxemburg.py", "measure.py", "young.py"]
+    assert all(0 < int(code) < int(lines) for _, lines, code in rows)
+    assert total == ["total", str(sum(int(r[1]) for r in rows)),
+                     str(sum(int(r[2]) for r in rows))]
