@@ -76,9 +76,10 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
         with np.errstate(over="ignore", under="ignore"):
             total = float(f.masses @ psi.evaluate(f.values / lam))
     else:
+        psi_at, q = psi.family._psi, psi.q  # each value / lam is finite and >= 0
         total = 0.0
         for value, mass in f.atoms:
-            term = mass * psi(value / lam)
+            term = mass * psi_at(value / lam, q)
             if math.isinf(term):
                 return math.inf
             total += term

@@ -12,13 +12,20 @@ Conventions
 * Evaluation is ``float -> float`` through ``psi(t)``, and element-wise over a
   float64 array through ``psi.evaluate(ts)``.  Both map arithmetic overflow
   to ``inf`` — a larger-than-representable value is still a valid upper bound
-  for every bracketing use in this package — and both reject a negative or
-  non-finite ``t``.  A family has its scalar formula ``fn(t, q)`` and,
-  optionally, the same formula over arrays, ``array_fn(t, q)``, broadcasting
-  over both; each catalog formula is written once, generic over the log
-  function (``math.log`` for ``fn``, :func:`_array_log` for ``array_fn``).
-  The norm solver takes the array path for simple functions with many atoms
-  (see :mod:`orlicz.luxemburg`).
+  for every bracketing use in this package — pin ``psi(0)`` to exactly 0, and
+  reject a negative or non-finite ``t``.  A family has its scalar formula
+  ``fn(t, q)`` and, optionally, the same formula over arrays,
+  ``array_fn(t, q)``, broadcasting over both; each catalog formula is written
+  once, generic over the log function (``math.log`` for ``fn``,
+  :func:`_array_log` for ``array_fn``).  Two unchecked kernels of the family
+  hold the zero rule, the overflow rule and the fallback for a family
+  without an array form: ``family._psi(t, q)`` for one float and
+  ``family._psi_array(ts, qs)`` for arrays, which runs
+  ``family._array_formula()``, that is ``array_fn`` or, without one, ``_psi``
+  vectorized.  The public calls check their input and call a kernel; the
+  solvers call the kernels directly.  The norm solver takes the
+  array path for simple functions with many atoms (see
+  :mod:`orlicz.luxemburg`).
 * numpy is imported where an array is first built, never at module level, so
   building families and members and the scalar paths (``psi(t)``,
   ``psi.inverse(y)``, and the norms of small simple functions) never load
@@ -31,15 +38,15 @@ Conventions
   monotonicity is the only structural assumption for the result and the
   same code serves every catalog member; ``log y - log psi(t)`` only places
   the probes.  ``family.inverse_grid(ys, qs)`` bisects in lockstep over a
-  whole ``(y, q)`` grid, 63 steps of one numpy evaluation each, so each cell
-  is exact to the ulp of the array formula and within the array/scalar
-  rounding of the scalar result; ``psi.inverse_array(ys)`` is its one-column
-  case.  ``family.evaluate_grid(ts, qs)`` is one numpy pass of the array
-  formula.  Without an array form, every array and grid method falls back to
-  the scalar formula and the scalar solver cell by cell.  The limit
-  diagnostics in :mod:`orlicz.admissibility` read these grids; the norm
-  solver in :mod:`orlicz.luxemburg` runs :func:`_root` on the modular
-  itself.
+  whole ``(y, q)`` grid, 63 steps of one ``_array_formula`` pass each, so
+  each cell is exact to the ulp of the array formula and within the
+  array/scalar rounding of the scalar result; ``psi.inverse_array(ys)`` is
+  its one-column case.  ``family.evaluate_grid(ts, qs)`` is one
+  ``_psi_array`` pass.  A family without an array form goes through the
+  same grid methods and the same lockstep solver over its vectorized scalar
+  formula.  The limit diagnostics in :mod:`orlicz.admissibility` read these
+  grids; the norm solver in :mod:`orlicz.luxemburg` runs :func:`_root` on
+  the modular itself.
 * Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
   pseudo-Young functions; :func:`validate` reports them via its ``strict``
   flag instead of rejecting them.
@@ -90,13 +97,18 @@ class BracketError(ArithmeticError):
     """Root bracketing failed; the message carries the last bracket tried."""
 
 
-def _check_ys(label: str, ys) -> np.ndarray:
+def _check_array(label: str, name: str, xs) -> tuple[np.ndarray, bool]:
+    """``xs`` as a float64 array, and whether it holds a 0, after checking
+    that every entry is finite and ``>= 0``."""
     import numpy as np
-    ys = np.asarray(ys, dtype=float)
-    if ys.size and not (ys.min() >= 0.0 and ys.max() < math.inf):
-        raise DomainError(f"{label}: inverse needs finite y >= 0, got values "
-                          f"in [{float(ys.min())!r}, {float(ys.max())!r}]")
-    return ys
+    xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        return xs, False
+    lo, hi = float(xs.min()), float(xs.max())
+    if not (lo >= 0.0 and hi < math.inf):
+        raise DomainError(f"{label}: {name} must be finite and >= 0, got values "
+                          f"in [{lo!r}, {hi!r}]")
+    return xs, lo == 0.0
 
 
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
@@ -283,42 +295,6 @@ def _nan_psi(label: str, t: float) -> ArithmeticError:
     return ArithmeticError(f"{label}: psi({t!r}) is NaN")
 
 
-def _bisect_inverse(psi: Callable[[np.ndarray], np.ndarray], ys: np.ndarray,
-                    label: Callable[[int], str]) -> np.ndarray:
-    """The result of :meth:`YoungFunction.inverse` for a flat array of cells,
-    by bisection in lockstep.
-
-    ``psi(ts)`` evaluates each cell's member at the matching entry of
-    ``ts``; ``label(cell)`` names the member in an error.  Every cell
-    bisects the bit patterns of ``[0, inf]``, one evaluation over the
-    whole array per step and ``_STEPS`` steps in all.  A cell whose bracket
-    has closed (its midpoint is its lower end) keeps it.  A cell whose
-    result a NaN of ``psi`` decided raises ``ArithmeticError``.
-    """
-    import numpy as np
-    lo = np.zeros(ys.shape, dtype=np.int64)
-    hi = np.full(ys.shape, _INF_BITS, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        for _ in range(_STEPS):
-            mid = lo + ((hi - lo) >> 1)  # lo + hi overflows int64
-            below = (psi(mid.view(float)) < ys) | (mid == lo)
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        unbounded = np.flatnonzero(hi == _INF_BITS)
-        if unbounded.size:
-            raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
-        # The upper end moves only to a value at or above y or to a NaN, so a
-        # NaN that decided a cell is still its upper end: one more evaluation
-        # finds it, where a NaN screen at every step cost ~10% of the solve.
-        ts = hi.view(float)
-        vs = psi(ts)
-        if math.isnan(vs.sum()):  # a cheap screen: true for any NaN (and for inf - inf)
-            nan = np.flatnonzero(np.isnan(vs) & (ys > 0.0))
-            if nan.size:
-                raise _nan_psi(label(nan[0]), float(ts[nan[0]]))
-    return np.where(ys == 0.0, 0.0, hi.view(float))  # y = 0 maps to 0
-
-
 @dataclass(frozen=True)
 class YoungFunction:
     """One member ``psi_q`` of a :class:`YoungFamily`: its formula at a fixed ``q``.
@@ -341,36 +317,17 @@ class YoungFunction:
         t = float(t)
         if math.isnan(t) or math.isinf(t) or t < 0:
             raise DomainError(f"{self.label}: t must be finite and >= 0, got {t!r}")
-        if t == 0.0:
-            return 0.0
-        try:
-            return float(self.family.fn(t, self.q))
-        except OverflowError:
-            return math.inf
+        return self.family._psi(t, self.q)
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         """``psi`` element by element over a float64 array.
 
         Same semantics as ``__call__``: a negative or non-finite entry raises
         :class:`DomainError`, ``psi(0) = 0`` exactly, and overflow gives
-        ``inf``.  Without the family's ``array_fn`` it runs ``__call__`` per
-        element.
+        ``inf``.
         """
-        import numpy as np
-        ts = np.asarray(ts, dtype=float)
-        if not ts.size:
-            return np.zeros_like(ts)
-        lo, hi = ts.min(), ts.max()
-        if not (lo >= 0.0 and hi < math.inf):
-            raise DomainError(
-                f"{self.label}: t must be finite and >= 0, got values in [{lo!r}, {hi!r}]")
-        # Python's float pow raises the FPU overflow flag on its way to
-        # OverflowError, so the element-by-element fallback needs this too.
-        with np.errstate(over="ignore", under="ignore"):
-            if self.family.array_fn is None:
-                return np.vectorize(self, otypes=[float])(ts)
-            out = self.family.array_fn(ts, self.q)
-        return np.where(ts == 0.0, 0.0, out) if lo == 0.0 else out
+        ts, zeros = _check_array(self.label, "t", ts)
+        return self.family._psi_array(ts, self.q, zeros)
 
     def inverse(self, y: float) -> float:
         """The smallest double ``t`` with ``psi(t) >= y``: the root of
@@ -389,8 +346,10 @@ class YoungFunction:
         if y == 0.0:
             return 0.0
 
+        psi, q = self.family._psi, self.q
+
         def probe(t: float) -> tuple[bool, float]:
-            v = self(t)
+            v = psi(t, q)
             if not v > 0.0:
                 if math.isnan(v):
                     raise _nan_psi(self.label, t)
@@ -523,7 +482,7 @@ class YoungFamily:
     ``fn(t, q)`` is the formula of the member at ``q`` for a float ``t > 0``;
     ``array_fn(t, q)`` is the same formula over float64 arrays, broadcasting
     over both ``t`` and ``q``.  Without ``array_fn`` the array and grid
-    methods fall back to ``fn`` cell by cell.  ``params`` are the numeric
+    methods evaluate ``fn`` cell by cell.  ``params`` are the numeric
     parameters that fix the family (the keys of its spec), and they label
     its members.
     ``q_min`` is the smallest admissible ``q``; the sentinel ``0.0`` means
@@ -553,39 +512,87 @@ class YoungFamily:
         """The member at ``q``, after checking that the family admits it."""
         return YoungFunction(self, self._check_q(q))
 
+    def _psi(self, t: float, q: float) -> float:
+        """The member at ``q`` at a float ``t >= 0``, unchecked: exactly 0 at
+        ``t = 0`` whatever the formula, and ``inf`` where it overflows."""
+        if t == 0.0:
+            return 0.0
+        try:
+            return float(self.fn(t, q))
+        except OverflowError:
+            return math.inf
+
+    def _psi_array(self, ts: np.ndarray, qs, zeros: bool = False) -> np.ndarray:
+        """:meth:`_psi` over float64 arrays, broadcasting over ``ts`` and
+        ``qs``, unchecked.  ``zeros`` says whether ``ts`` may hold a 0, which
+        the array formula alone does not map to 0."""
+        import numpy as np
+        with np.errstate(over="ignore", under="ignore"):
+            out = self._array_formula()(ts, qs)
+        return np.where(ts == 0.0, 0.0, out) if zeros else out
+
+    def _array_formula(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``array_fn``, or without one :meth:`_psi` vectorized: the formula of
+        :meth:`_psi_array`, for a loop that sets the error state once.  Python's
+        float pow raises the FPU overflow flag on its way to OverflowError, so
+        the vectorized form needs ``over="ignore"`` as much as ``array_fn``."""
+        if self.array_fn is None:
+            import numpy as np
+            return np.vectorize(self._psi, otypes=[float])
+        return self.array_fn
+
     def evaluate_grid(self, ts, qs) -> np.ndarray:
         """``psi_q(t)`` for every ``t`` in ``ts`` (rows) and ``q`` in ``qs``
         (columns), with the semantics of :meth:`YoungFunction.evaluate`."""
         import numpy as np
         qs = [self._check_q(q) for q in qs]
-        ts = np.asarray(ts, dtype=float)
-        if self.array_fn is None:
-            return np.array([YoungFunction(self, q).evaluate(ts) for q in qs]).reshape(
-                len(qs), ts.size).T
-        if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
-            raise DomainError(f"{self.label}: t must be finite and >= 0, got values "
-                              f"in [{float(ts.min())!r}, {float(ts.max())!r}]")
-        col = ts.reshape(-1, 1)
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.broadcast_to(self.array_fn(col, np.array([qs])), (ts.size, len(qs)))
-        return np.where(col == 0.0, 0.0, out)
+        ts = _check_array(self.label, "t", ts)[0].reshape(-1, 1)
+        out = self._psi_array(ts, np.array([qs]), True)
+        # An array_fn may ignore q; the copy makes the broadcast view writable.
+        return np.broadcast_to(out, (ts.size, len(qs))).copy()
 
     def inverse_grid(self, ys, qs) -> np.ndarray:
         """``psi_q^{-1}(y)`` for every ``y`` in ``ys`` (rows) and ``q`` in
-        ``qs`` (columns): one batched bisection over the whole grid, with
-        the errors and results of :meth:`YoungFunction.inverse` cell by
-        cell."""
+        ``qs`` (columns), with the errors and results of
+        :meth:`YoungFunction.inverse` cell by cell.
+
+        Every cell bisects the bit patterns of ``[0, inf]`` in lockstep, one
+        evaluation of :meth:`_array_formula` over the whole grid per step and
+        ``_STEPS`` steps in all.  A cell whose bracket has closed (its
+        midpoint is its lower end) keeps it.  A cell whose result a NaN of
+        ``psi`` decided raises ``ArithmeticError``.
+        """
         import numpy as np
         qs = [self._check_q(q) for q in qs]
-        ys = _check_ys(self.label, ys).ravel()
-        if self.array_fn is None:
-            return np.array([[YoungFunction(self, q).inverse(y) for q in qs]
-                             for y in ys.tolist()]).reshape(ys.size, len(qs))
-        q_cells = np.tile(qs, ys.size)
-        return _bisect_inverse(
-            lambda ts: self.array_fn(ts, q_cells), np.repeat(ys, len(qs)),
-            lambda cell: YoungFunction(self, float(q_cells[cell])).label,
-        ).reshape(ys.size, len(qs))
+        ys = _check_array(self.label, "y", ys)[0].ravel()
+        shape = ys.size, len(qs)
+        ys, q_cells = np.repeat(ys, len(qs)), np.tile(qs, ys.size)
+        lo = np.zeros(ys.shape, dtype=np.int64)
+        hi = np.full(ys.shape, _INF_BITS, dtype=np.int64)
+
+        def label(cell: int) -> str:
+            return YoungFunction(self, float(q_cells[cell])).label
+        psi = self._array_formula()  # its value at t = 0 decides no cell
+        with np.errstate(all="ignore"):
+            for _ in range(_STEPS):
+                mid = lo + ((hi - lo) >> 1)  # lo + hi overflows int64
+                below = (psi(mid.view(float), q_cells) < ys) | (mid == lo)
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+            unbounded = np.flatnonzero(hi == _INF_BITS)
+            if unbounded.size:
+                raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
+            # The upper end moves only to a value at or above y or to a NaN, so
+            # a NaN that decided a cell is still its upper end: one more
+            # evaluation finds it, where a NaN screen at every step cost ~10% of
+            # the solve.
+            ts = hi.view(float)
+            vs = psi(ts, q_cells)
+            if math.isnan(vs.sum()):  # a cheap screen: true for any NaN (and for inf - inf)
+                nan = np.flatnonzero(np.isnan(vs) & (ys > 0.0))
+                if nan.size:
+                    raise _nan_psi(label(nan[0]), float(ts[nan[0]]))
+        return np.where(ys == 0.0, 0.0, ts).reshape(shape)  # y = 0 maps to 0
 
     @property
     def schedule_q0(self) -> float:
