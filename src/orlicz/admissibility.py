@@ -574,7 +574,8 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
 
     At ``t = 0`` the continuous extension is ``log(e-1)^((q-q0)/p)``.  ``F``
     satisfies ``F(t)^p * log(e-1+t)^q0 = log(e-1 + t/F(t))^q`` and exceeds
-    ``F(0)`` for every ``t > 0`` when ``q > q0``.
+    ``F(0)`` for every ``t > 0`` when ``q > q0``.  A ``t`` whose
+    ``psi_q0(t)`` overflows raises :class:`OverflowError`.
     """
     p = float(p)
     q0 = float(q0)
@@ -589,7 +590,11 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     if t == 0.0:
         return math.log(E_MINUS_1) ** ((q - q0) / p)
     fam = logbump_family(p)
-    return t / fam.make(q).inverse(fam.make(q0)(t))
+    y = fam.make(q0)(t)
+    if y == math.inf:
+        raise OverflowError(f"psi_q0({t!r}) is beyond the double range for "
+                            f"p={p!r}, q0={q0!r}")
+    return t / fam.make(q).inverse(y)
 
 
 def tc_map(p: float, q0: float, q: float, c: float, t: float) -> float:
@@ -618,6 +623,8 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
     Also evaluates the concavity predicate
     ``q0 * c^(p/q) * log(e-1+t)^(q0/q) < q * log(e-1+t) + q - q0``
     on a uniform grid ``[0, grid_hi]`` and reports the failing points.
+    ``grid_hi`` must be positive and finite; it defaults to
+    ``max(1, 2 * t1)``.
     """
     p, q0, q = float(p), float(q0), float(q)
     c, t1 = float(c), float(t1)
@@ -632,6 +639,11 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
     ok = residual <= _TC_TOL * max(1.0, t1)
 
     hi = float(grid_hi) if grid_hi is not None else max(1.0, 2.0 * t1)
+    if grid_hi is None and hi == math.inf:
+        raise OverflowError(f"the default grid_hi = 2 * t1 is beyond the double range "
+                            f"for t1={t1!r}")
+    if not (math.isfinite(hi) and hi > 0.0):
+        raise DomainError(f"grid_hi must be positive and finite, got {hi!r}")
     import numpy as np
     failures = []
     for t in np.linspace(0.0, hi, _TC_GRID_POINTS).tolist():

@@ -14,11 +14,14 @@ evaluations, about 13 on average.  That exact test alone decides each step;
 ``log modular`` only places the next probe, by ITP interpolation.  A term
 whose argument ``a_i / lam`` or whose value overflows counts as ``+inf``,
 which is the correct side for bracketing (a huge modular just means ``lam``
-is too small).
+is too small), when its mass is at least ``1 / DBL_MAX``.  Below that mass
+the other terms must decide the side, or :class:`OverflowError` says that
+doubles cannot.
 
 A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
-in one numpy pass, ``masses @ psi(values / lam)``; a smaller one keeps the
-Python loop over its atoms, because numpy's fixed per-call cost outweighs the
+in one numpy pass, ``masses @ psi.evaluate(values / lam)``; a smaller one
+keeps the Python loop over its atoms, which calls the family's unchecked
+scalar kernel ``_psi``, because numpy's fixed per-call cost outweighs the
 loop below a few dozen atoms.  numpy is imported on the first such pass, so
 the norms of small functions never load it.
 """
@@ -64,36 +67,67 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
     """Exact modular ``sum_i m_i * psi(a_i / lam)`` for ``lam > 0``.
 
     A NaN sum (possible only for a user-built ``psi``) raises
-    :class:`ArithmeticError` rather than being returned as a number.
+    :class:`ArithmeticError` rather than being returned as a number.  A term
+    that leaves the double range gives ``inf`` when it decides
+    ``modular > 1``, else :class:`OverflowError` (see :func:`_overflowed`).
     """
     lam = float(lam)
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
         raise DomainError(f"lambda must be positive and finite, got {lam!r}")
     if f.atoms and f.atoms[0][0] / lam == math.inf:
-        return math.inf  # the largest value over lam overflows
+        return _overflowed(psi, f, lam)  # the largest value over lam overflows
     if len(f.atoms) >= _ARRAY_MIN_ATOMS:
         import numpy as np
         with np.errstate(over="ignore", under="ignore"):
             total = float(f.masses @ psi.evaluate(f.values / lam))
+        if total == math.inf:
+            return _overflowed(psi, f, lam)
     else:
         psi_at, q = psi.family._psi, psi.q  # each value / lam is finite and >= 0
         total = 0.0
         for value, mass in f.atoms:
             term = mass * psi_at(value / lam, q)
             if math.isinf(term):
-                return math.inf
+                return _overflowed(psi, f, lam)
             total += term
     if math.isnan(total):
         raise ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
     return total
 
 
+def _overflowed(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
+    """The modular at ``lam`` once a term or the sum has left the double range.
+
+    A term whose argument or whose ``psi`` overflows exceeds its mass times
+    the largest double, so it decides ``modular > 1`` when that product is
+    at least 1, and the modular counts as ``inf``.  A smaller mass (below
+    about 5.6e-309) leaves the side to the other terms; when they sum to at
+    most 1, doubles cannot decide it and :class:`OverflowError` names the
+    member, ``lam`` and the mass.  A sum that overflows is ``inf`` too.
+    """
+    rest, tiny = 0.0, None
+    for value, mass in f.atoms:
+        t = value / lam
+        term = mass * psi.family._psi(t, psi.q) if t < math.inf else math.inf
+        if term != math.inf:
+            rest += term
+        elif mass * sys.float_info.max >= 1.0:
+            return math.inf
+        else:
+            tiny = mass
+    if tiny is not None and rest <= 1.0:
+        raise OverflowError(f"{psi.label}: the modular at lambda={lam!r} is beyond the "
+                            f"double range: psi overflows on an atom of mass {tiny!r}")
+    return math.inf
+
+
 def indicator_norm(psi: YoungFunction, mass: float) -> float:
-    """Closed-form norm of an indicator: ``1 / psi^{-1}(1 / mass)``."""
+    """Closed-form norm of an indicator: ``1 / psi^{-1}(1 / mass)``.  A mass
+    so small that ``1 / mass`` overflows raises :class:`OverflowError`."""
     m = float(mass)
     if math.isnan(m) or math.isinf(m) or m <= 0.0:
         raise DomainError(f"mass must be positive and finite, got {mass!r}")
-    return 1.0 / psi.inverse(1.0 / m)
+    return 1.0 / psi.inverse(_reciprocal("mass", m))
 
 
 def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
@@ -131,8 +165,8 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     """Distribution-based lower bound ``alpha / psi^{-1}(1 / mu(|f| >= alpha))``.
 
     Always dominated by the Luxemburg norm; 0 when the superlevel set is
-    empty.  A superlevel mass beyond the double range raises
-    :class:`OverflowError`.
+    empty.  A superlevel mass beyond the double range, or so small that
+    its reciprocal is, raises :class:`OverflowError`.
     """
     a = float(alpha)
     if math.isnan(a) or math.isinf(a) or a <= 0.0:
@@ -142,4 +176,13 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
         return 0.0
     if math.isinf(d):
         raise OverflowError(f"the mass of {{|f| >= {a!r}}} is beyond the double range")
-    return a / psi.inverse(1.0 / d)
+    return a / psi.inverse(_reciprocal(f"mu(|f| >= {a!r})", d))
+
+
+def _reciprocal(what: str, m: float) -> float:
+    """``1/m`` for the mass ``what = m``; :class:`OverflowError` when that
+    is beyond the double range."""
+    y = 1.0 / m
+    if y == math.inf:
+        raise OverflowError(f"1/{what} is beyond the double range for {what}={m!r}")
+    return y

@@ -173,6 +173,13 @@ def test_norm_beyond_double_range_exits_3(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+def test_norm_undecided_overflow_exits_3(capsys, tmp_path):
+    path = _write_json(tmp_path, "subnormal.json", {"total_mass": "inf", "atoms": [
+        {"value": 1, "mass": 1e-310}]})
+    assert cli.main(["norm", "--family", "power", "--q", "2", "--input", path]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: power[q=2]: the modular")
+
+
 # ---------------------------------------------------------------- sweep
 
 

@@ -268,3 +268,31 @@ def test_norm_outside_double_range_is_bracket_error(spec, q, atoms):
     # Not DomainError: the input is valid, its norm is not representable.
     with pytest.raises(BracketError, match="outside the double range"):
         luxemburg_norm(make_family(spec).make(q), SimpleFunction(atoms, INF))
+
+
+# ------------------------------------------------ terms beyond the double range
+
+def _subnormal_atoms(n):
+    return SimpleFunction(tuple((1.0 + i, 1e-310) for i in range(n)), INF)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_subnormal_mass_overflow_is_undecided(n):
+    # m * psi can stay below 1 where psi overflows when m < 1/DBL_MAX: read
+    # as +inf, these gave 7.458e-155 and 2.983e-153 (true 1e-155 and 1.49e-153).
+    with pytest.raises(OverflowError, match=r"^power\[q=2\]: .* mass 1e-310$"):
+        luxemburg_norm(power_family().make(2.0), _subnormal_atoms(n))
+
+
+def test_normal_mass_decides_overflowed_subnormal_term():
+    # psi(3 / lam) overflows before 1e-300 * psi(1 / lam) falls to 1
+    f = SimpleFunction(((3.0, 4e-320), (1.0, 1e-300)), INF)
+    assert luxemburg_norm(power_family().make(2.0), f).norm == pytest.approx(1e-150, rel=1e-15)
+
+
+def test_reciprocal_mass_beyond_double_range():
+    psi = power_family().make(2.0)
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        indicator_norm(psi, 1e-310)
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        chebyshev_bound(psi, SimpleFunction(((1.0, 1e-310),), INF), 1.0)

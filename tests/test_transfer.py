@@ -76,6 +76,17 @@ def test_transfer_domain_errors():
         logbump_transfer(1.0, 1.0, 3.0, math.inf)
 
 
+@pytest.mark.parametrize("p,q0,q,t", [(1.0, 1.0, 3.0, 1e308), (2.0, 1.0, 8.0, 1e306)])
+def test_transfer_psi_q0_beyond_double_range(p, q0, q, t):
+    # psi_q0(t) overflows: a valid t, not bad input
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        logbump_transfer(p, q0, q, t)
+
+
+def test_transfer_near_double_range():
+    assert logbump_transfer(1.0, 1.0, 3.0, 1e300) == pytest.approx(450697.3936671827, rel=1e-12)
+
+
 def test_tc_map_anchor():
     # T_1(1) = exp(1) - (e-1) = 1: the normalization point is a fixed point
     # of the unit-c map.
@@ -130,3 +141,16 @@ def test_fixed_point_check_domain_errors():
         tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         tc_fixed_point_check(1.0, 3.0, 2.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("grid_hi", [math.nan, -1.0, 0.0, math.inf])
+def test_fixed_point_check_rejects_bad_grid_hi(grid_hi):
+    # NaN gave 64 NaN "failures", -1 a TypeError, and inf a grid of NaN and inf
+    with pytest.raises(DomainError, match="grid_hi"):
+        tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 1.0, grid_hi=grid_hi)
+
+
+def test_fixed_point_check_default_grid_beyond_double_range():
+    # t1 is valid, but the default grid end 2 * t1 overflows
+    with pytest.raises(OverflowError, match="t1=1e"):
+        tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 1e308)

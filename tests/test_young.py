@@ -1,6 +1,7 @@
 """Young-function evaluation, inversion, validation and the family parser."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,17 @@ from orlicz import (
     BracketError,
     DomainError,
     FamilySpecError,
+    MeasureSpace,
+    SimpleFunction,
     YoungFamily,
     YoungFunction,
     geometric_schedule,
     identity_family,
     iterlog_family,
     logbump_family,
+    luxemburg_norm,
     make_family,
+    modular,
     phase_locked_schedule,
     power_family,
     powerlog_e_family,
@@ -33,6 +38,7 @@ from conftest import CATALOG_SPECS
 
 E_E_MINUS_1 = 14.154262241479262  # exp(e) - 1, the two-fold iterated-log anchor
 EPS = np.finfo(float).eps
+INF = MeasureSpace(math.inf)
 
 
 def test_power_pointwise():
@@ -384,6 +390,58 @@ def test_array_evaluation_pins_zero():
         return t + 1.0
     psi = YoungFamily("shifted", shifted, {}, q_min=0.0, array_fn=shifted).make(1.0)
     assert psi.evaluate(np.array([0.0, 1.0])).tolist() == [psi(0.0), psi(1.0)] == [0.0, 2.0]
+
+
+def _exp_family(array_form: bool) -> YoungFamily:
+    """``exp(q t)``: ``fn(0) = 1``, and ``fn`` raises :class:`OverflowError`
+    above ``t = 709.78 / q`` where ``array_fn`` gives ``inf``."""
+    return YoungFamily("exp", lambda t, q: math.exp(q * t), {}, q_min=0.0,
+                       array_fn=(lambda t, q: np.exp(q * t)) if array_form else None)
+
+
+@pytest.mark.parametrize("array_form", [True, False])
+def test_every_path_pins_zero_and_maps_overflow_to_inf(array_form):
+    family = _exp_family(array_form)
+    psi = family.make(1.0)
+    assert (psi(0.0), psi(1.0), psi(1000.0)) == (0.0, math.e, math.inf)
+    ts = np.array([0.0, 1.0, 1000.0])
+    assert psi.evaluate(ts).tolist() == [0.0, math.e, math.inf]
+    assert family.evaluate_grid(ts, (1.0, 2.0)).tolist() == [
+        [0.0, 0.0], [math.e, family.make(2.0)(1.0)], [math.inf, math.inf]]
+    # Every t above the last finite exp(t) overflows, so the smallest t with
+    # psi(t) >= the largest double is the first overflowing one.
+    big = sys.float_info.max
+    got = family.inverse_grid([0.0, 1e300, big], (1.0, 2.0))
+    for q, column in zip((1.0, 2.0), got.T.tolist()):
+        member = family.make(q)
+        assert column[0] == 0.0
+        assert column[1:] == pytest.approx([member.inverse(1e300), member.inverse(big)],
+                                           rel=EPS, abs=0.0)
+        assert member(column[2]) == math.inf
+    # Each value over lam underflows to 0 (psi 0, not fn(0) = 1) or overflows.
+    for n in (1, 32):
+        tiny = SimpleFunction(tuple((5e-324 * (k + 1), 1.0) for k in range(n)), INF)
+        huge = SimpleFunction(tuple((1000.0 + k, 1.0) for k in range(n)), INF)
+        assert (modular(psi, tiny, 1e10), modular(psi, huge, 1.0)) == (0.0, math.inf)
+
+
+def test_solvers_skip_the_checked_call(monkeypatch):
+    calls = []
+    call = YoungFunction.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return call(self, t)
+    monkeypatch.setattr(YoungFunction, "__call__", counted)
+    psi = make_family("logbump:p=2").make(8.0)
+    f = SimpleFunction(((3.0, 0.5), (2.0, 1.0), (1e-300, 2.0)), INF)
+    luxemburg_norm(psi, f)
+    psi.inverse(2.0)
+    psi.family.inverse_grid([0.5, 2.0], (1.0, 8.0))
+    replace(psi.family, array_fn=None).inverse_grid([0.5, 2.0], (1.0, 8.0))
+    assert calls == []
+    psi(1.0)  # the counter is live
+    assert calls == [1.0]
 
 
 def test_identity_family_not_strict():
