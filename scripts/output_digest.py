@@ -6,11 +6,13 @@ array form, on an infinite and a finite space; both growth-check forms on the
 surveyed comparison pairs; Luxemburg norms of seeded 1-8-atom functions over
 the catalog at q in {1, 4, 64, 4096}, split into ``norms`` (the norm, its
 modular and the bracket) and ``norm_steps`` (the modular evaluations each
-solve took); and the stdout of the ``norm``, ``classify``, ``growth`` and
-``sweep`` commands.  Each group hashes the ``repr`` of its outputs in a fixed
-order, so two source trees give the same results exactly when they print
-the same lines, and a change to the root finder that keeps every answer
-differs in ``norm_steps`` alone:
+solve took); the stdout of the ``norm``, ``classify``, ``growth`` and
+``sweep`` commands; and ``read``, what ``simple_function_from_json`` makes of
+seeded documents of 1 to 10k atoms and of one document per input fault (the
+canonical atoms, or the exception).  Each group hashes the ``repr`` of its
+outputs in a fixed order, so two source trees give the same results exactly
+when they print the same lines, and a change to the root finder that keeps
+every answer differs in ``norm_steps`` alone:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -41,6 +43,7 @@ GROWTH_PAIRS = (("power", "power", 1.5, 5.0), ("power", "power", 2.0, 5.0),
                 ("logbump:p=2", "logbump:p=2", 1.0, 10.0))
 NORM_QS = (1.0, 4.0, 64.0, 4096.0)
 NORM_FUNCTIONS = 4  # seeded functions per (family, q)
+READ_SIZES = (1, 2, 8, 100, 10_000)  # atoms per valid read document
 SEED = 20221018
 
 
@@ -121,8 +124,46 @@ def cli_stdout():
         return out
 
 
+def _read_documents():
+    """Seeded valid documents, then one document per fault, each fault in
+    atom #3 of five or in the top level."""
+    def with_atom_3(entry):
+        atoms = [{"value": float(i + 1), "mass": 1.0} for i in range(5)]
+        atoms[3] = entry
+        return {"total_mass": "inf", "atoms": atoms}
+
+    rng = random.Random(SEED)
+    docs = [{"total_mass": "inf",
+             "atoms": [{"value": rng.lognormvariate(0.0, 1.0),
+                        "mass": rng.lognormvariate(0.0, 1.0)} for _ in range(n)]}
+            for n in READ_SIZES]
+    docs.append({"total_mass": 1e308, "atoms": [  # ints, merges, zeros, subnormals
+        {"value": 2, "mass": 1}, {"value": 2.0, "mass": 0.5}, {"value": 0, "mass": 3},
+        {"value": -0.0, "mass": 1.0}, {"value": 5e-324, "mass": 1e307},
+        {"value": 1e308, "mass": 5e-324}]})
+    docs.append({"total_mass": "inf", "atoms": [  # masses that overflow only in sum
+        {"value": 2.0, "mass": 1e308}, {"value": 1.0, "mass": 1e308}]})
+    docs += [[], {"total_mass": "inf", "atoms": [], "x": 1}, {"total_mass": "inf"},
+             {"total_mass": "inf", "atoms": {}}]
+    docs += [{"total_mass": tm, "atoms": [{"value": 1.0, "mass": 1.0}]}
+             for tm in ("huge", True, None, -1, 0, math.nan, 0.5, 10**400, 1e400, math.inf)]
+    docs += [with_atom_3(entry) for entry in ([9.0, 1.0], None, {"value": 9.0},
+                                              {"value": 9.0, "mass": 1.0, "x": 1})]
+    docs += [with_atom_3({"value": 9.0, "mass": 1.0} | {key: bad}) for key in ("value", "mass")
+             for bad in (True, None, "1", [1.0], math.nan, math.inf, -1.0, 0, 10**400)]
+    docs.append({"total_mass": "inf", "atoms": [  # one value's masses overflow in sum
+        {"value": 1.0, "mass": 1e308}, {"value": 1.0, "mass": 1e308}]})
+    return docs
+
+
+def read_outcomes():
+    return [_outcome(lambda: orlicz.simple_function_from_json(doc).atoms)
+            for doc in _read_documents()]
+
+
 GROUPS = (("classify", classify_reports), ("growth", growth_reports),
-          ("norms", norms), ("norm_steps", norm_steps), ("cli", cli_stdout))
+          ("norms", norms), ("norm_steps", norm_steps), ("cli", cli_stdout),
+          ("read", read_outcomes))
 
 
 def main() -> int:

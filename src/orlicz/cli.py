@@ -47,12 +47,15 @@ def _fmt_sig(x: float) -> str:
 
 
 def _parse_mass(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
+    if text.strip().lower().lstrip("+") in ("inf", "infinity"):
         return math.inf
     try:
-        return float(text)
+        mass = float(text)
     except ValueError:
         raise ValueError(f"total mass must be a positive number or 'inf', got {text!r}")
+    if mass == math.inf:  # a number such as 1e400, not a request for an infinite space
+        raise ValueError(f"total mass {text!r} is beyond the double range")
+    return mass
 
 
 def _sweep_qs(args: argparse.Namespace) -> list[float]:

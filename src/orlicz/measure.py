@@ -10,14 +10,26 @@ masses, atoms are sorted by decreasing value, and zero-value atoms are dropped
 (their mass belongs to the complement, which the distribution handles through
 ``total_mass``).  The atoms are also available as two read-only float64
 arrays, ``values`` and ``masses``, built (and numpy imported) on first use.
+
+A JSON document is read in whole-list passes that builtins run: every entry
+an exact ``dict`` of two keys, both found by one ``itemgetter``, every number
+an exact ``int`` or ``float`` (so no ``bool``), converted by ``map(float, ...)``.
+When a pass fails, ``_checked_atoms`` checks the list one entry at a time.  It
+is the one statement of the rules and the only code that names a fault
+(``atom #i ...``), and it also accepts what the passes are too strict for,
+such as a dict subclass or a ``numpy.float64`` from a Python caller.  Both
+paths give the same atoms and the same errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -70,22 +82,21 @@ class SimpleFunction:
 
     def __post_init__(self) -> None:
         merged: dict[float, float] = {}
-        for pair in self.atoms:
-            value, mass = pair
+        for value, mass in self.atoms:
             v, m = float(value), float(mass)
-            if math.isnan(v) or math.isinf(v) or v < 0.0:
+            if not 0.0 <= v < math.inf:  # both comparisons are false for NaN
                 raise MeasureModelError(f"atom value must be finite and >= 0, got {value!r}")
-            if math.isnan(m) or math.isinf(m) or m <= 0.0:
+            if not 0.0 < m < math.inf:
                 raise MeasureModelError(f"atom mass must be finite and > 0, got {mass!r}")
             merged[v] = merged.get(v, 0.0) + m
-        if any(math.isinf(m) for m in merged.values()):
+        if math.inf in merged.values():
             raise OverflowError("atom masses at one value sum beyond the double range")
         support = _mass_sum(merged.values())
         if self.space.finite and support > self.space.total_mass * (1.0 + 1e-12):
             raise MeasureModelError(
                 f"atom masses sum to {support!r} > total_mass {self.space.total_mass!r}")
-        canon = tuple(sorted(((v, m) for v, m in merged.items() if v > 0.0),
-                             reverse=True))
+        merged.pop(0.0, None)  # the zero-value atom's mass belongs to the complement
+        canon = tuple(sorted(merged.items(), key=itemgetter(0), reverse=True))
         object.__setattr__(self, "atoms", canon)
 
     @property
@@ -175,14 +186,34 @@ def simple_function_from_json(obj: object) -> SimpleFunction:
     if tm == "inf":
         total = math.inf
     elif isinstance(tm, (int, float)) and not isinstance(tm, bool):
-        total = float(tm)
+        total = _double(tm, "total_mass")
+        if total == math.inf:  # 1e400 or Infinity; only "inf" asks for an infinite space
+            raise InputFormatError("total_mass is beyond the double range")
     else:
         raise InputFormatError(f"total_mass must be a number or 'inf', got {tm!r}")
 
     raw_atoms = obj["atoms"]
     if not isinstance(raw_atoms, list):
         raise InputFormatError("'atoms' must be a list")
-    atoms: list[tuple[float, float]] = []
+    atoms = None  # whole-list passes; the per-entry check decides where one fails
+    if set(map(type, raw_atoms)) <= {dict} and set(map(len, raw_atoms)) <= {2}:
+        with suppress(KeyError, OverflowError):  # a missing key; an int beyond the doubles
+            pairs = list(map(itemgetter("value", "mass"), raw_atoms))
+            kinds = set(map(type, chain.from_iterable(pairs)))  # bool is not int here
+            if kinds <= {int, float}:
+                numbers = map(float, chain.from_iterable(pairs))
+                atoms = pairs if kinds <= {float} else list(zip(numbers, numbers))
+    try:
+        return SimpleFunction(tuple(atoms or _checked_atoms(raw_atoms)), MeasureSpace(total))
+    except MeasureModelError as exc:
+        raise InputFormatError(str(exc)) from exc
+
+
+def _checked_atoms(raw_atoms: list) -> list[tuple[float, float]]:
+    """The per-entry check: the one statement of the atom rules and the only
+    code that names a faulty atom.  It also takes what the whole-list passes
+    are too strict for, such as a dict subclass or a ``numpy.float64``."""
+    atoms = []
     for i, entry in enumerate(raw_atoms):
         if not isinstance(entry, dict):
             raise InputFormatError(f"atom #{i} must be an object")
@@ -194,12 +225,16 @@ def simple_function_from_json(obj: object) -> SimpleFunction:
         for key in ("value", "mass"):
             if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
                 raise InputFormatError(f"atom #{i} {key} must be a number, got {entry[key]!r}")
-        atoms.append((float(entry["value"]), float(entry["mass"])))
+        atoms.append(tuple(_double(entry[k], f"atom #{i} {k}") for k in ("value", "mass")))
+    return atoms
 
+
+def _double(x: int | float, name: str) -> float:
+    """``float(x)``; an int beyond the double range is an input error."""
     try:
-        return SimpleFunction(tuple(atoms), MeasureSpace(total))
-    except MeasureModelError as exc:
-        raise InputFormatError(str(exc)) from exc
+        return float(x)
+    except OverflowError:
+        raise InputFormatError(f"{name} is beyond the double range") from None
 
 
 def read_simple_function(path: str) -> SimpleFunction:

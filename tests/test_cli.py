@@ -180,6 +180,28 @@ def test_norm_undecided_overflow_exits_3(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("numeric failure: power[q=2]: the modular")
 
 
+@pytest.mark.parametrize("field,name", [("value", "atom #0 value"), ("mass", "atom #0 mass"),
+                                        ("total_mass", "total_mass")])
+def test_norm_int_beyond_double_range_exits_2(capsys, tmp_path, field, name):
+    doc = {"total_mass": "inf", "atoms": [{"value": 1, "mass": 1}]}
+    if field == "total_mass":
+        doc["total_mass"] = 10**400
+    else:
+        doc["atoms"][0][field] = 10**400
+    path = _write_json(tmp_path, "big.json", doc)
+    assert cli.main(["norm", "--family", "power", "--q", "2", "--input", path]) == 2
+    assert capsys.readouterr().err == f"error: {name} is beyond the double range\n"
+
+
+@pytest.mark.parametrize("literal", ["1e400", "Infinity"])
+def test_norm_total_mass_beyond_double_range_exits_2(capsys, tmp_path, literal):
+    # Only the string "inf" asks for an infinite space.
+    path = tmp_path / "big.json"
+    path.write_text('{"total_mass": %s, "atoms": [{"value": 1.0, "mass": 1.0}]}' % literal)
+    assert cli.main(["norm", "--family", "power", "--q", "2", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: total_mass is beyond the double range\n"
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -281,6 +303,18 @@ def test_classify_bad_mass_exits_2(capsys):
     assert cli.main(["classify", "--family", "power",
                      "--total-mass", "nope"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mass", ["1e400", "1e309"])
+def test_classify_mass_beyond_double_range_exits_2(capsys, mass):
+    assert cli.main(["classify", "--family", "sinpiecewise", "--total-mass", mass]) == 2
+    assert capsys.readouterr().err == f"error: total mass {mass!r} is beyond the double range\n"
+
+
+@pytest.mark.parametrize("mass", ["inf", "Infinity", "+inf", " INF "])
+def test_classify_infinite_mass_spellings(capsys, mass):
+    assert cli.main(["classify", "--family", "power", "--total-mass", mass]) == 0
+    assert capsys.readouterr().out == "delta-admissible delta=1.000\n"
 
 
 def test_classify_mass_with_overflowing_reciprocal_exits_3(capsys):
