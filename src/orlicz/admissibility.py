@@ -95,6 +95,9 @@ _GROWTH_POINTS = 161
 _GROWTH_DOUBLINGS = 5
 _TC_GRID_POINTS = 64
 _TC_TOL = 1e-8
+# Relative slack of the convexity check: a chord slope may fall by this much
+# of itself, which is rounding, before a member counts as not convex.
+_CONVEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -397,7 +400,9 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     that contradicts the candidate (bounded above ``beta``, or failing to
     decay below ``alpha``) downgrades the verdict to ``undetermined``.  A
     total mass so small that ``1/total_mass`` overflows raises
-    :class:`OverflowError`.
+    :class:`OverflowError`.  A value grid that shows a member not strictly
+    increasing or not convex raises :class:`DomainError` (see
+    :func:`_check_young`).
     """
     mass_floor = 1.0 / space.total_mass if space.finite else 0.0
     if math.isinf(mass_floor):
@@ -407,7 +412,12 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     probe_ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                             | ({mass_floor} if space.finite else set())))
     inverse_evidence = tuple(zip(probe_ys, _limits(family.inverse_grid, probe_ys, plan)))
-    value_evidence = tuple(zip(_T_GRID, _limits(family.evaluate_grid, _T_GRID, plan)))
+
+    def values(ts, qs):
+        grid = family.evaluate_grid(ts, qs)
+        _check_young(family, ts, qs, grid)
+        return grid
+    value_evidence = tuple(zip(_T_GRID, _limits(values, _T_GRID, plan)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,
@@ -442,6 +452,34 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
         return report("alpha_beta_admissible", alpha=alpha, beta=beta)
 
     return report("undetermined")
+
+
+def _check_young(family: YoungFamily, ts, qs, grid) -> None:
+    """Raise :class:`DomainError` when the values ``grid[i, j] = psi_qj(ts[i])``
+    show a member that is not a Young function.
+
+    In each column, ``psi`` must increase strictly between consecutive ``t``,
+    and the chord slopes over consecutive ``t`` must not fall by more than
+    ``_CONVEX_TOL`` of themselves.  A pair or triple with a cell that is 0,
+    ``inf`` or NaN is skipped: under- and overflow hide the order, and a NaN
+    is the tail rule's to report.  The message names the axiom, the member
+    and the witness ``t``.
+    """
+    import numpy as np
+    ts = np.asarray(ts, dtype=float).reshape(-1, 1)
+    usable = (grid > 0.0) & (grid < math.inf)  # false for NaN
+    pair = usable[1:] & usable[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where psi overflows
+        rise = np.diff(grid, axis=0)
+        slopes = rise / np.diff(ts, axis=0)
+        drop = slopes[:-1] - slopes[1:]
+        concave = pair[1:] & pair[:-1] & (drop > _CONVEX_TOL * np.abs(slopes[:-1]))
+    for bad, axiom, width in ((pair & ~(rise > 0.0), "increasing", 2), (concave, "convex", 3)):
+        if bad.any():
+            j, i = np.argwhere(bad.T)[0]  # the first q, then the first t
+            witness = ", ".join(f"{t:g}" for t in ts[i:i + width, 0])
+            raise DomainError(f"{YoungFunction(family, float(qs[j])).label}: "
+                              f"not {axiom} on t={witness}")
 
 
 def _value_side_veto(value_evidence, alpha: float, beta: float,

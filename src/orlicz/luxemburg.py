@@ -171,7 +171,7 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     a = float(alpha)
     if math.isnan(a) or math.isinf(a) or a <= 0.0:
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
-    d = distribution(f, a).mass
+    d = distribution(f, a)
     if d == 0.0:
         return 0.0
     if math.isinf(d):

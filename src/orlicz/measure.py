@@ -44,7 +44,6 @@ __all__ = [
     "ess_sup",
     "read_simple_function",
     "simple_function_from_json",
-    "truncate",
 ]
 
 
@@ -63,7 +62,10 @@ class MeasureSpace:
     total_mass: float
 
     def __post_init__(self) -> None:
-        m = float(self.total_mass)
+        try:
+            m = float(self.total_mass)
+        except OverflowError:  # an int beyond the doubles
+            raise MeasureModelError("total_mass is beyond the double range") from None
         if math.isnan(m) or m <= 0.0:
             raise MeasureModelError(f"total_mass must be positive, got {self.total_mass!r}")
         object.__setattr__(self, "total_mass", m)
@@ -132,36 +134,20 @@ def _read_only(xs: list[float]) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class DistributionSet:
-    """Measure of a superlevel set ``{|f| >= threshold}``."""
-
-    threshold: float
-    mass: float
-
-
 def ess_sup(f: SimpleFunction) -> float:
     """Essential supremum; 0 for the zero function."""
     return f.atoms[0][0] if f.atoms else 0.0
 
 
-def distribution(f: SimpleFunction, alpha: float) -> DistributionSet:
+def distribution(f: SimpleFunction, alpha: float) -> float:
     """Mass of ``{|f| >= alpha}``.  At ``alpha = 0`` that is the whole space;
     ``inf`` when the masses sum beyond the double range."""
     a = float(alpha)
     if math.isnan(a) or a < 0.0:
         raise MeasureModelError(f"alpha must be >= 0, got {alpha!r}")
     if a == 0.0:
-        return DistributionSet(0.0, f.space.total_mass)
-    return DistributionSet(a, _mass_sum(m for v, m in f.atoms if v >= a))
-
-
-def truncate(f: SimpleFunction, level: float) -> SimpleFunction:
-    """Pointwise ``min(|f|, level)``; atoms merging at the cap are combined."""
-    c = float(level)
-    if math.isnan(c) or c <= 0.0:
-        raise MeasureModelError(f"truncation level must be > 0, got {level!r}")
-    return SimpleFunction(tuple((min(v, c), m) for v, m in f.atoms), f.space)
+        return f.space.total_mass
+    return _mass_sum(m for v, m in f.atoms if v >= a)
 
 
 def simple_function_from_json(obj: object) -> SimpleFunction:
@@ -244,6 +230,9 @@ def read_simple_function(path: str) -> SimpleFunction:
             obj = json.load(handle)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"invalid JSON in {path!r}: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal beyond sys.get_int_max_str_digits()
+        raise InputFormatError(f"invalid JSON in {path!r}: an integer is beyond "
+                               "the double range") from exc
     return simple_function_from_json(obj)

@@ -47,9 +47,9 @@ Conventions
   formula.  The limit diagnostics in :mod:`orlicz.admissibility` read these
   grids; the norm solver in :mod:`orlicz.luxemburg` runs :func:`_root` on
   the modular itself.
-* Linear-growth members (``identity``, ``power`` at ``q = 1``) are admitted as
-  pseudo-Young functions; :func:`validate` reports them via its ``strict``
-  flag instead of rejecting them.
+* Every member must be a Young function; :class:`YoungFamily` says where
+  that is checked.  Linear-growth members (``identity``, ``power`` at
+  ``q = 1``) are convex but not strictly, and pass as pseudo-Young functions.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ __all__ = [
     "BracketError",
     "DomainError",
     "FamilySpecError",
-    "ValidationReport",
-    "Violation",
     "YoungFamily",
     "YoungFunction",
     "addie_family",
@@ -81,7 +79,6 @@ __all__ = [
     "power_family",
     "powerlog_e_family",
     "sinpiecewise_family",
-    "validate",
 ]
 
 
@@ -373,109 +370,6 @@ class YoungFunction:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One failed axiom with the witnessing grid points and values."""
-
-    axiom: str
-    points: tuple[float, ...]
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-    strict: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def default_validation_grid() -> tuple[float, ...]:
-    """0 plus 257 geometrically spaced points on ``[1e-6, 1e3]``."""
-    import numpy as np
-    return (0.0, *np.geomspace(1e-6, 1e3, 257).tolist())
-
-
-# Midpoint convexity is probed on index pairs at these strides, which keeps the
-# scan near-linear in the grid size while still mixing short and long chords.
-_CONVEXITY_STRIDES = (1, 2, 4, 16, 64, 256)
-# Relative slack of midpoint convexity, and the growth test psi(_T_BIG) > _Y_BIG.
-_CONVEXITY_TOL, _T_BIG, _Y_BIG = 1e-12, 1e8, 1e6
-
-
-def validate(psi: YoungFunction, grid: tuple[float, ...] | None = None) -> ValidationReport:
-    """Check the Young axioms on a grid and report violations as data.
-
-    Checked: ``psi(0) = 0`` exactly; strict increase between consecutive grid
-    points; midpoint convexity along stride pairs within ``1e-12``
-    (relative); growth ``psi(1e8) > 1e6``.  Pairs whose values underflow
-    to 0 or overflow to inf are skipped — strictness cannot be resolved in
-    double precision there.  The ``strict`` flag reports superlinear growth
-    (``psi(1e8) > 2 * psi(5e7)`` beyond rounding); linear-growth
-    members come back ``strict=False`` without that being a violation.
-    """
-    if grid is None:
-        grid = default_validation_grid()
-    pts = [float(t) for t in grid]
-    if len(pts) < 3 or any(t < 0 for t in pts) or any(
-            a >= b for a, b in zip(pts, pts[1:])):
-        raise DomainError("grid must be >= 3 strictly increasing points >= 0")
-
-    violations: list[Violation] = []
-    vals = [psi(t) for t in pts]
-
-    # Probe the raw formula: the evaluation wrapper pins psi(0) to 0, so only
-    # fn itself can reveal a broken origin.
-    try:
-        v0 = float(psi.family.fn(0.0, psi.q))
-    except Exception:
-        v0 = math.nan
-    if v0 != 0.0:
-        violations.append(Violation("zero", (0.0,), (v0,)))
-
-    for (t1, v1), (t2, v2) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        if math.isinf(v1):
-            continue  # already beyond double range
-        if v2 == 0.0 and t2 > 0.0:
-            continue  # underflow near zero
-        if v2 <= v1:
-            violations.append(Violation("increasing", (t1, t2), (v1, v2)))
-            break
-
-    for stride in _CONVEXITY_STRIDES:
-        done = False
-        for i in range(len(pts) - stride):
-            s, t = pts[i], pts[i + stride]
-            vs, vt = vals[i], vals[i + stride]
-            if math.isinf(vs) or math.isinf(vt):
-                continue
-            bound = 0.5 * (vs + vt)
-            vm = psi(0.5 * (s + t))
-            if vm > bound + _CONVEXITY_TOL * max(1.0, bound):
-                violations.append(
-                    Violation("convexity", (s, 0.5 * (s + t), t), (vs, vm, vt)))
-                done = True
-                break
-        if done:
-            break
-
-    v_big = psi(_T_BIG)
-    if not v_big > _Y_BIG:
-        violations.append(Violation("growth", (_T_BIG,), (v_big,)))
-
-    v_half = psi(0.5 * _T_BIG)
-    if math.isinf(v_big) or math.isinf(v_half):
-        strict = True
-    elif v_half == 0.0:
-        strict = False
-    else:
-        strict = v_big > (2.0 + 1e-9) * v_half
-
-    return ValidationReport(tuple(violations), strict)
-
-
-@dataclass(frozen=True)
 class YoungFamily:
     """A one-parameter family of Young functions ``psi_q``.
 
@@ -487,6 +381,13 @@ class YoungFamily:
     its members.
     ``q_min`` is the smallest admissible ``q``; the sentinel ``0.0`` means
     any ``q > 0`` is allowed.
+
+    Each member must be a Young function: 0 at 0, strictly increasing and
+    convex.  :func:`orlicz.admissibility.classify` rejects, with
+    :class:`DomainError`, a family whose value grid shows a member that is
+    not increasing or not convex.  The scalar paths (``inverse``,
+    ``luxemburg_norm``) make no such check per call: there a member that is
+    not increasing gives undefined results.
     """
 
     label: str
@@ -734,8 +635,8 @@ def powerlog_e_family(p: float = 1.0) -> YoungFamily:
 def identity_family() -> YoungFamily:
     """The pseudo-Young function ``t -> t`` for every ``q``.
 
-    Usable wherever a comparison function is required; flagged non-strict by
-    :func:`validate` because its growth is exactly linear.
+    Usable wherever a comparison function is required; its growth is exactly
+    linear, so it is convex but not strictly.
     """
     def fn(t, q):
         return t

@@ -17,7 +17,6 @@ SIGNATURES = {
     "limit_of_inverses": ["family", "y"],
     "growth_check": ["family", "phi", "k"],
     "growth_check_inverse_form": ["family", "phi", "k"],
-    "validate": ["psi", "grid"],
     "tc_fixed_point_check": ["p", "q0", "q", "c", "t1", "grid_hi"],
 }
 
@@ -38,6 +37,10 @@ def test_signature_pinned(name):
 def test_dataclass_fields_pinned(name):
     fields = dataclasses.fields(getattr(orlicz, name))
     assert [f.name for f in fields] == FIELDS[name]
+
+
+def test_export_count():
+    assert len(orlicz.__all__) == 42
 
 
 def test_no_classifier_config_export():

@@ -165,6 +165,13 @@ def test_classify_nan_psi_exits_3(capsys):
     assert err.startswith("numeric failure: nan-gap[q=") and err.endswith(") is NaN\n")
 
 
+def test_classify_non_young_family_exits_2(capsys):
+    family = orlicz.YoungFamily("sqrt", lambda t, q: math.sqrt(t), {}, q_min=0.0)
+    with mock.patch.object(cli, "make_family", return_value=family):
+        assert cli.main(["classify", "--family", "sqrt"]) == 2
+    assert capsys.readouterr().err.startswith("error: sqrt[q=1]: not convex on t=")
+
+
 def test_norm_beyond_double_range_exits_3(capsys, tmp_path):
     path = _write_json(tmp_path, "huge.json", {"total_mass": "inf", "atoms": [
         {"value": 1.900779840119371e+279, "mass": 3.6026157030657704e-09},
@@ -200,6 +207,21 @@ def test_norm_total_mass_beyond_double_range_exits_2(capsys, tmp_path, literal):
     path.write_text('{"total_mass": %s, "atoms": [{"value": 1.0, "mass": 1.0}]}' % literal)
     assert cli.main(["norm", "--family", "power", "--q", "2", "--input", str(path)]) == 2
     assert capsys.readouterr().err == "error: total_mass is beyond the double range\n"
+
+
+@pytest.mark.parametrize("content,reason", [
+    # json.load meets a literal longer than int() converts: a plain ValueError
+    (b'{"total_mass": "inf", "atoms": [{"value": 1%s, "mass": 1}]}' % (b"0" * 5000),
+     "an integer is beyond the double range"),
+    (b'\xff{}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_norm_json_the_parser_refuses_exits_2(capsys, tmp_path, content, reason):
+    path = tmp_path / "refused.json"
+    path.write_bytes(content)
+    assert cli.main(["norm", "--family", "power", "--q", "2", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid JSON in {str(path)!r}: {reason}\n"
+    assert "set_int_max_str_digits" not in err
 
 
 # ---------------------------------------------------------------- sweep

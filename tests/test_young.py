@@ -1,4 +1,4 @@
-"""Young-function evaluation, inversion, validation and the family parser."""
+"""Young-function evaluation, inversion, the Young-axiom check and the family parser."""
 
 import math
 import sys
@@ -16,6 +16,7 @@ from orlicz import (
     SimpleFunction,
     YoungFamily,
     YoungFunction,
+    classify,
     geometric_schedule,
     identity_family,
     iterlog_family,
@@ -27,10 +28,10 @@ from orlicz import (
     power_family,
     powerlog_e_family,
     sinpiecewise_family,
-    validate,
 )
 from orlicz.admissibility import (
-    _DOUBLINGS, _EXTRA_DOUBLINGS, _PHASE_K_FACTOR, _PHASE_K_MAX, _Y_GRID)
+    _DOUBLINGS, _EXTRA_DOUBLINGS, _PHASE_K_FACTOR, _PHASE_K_MAX, _T_GRID, _Y_GRID,
+    _check_young, _plan)
 from orlicz import young
 from orlicz.young import E_MINUS_1, _anchor_constant
 
@@ -357,32 +358,57 @@ def test_inverse_monotone(y1, y2):
     assert psi.inverse(lo) <= psi.inverse(hi) * (1 + 1e-12)
 
 
+def _check_on(family: YoungFamily, ts, qs) -> None:
+    """The Young-axiom check of ``classify`` on the grid ``ts`` by ``qs``."""
+    _check_young(family, ts, qs, family.evaluate_grid(ts, qs))
+
+
+def _plan_qs(family: YoungFamily) -> list[float]:
+    """Every q that ``classify`` may read: the plan with its retry."""
+    plan = _plan(family)
+    return sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+
+
 def test_validate_catalog_clean(catalog_family):
-    report = validate(catalog_family.make(1.5))
-    assert report.ok, report.violations
+    # every catalog member passes on every value grid classify may read
+    _check_on(catalog_family, _T_GRID, _plan_qs(catalog_family))
 
 
 def test_validate_power_on_ten_grid():
-    grid = tuple(i / 10.0 for i in range(101))
-    assert validate(power_family().make(1.5), grid=grid).ok
+    _check_on(power_family(), [i / 10.0 for i in range(101)], (1.5,))
 
 
 def test_validate_iterlog_wide_grid():
-    grid = tuple(i / 10.0 for i in range(1001))  # [0, 100]
-    assert validate(iterlog_family(2, 1.0).make(3.0), grid=grid).ok
+    _check_on(iterlog_family(2, 1.0), [i / 10.0 for i in range(1001)], (3.0,))  # [0, 100]
 
 
 def test_validate_flags_concave_probe():
-    probe = YoungFamily("sqrt", lambda t, q: math.sqrt(t), {}, q_min=0.0).make(1.0)
-    report = validate(probe)
-    assert not report.ok
-    assert any(v.axiom == "convexity" for v in report.violations)
+    sqrt = YoungFamily("sqrt", lambda t, q: math.sqrt(t), {}, q_min=0.0)
+    with pytest.raises(DomainError, match=r"^sqrt\[q=1\]: not convex on t=0\.05, 0\.0602954, "
+                                          r"0\.0727108$"):
+        classify(sqrt, INF)
 
 
-def test_validate_flags_nonzero_origin():
-    shifted = YoungFamily("shifted", lambda t, q: t + 1.0, {}, q_min=0.0).make(1.0)
-    report = validate(shifted)
-    assert any(v.axiom == "zero" for v in report.violations)
+def _dip(t: float, q: float) -> float:
+    """``t^q``, except ``0.1 t^q`` on ``[1, 2)``: neither increasing nor convex."""
+    return 0.1 * t ** q if 1.0 <= t < 2.0 else t ** q
+
+
+@pytest.mark.parametrize("space", [INF, MeasureSpace(2.0)])
+def test_classify_rejects_a_member_that_is_not_increasing(space):
+    # The inverse side alone would call this family delta_admissible.
+    dip = YoungFamily("dip", _dip, {}, q_min=1.0)
+    with pytest.raises(DomainError, match=r"^dip\[q=1\]: not increasing on t=0\.82925, 1$"):
+        classify(dip, space)
+
+
+def test_young_check_skips_zero_inf_and_nan():
+    ts = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    for column in ([0.0, 0.0, 1.0, math.nan, 0.5, math.inf, math.inf],
+                   [1.0, 4.0, math.nan, 5.0, 6.0, math.inf, 1.0]):
+        _check_young(power_family(), ts, (2.0,), np.array([column]).T)
+    with pytest.raises(DomainError, match=r"^power\[q=2\]: not increasing on t=3, 4$"):
+        _check_young(power_family(), ts, (2.0,), np.array([[0.0, 1.0, 2.0, 5.0, 4.0, 6.0, 9.0]]).T)
 
 
 def test_array_evaluation_pins_zero():
@@ -445,15 +471,10 @@ def test_solvers_skip_the_checked_call(monkeypatch):
 
 
 def test_identity_family_not_strict():
+    # linear: equal chord slopes, convex but not strictly, and accepted
     fam = identity_family()
-    psi = fam.make(7.0)
-    assert psi(3.5) == 3.5
-    report = validate(psi)
-    assert report.ok and not report.strict
-
-
-def test_strict_flag_on_superlinear(catalog_family):
-    assert validate(catalog_family.make(2.0)).strict
+    assert fam.make(7.0)(3.5) == 3.5
+    _check_on(fam, _T_GRID, _plan_qs(fam))
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 7.0, 64.0, 4096.0, 1e5])
