@@ -9,10 +9,12 @@ modular and the bracket) and ``norm_steps`` (the modular evaluations each
 solve took); the stdout of the ``norm``, ``classify``, ``growth`` and
 ``sweep`` commands; and ``read``, what ``simple_function_from_json`` makes of
 seeded documents of 1 to 10k atoms and of one document per input fault (the
-canonical atoms, or the exception).  Each group hashes the ``repr`` of its
-outputs in a fixed order, so two source trees give the same results exactly
-when they print the same lines, and a change to the root finder that keeps
-every answer differs in ``norm_steps`` alone:
+canonical atoms, or the exception); and ``verdicts``, the ``classify``
+reports again with every probe's evidence emptied.  Each group hashes the
+``repr`` of its outputs in a fixed order, so two source trees give the same
+results exactly when they print the same lines.  A change to the root finder
+that keeps every answer differs in ``norm_steps`` alone, and a change to what
+``classify`` reads that keeps every answer differs in ``classify`` alone:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -21,6 +23,7 @@ every answer differs in ``norm_steps`` alone:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -55,11 +58,26 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def classify_reports():
+def _classify_calls():
     families = [orlicz.make_family(spec) for spec in SPECS]
     families.append(orlicz.YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0))
-    return [_outcome(lambda: orlicz.classify(family, orlicz.MeasureSpace(m)))
+    return [lambda family=family, m=m: orlicz.classify(family, orlicz.MeasureSpace(m))
             for family in families for m in MASSES]
+
+
+def classify_reports():
+    return [_outcome(call) for call in _classify_calls()]
+
+
+def _without_evidence(report):
+    def strip(evidence):
+        return tuple((x, dataclasses.replace(est, evidence=())) for x, est in evidence)
+    return dataclasses.replace(report, inverse_evidence=strip(report.inverse_evidence),
+                               value_evidence=strip(report.value_evidence))
+
+
+def verdicts():
+    return [_outcome(lambda: _without_evidence(call())) for call in _classify_calls()]
 
 
 def growth_reports():
@@ -163,7 +181,7 @@ def read_outcomes():
 
 GROUPS = (("classify", classify_reports), ("growth", growth_reports),
           ("norms", norms), ("norm_steps", norm_steps), ("cli", cli_stdout),
-          ("read", read_outcomes))
+          ("read", read_outcomes), ("verdicts", verdicts))
 
 
 def main() -> int:

@@ -8,19 +8,22 @@ Three layers:
   schedule plus Richardson acceleration (one stage eliminates a ``C/q`` error
   term, a second stage the ``C/q^2`` term);
 * admissibility verdicts — probe inverse values over a y-grid (the inverse
-  side characterizes the admissibility thresholds), cross-examine with two
-  phase-locked subsequences ``q = pi/2 + k*pi`` split by the parity of ``k``
-  (which freezes ``sin q`` at ``+-1`` and exposes genuinely oscillating
-  families), and corroborate against the value side, which can veto but never
-  establish a verdict;
+  side characterizes the admissibility thresholds), cross-examine a probe
+  whose geometric scan leaves its limit open (undetermined or oscillating)
+  with two phase-locked subsequences ``q = pi/2 + k*pi`` split by the parity
+  of ``k`` (which freezes ``sin q`` at ``+-1`` and exposes genuinely
+  oscillating families), and corroborate against the value side, which can
+  veto but never establish a verdict;
 * growth-ratio monotonicity and the log-bump transfer function with its
   exponential comparison map.
 
-Each verdict reads its samples from grids: one ``family.inverse_grid`` and
-one ``family.evaluate_grid`` per :func:`classify` call over the q that every
-probe reads (the base scan, its refinement and the two parities), one more of
-each over the retry's other q for the probes still undetermined after that,
-and one ``inverse_grid`` over ``(u, q)`` per growth scan.
+Each verdict reads its samples from grids.  A :func:`classify` call solves
+its inverses in up to three ``family.inverse_grid`` stages: every probe reads
+the base scan and its refinement, only the probes left open there read the
+two parities, and only those still undetermined read the parities' retry.
+Its values come from one ``family.evaluate_grid`` over every q of the plan,
+which is also the grid the Young axioms are checked on.  A growth scan reads
+one ``inverse_grid`` over ``(u, q)``.
 
 Everything is deterministic and pure; reports are frozen dataclasses.
 """
@@ -117,11 +120,18 @@ class LimitEstimate:
     evidence: tuple[tuple[float, float], ...]
 
 
+def _whole(name: str, k) -> int:
+    """``k`` when it is an integer ``>= 0``; a float, a string or a bool is not."""
+    if isinstance(k, bool) or not hasattr(type(k), "__index__") or k < 0:
+        raise DomainError(f"{name} must be a whole number >= 0, got {k!r}")
+    return int(k)
+
+
 def geometric_schedule(q0: float = 1.0, doublings: int = 12) -> tuple[float, ...]:
     """``q0 * 2^j`` for ``j = 0..doublings``."""
     if not (math.isfinite(q0) and q0 > 0):
         raise DomainError(f"q0 must be positive and finite, got {q0!r}")
-    return tuple(q0 * 2.0 ** j for j in range(doublings + 1))
+    return tuple(q0 * 2.0 ** j for j in range(_whole("doublings", doublings) + 1))
 
 
 def phase_locked_schedule(k_min: int = 1, k_max: int = 64,
@@ -129,9 +139,10 @@ def phase_locked_schedule(k_min: int = 1, k_max: int = 64,
     """``pi/2 + k*pi`` for ``k = k_min..k_max``, optionally one parity only.
 
     Along these q values ``sin q`` is frozen at ``-1`` (odd ``k``) or ``+1``
-    (even ``k``).
+    (even ``k``).  Both bounds must be whole numbers ``>= 0``, so every q is
+    positive; ``k_max < k_min`` gives no q.
     """
-    ks = range(int(k_min), int(k_max) + 1)
+    ks = range(_whole("k_min", k_min), _whole("k_max", k_max) + 1)
     if parity == "odd":
         ks = [k for k in ks if k % 2 == 1]
     elif parity == "even":
@@ -241,8 +252,9 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
 def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     """Classify ``q -> psi_q(t)``.
 
-    The verdict aggregates the geometric scan with the two phase-locked
-    subsequences (needed to certify oscillation).
+    The geometric scan decides; when it leaves the limit undetermined or
+    oscillating, the two phase-locked subsequences (needed to certify
+    oscillation) are read and aggregated with it.
     """
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
@@ -279,26 +291,33 @@ def _plan(family: YoungFamily) -> _Plan:
 
 
 def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
-    """One aggregated estimate per point, read from at most two grids.
+    """One estimate per point, read from at most three grids.
 
-    Every point reads the base scan, its refinement and the two parities
-    from one ``grid(points, first)``.  Only the points still undetermined
-    then read the retry, from one more grid over them and the retry's q not
-    in ``first``.  Each cell is solved on its own, so a point's estimate is
-    the one a single grid over every schedule would give.
+    Every point reads the base scan and its refinement from one
+    ``grid(points, qs)``.  A decisive geometric estimate (``finite``,
+    ``zero``, ``infinite``) is the point's estimate, with its own evidence.
+    Only the points whose geometric estimate is undetermined or oscillating
+    read the two parities, from one more grid over them, and
+    :func:`_aggregate` cross-examines it.  Only the points still
+    undetermined then read the retry, from a third grid.  Each cell is
+    solved on its own, so a point's estimate is the one a single grid over
+    every schedule would give under the same rule.
     """
-    first = sorted(set(plan.base).union(plan.longer, *plan.parity))
-    rows = [dict(zip(first, row)) for row in grid(points, first).tolist()]
+    qs = sorted(set(plan.base).union(plan.longer))
+    rows = [dict(zip(qs, row)) for row in grid(points, qs).tolist()]
     geos = [_geometric(plan, row) for row in rows]
-    ests = [_aggregate(geo, *_parities(plan.parity, row)) for geo, row in zip(geos, rows)]
-    redo = [i for i, est in enumerate(ests) if est.kind == "undetermined"]
-    if redo:
-        # Slow phase-locked settling (members converging like r^q with r near
-        # 1): push the locked subsequences to larger k before giving up.
-        extra = sorted(set().union(*plan.retry).difference(first))
-        for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
-            rows[i].update(zip(extra, row))
-            ests[i] = _aggregate(geos[i], *_parities(plan.retry, rows[i]))
+    ests = list(geos)
+    # The retry is for slow phase-locked settling (members converging like
+    # r^q with r near 1): it pushes the locked subsequences to larger k.  The
+    # points a stage reads have all read the same q before it.
+    for schedules, open_kinds in ((plan.parity, ("undetermined", "oscillating")),
+                                  (plan.retry, ("undetermined",))):
+        redo = [i for i, est in enumerate(ests) if est.kind in open_kinds]
+        if redo:
+            extra = sorted(set().union(*schedules).difference(rows[redo[0]]))
+            for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
+                rows[i].update(zip(extra, row))
+                ests[i] = _aggregate(geos[i], *_parities(schedules, rows[i]))
     return ests
 
 
@@ -331,12 +350,14 @@ def _parity_schedules(family: YoungFamily, k_max: int) -> tuple[tuple[float, ...
 
 def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
                even: LimitEstimate | None) -> LimitEstimate:
-    """Combine the geometric estimate with the two phase-locked ones.
+    """Cross-examine an open geometric estimate with the two phase-locked ones.
 
-    Disagreeing finite parity limits override everything (that is exactly the
-    oscillation signature the phase lock exists to expose); a decisive
-    geometric verdict stands otherwise; agreeing decisive parity verdicts
-    rescue an undetermined geometric tail.
+    :func:`_limits` calls it only for a geometric estimate that is
+    undetermined or oscillating.  Disagreeing finite parity limits make it
+    oscillating with their band (that is exactly the oscillation signature
+    the phase lock exists to expose); an oscillating geometric estimate
+    stands otherwise; agreeing decisive parity verdicts rescue an
+    undetermined geometric tail.  The evidence merges every schedule read.
     """
     parts = [geo] + [e for e in (odd, even) if e is not None]
     ev = tuple(sorted(set(p for est in parts for p in est.evidence)))
@@ -347,7 +368,7 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
         lo, hi = sorted((odd.value, even.value))
         return LimitEstimate("oscillating", None, lo, hi, ev)
 
-    if geo.kind in ("zero", "finite", "infinite", "oscillating"):
+    if geo.kind != "undetermined":
         return replace(geo, evidence=ev)
 
     if odd is not None and even is not None and odd.kind == even.kind:
@@ -400,9 +421,9 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     that contradicts the candidate (bounded above ``beta``, or failing to
     decay below ``alpha``) downgrades the verdict to ``undetermined``.  A
     total mass so small that ``1/total_mass`` overflows raises
-    :class:`OverflowError`.  A value grid that shows a member not strictly
-    increasing or not convex raises :class:`DomainError` (see
-    :func:`_check_young`).
+    :class:`OverflowError`.  A member not strictly increasing or not convex
+    on the value grid, 33 ``t`` by every q of the plan, raises
+    :class:`DomainError` (see :func:`_check_young`).
     """
     mass_floor = 1.0 / space.total_mass if space.finite else 0.0
     if math.isinf(mass_floor):
@@ -412,11 +433,14 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     probe_ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                             | ({mass_floor} if space.finite else set())))
     inverse_evidence = tuple(zip(probe_ys, _limits(family.inverse_grid, probe_ys, plan)))
+    # Every value the plan may read, in one grid the Young check covers whole.
+    qs = sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+    grid = family.evaluate_grid(_T_GRID, qs)
+    _check_young(family, _T_GRID, qs, grid)
+    column = {q: j for j, q in enumerate(qs)}
 
-    def values(ts, qs):
-        grid = family.evaluate_grid(ts, qs)
-        _check_young(family, ts, qs, grid)
-        return grid
+    def values(ts, cols):
+        return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
     value_evidence = tuple(zip(_T_GRID, _limits(values, _T_GRID, plan)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:

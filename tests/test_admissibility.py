@@ -1,6 +1,7 @@
 """Limit classification, admissibility verdicts, growth-ratio checks."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,32 @@ def test_phase_locked_parity():
 def test_phase_locked_rejects_bad_parity():
     with pytest.raises(DomainError):
         phase_locked_schedule(1, 8, "both")
+
+
+@pytest.mark.parametrize("doublings", [2.5, -1, "3", True])
+def test_geometric_schedule_rejects_bad_doublings(doublings):
+    with pytest.raises(DomainError, match=rf"^doublings must be a whole number >= 0, "
+                                          rf"got {re.escape(repr(doublings))}$"):
+        geometric_schedule(1.0, doublings)
+
+
+@pytest.mark.parametrize("k_min,k_max,name", [(-2, 1, "k_min"), (1.5, 3, "k_min"),
+                                              ("1", 3, "k_min"), (1, 3.0, "k_max"),
+                                              (1, -1, "k_max"), (1, None, "k_max")])
+def test_phase_locked_rejects_bad_bounds(k_min, k_max, name):
+    bad = k_min if name == "k_min" else k_max
+    with pytest.raises(DomainError, match=rf"^{name} must be a whole number >= 0, "
+                                          rf"got {re.escape(repr(bad))}$"):
+        phase_locked_schedule(k_min, k_max)
+
+
+def test_schedules_take_whole_number_bounds():
+    assert geometric_schedule(2.0, 0) == (2.0,)
+    assert geometric_schedule(1.0, np.int64(3)) == (1.0, 2.0, 4.0, 8.0)
+    assert phase_locked_schedule(0, 1) == (math.pi / 2.0, 1.5 * math.pi)
+    assert phase_locked_schedule(np.int64(2), np.int64(2)) == (math.pi / 2.0 + 2 * math.pi,)
+    assert phase_locked_schedule(3, 2) == ()
+    assert all(q > 0.0 for q in phase_locked_schedule(0, 64))
 
 
 # ------------------------------------------------- sequence classification
@@ -525,11 +552,13 @@ def test_family_without_array_form_gets_same_verdict():
         assert got.inverse_evidence == want.inverse_evidence
 
 
-# ------------------------------------------------- two-stage grid reading
+# ------------------------------------------------- staged grid reading
 
-def _reference_limits(grid, points, plan):
-    """Every point reads every column of the plan from one grid, as a single
-    stage does: the estimates the two-stage reading must reproduce."""
+def _single_grid_limits(grid, points, plan, lazy):
+    """Every point reads every column of the plan from one grid.  The eager
+    rule aggregates every geometric estimate with the parities; the lazy rule
+    of :func:`admissibility._limits` only the undetermined or oscillating
+    ones.  Either rule reads the retry for a point still undetermined."""
     qs = sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
     out = []
     for row in grid(points, qs).tolist():
@@ -541,11 +570,30 @@ def _reference_limits(grid, points, plan):
         geo = estimate(plan.base)
         if geo.kind == "undetermined":
             geo = estimate(plan.longer)
-        est = admissibility._aggregate(geo, *map(estimate, plan.parity))
+        est = geo
+        if not lazy or geo.kind in ("undetermined", "oscillating"):
+            est = admissibility._aggregate(geo, *map(estimate, plan.parity))
         if est.kind == "undetermined":
             est = admissibility._aggregate(geo, *map(estimate, plan.retry))
         out.append(est)
     return out
+
+
+def _reference_limits(grid, points, plan):
+    """The eager rule on one grid: the oracle of every answer but the evidence."""
+    return _single_grid_limits(grid, points, plan, lazy=False)
+
+
+def _lazy_reference_limits(grid, points, plan):
+    """The lazy rule on one grid: the staged reading must reproduce it exactly."""
+    return _single_grid_limits(grid, points, plan, lazy=True)
+
+
+def _without_evidence(report):
+    def strip(evidence):
+        return tuple((x, replace(est, evidence=())) for x, est in evidence)
+    return replace(report, inverse_evidence=strip(report.inverse_evidence),
+                   value_evidence=strip(report.value_evidence))
 
 
 TWO_STAGE_FAMILIES = [*CATALOG_SPECS, "iterlog:N=3", "addie:N=3", "identity", "user-power"]
@@ -554,7 +602,21 @@ TWO_STAGE_FAMILIES = [*CATALOG_SPECS, "iterlog:N=3", "addie:N=3", "identity", "u
 def _two_stage_family(spec):
     if spec == "user-power":
         return YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0)
+    if spec == "user-sin":  # t^(2 + sin q): the phase lock freezes it at t and t^3
+        return YoungFamily("user-sin", lambda t, q: t ** (2.0 + math.sin(q)), {}, q_min=1.0)
     return make_family(spec)
+
+
+@pytest.mark.parametrize("mass", [math.inf, 2.0, 0.5, 1e6])
+@pytest.mark.parametrize("spec", [*TWO_STAGE_FAMILIES, "user-sin"])
+def test_classify_answers_equal_eager_rule(spec, mass, monkeypatch):
+    # Reading the parities only for open geometric estimates shortens the
+    # evidence; every verdict, delta, alpha, beta and per-probe kind, value
+    # and band stays that of the rule that reads them for every probe.
+    family, space = _two_stage_family(spec), MeasureSpace(mass)
+    got = classify(family, space)
+    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    assert _without_evidence(got) == _without_evidence(classify(family, space))
 
 
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
@@ -562,7 +624,7 @@ def _two_stage_family(spec):
 def test_classify_equals_single_grid_reference(spec, mass, monkeypatch):
     family, space = _two_stage_family(spec), MeasureSpace(mass)
     got = classify(family, space)
-    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    monkeypatch.setattr(admissibility, "_limits", _lazy_reference_limits)
     assert got == classify(family, space)
 
 
@@ -571,8 +633,30 @@ def test_classify_equals_single_grid_reference(spec, mass, monkeypatch):
 def test_pointwise_limits_equal_single_grid_reference(spec, t, y, monkeypatch):
     family = make_family(spec)
     got = limit_of_values(family, t), limit_of_inverses(family, y)
-    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    monkeypatch.setattr(admissibility, "_limits", _lazy_reference_limits)
     assert got == (limit_of_values(family, t), limit_of_inverses(family, y))
+
+
+def _locked_bump(t, q):
+    """``t^2`` at the powers of two, ``(2 + sin q) t^2`` at every other q."""
+    return (1.0 if math.frexp(q)[0] == 0.5 else 2.0 + math.sin(q)) * t * t
+
+
+def test_decisive_geometric_estimate_is_not_overridden(monkeypatch):
+    # The geometric scan sees only t^2 and settles on sqrt(y); the parities
+    # see t^2 and 3 t^2.  The eager rule lets their disagreement override
+    # every probe where sqrt(y) and sqrt(y/3) differ by more than the
+    # resolution (all but y = 0.0005); the lazy rule never reads them.
+    family = YoungFamily("locked-bump", _locked_bump, {}, q_min=1.0)
+    lazy = classify(family, INF)
+    assert [est.kind for _, est in lazy.inverse_evidence] == ["finite"] * 7
+    geometric = set(admissibility._plan(family).longer)
+    for _, est in lazy.inverse_evidence + lazy.value_evidence:
+        assert est.kind in ("finite", "zero", "infinite")
+        assert {q for q, _ in est.evidence} <= geometric
+    monkeypatch.setattr(admissibility, "_limits", _reference_limits)
+    eager = classify(family, INF)
+    assert [est.kind for _, est in eager.inverse_evidence] == ["finite"] + ["oscillating"] * 6
 
 
 def _record_inverse_grids(monkeypatch):
@@ -588,11 +672,13 @@ def _record_inverse_grids(monkeypatch):
 
 def test_settled_probes_solve_only_the_first_stage(monkeypatch):
     calls = _record_inverse_grids(monkeypatch)
-    classify(power_family(), INF)
+    report = classify(power_family(), INF)
     plan = admissibility._plan(power_family())
-    first = sorted(set(plan.base).union(plan.longer, *plan.parity))
-    assert calls == [(list(admissibility._Y_GRID), first)]
-    assert len(first) == 79
+    geometric = sorted(set(plan.base).union(plan.longer))
+    assert calls == [(list(admissibility._Y_GRID), geometric)]
+    assert len(geometric) == 15
+    for _, est in report.inverse_evidence + report.value_evidence:
+        assert {q for q, _ in est.evidence} <= set(geometric)
 
 
 def test_undetermined_probe_alone_reads_the_retry(monkeypatch):
@@ -600,11 +686,17 @@ def test_undetermined_probe_alone_reads_the_retry(monkeypatch):
     family = sinpiecewise_family()
     report = classify(family, INF)
     plan = admissibility._plan(family)
-    first = set(plan.base).union(plan.longer, *plan.parity)
-    retry_only = sorted(set().union(*plan.retry) - first)
-    assert len(calls) == 2 and len(calls[0][1]) == 79
-    assert calls[1] == ([0.45], retry_only) and len(retry_only) == 128
-    # the retried probe's evidence holds the retry columns, the others' do not
+    geometric = set(plan.base).union(plan.longer)
+    parity = sorted(set().union(*plan.parity))
+    retry_only = sorted(set().union(*plan.retry) - set(parity))
+    # the geometric scan leaves y < 1/2 open; of those, only y = 0.45 stays
+    # undetermined after the parities
+    assert [len(qs) for _, qs in calls] == [15, 64, 128]
+    assert calls[0][0] == list(admissibility._Y_GRID)
+    assert calls[1] == ([0.0005, 0.02, 0.2, 0.45], parity)
+    assert calls[2] == ([0.45], retry_only)
     for y, est in report.inverse_evidence:
         read = {q for q, _ in est.evidence}
+        assert read.isdisjoint(parity) == (y > 0.45), y
         assert read.isdisjoint(retry_only) == (y != 0.45), y
+        assert read - geometric <= set(parity).union(retry_only)

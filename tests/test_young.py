@@ -402,6 +402,24 @@ def test_classify_rejects_a_member_that_is_not_increasing(space):
         classify(dip, space)
 
 
+@pytest.mark.parametrize("space", [INF, MeasureSpace(2.0)])
+def test_young_check_covers_every_plan_q(space):
+    # Only a probe still undetermined after the parities would read k = 100;
+    # t^2 settles every probe on its geometric scan, yet the member there
+    # is checked.
+    retry_only = math.pi / 2.0 + 100 * math.pi
+    assert retry_only in _plan_qs(power_family())
+    assert all(retry_only not in schedule for schedule in _plan(power_family()).parity)
+
+    def fn(t, q):
+        return 1.0 / (1.0 + t) if q == retry_only else t * t
+    square = classify(YoungFamily("square", lambda t, q: t * t, {}, q_min=1.0), space)
+    assert all(est.kind == "finite" for _, est in square.inverse_evidence + square.value_evidence)
+    with pytest.raises(DomainError, match=r"^square-dip\[q=315\.73\]: not increasing on "
+                                          r"t=0\.05, 0\.0602954$"):
+        classify(YoungFamily("square-dip", fn, {}, q_min=1.0), space)
+
+
 def test_young_check_skips_zero_inf_and_nan():
     ts = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     for column in ([0.0, 0.0, 1.0, math.nan, 0.5, math.inf, math.inf],
