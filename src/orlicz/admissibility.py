@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Literal, Sequence
 
 from .measure import MeasureSpace
@@ -284,10 +285,17 @@ class _Plan:
 
 
 def _plan(family: YoungFamily) -> _Plan:
-    base = geometric_schedule(family.schedule_q0, _DOUBLINGS)
+    return _plan_of(family.schedule_q0, family.q_min)
+
+
+@lru_cache(maxsize=16)
+def _plan_of(q0: float, q_min: float) -> _Plan:
+    """The plan of every family with this ``schedule_q0`` and ``q_min``,
+    which is all that a plan reads of its family."""
+    base = geometric_schedule(q0, _DOUBLINGS)
     return _Plan(base, geometric_schedule(base[0], _DOUBLINGS + _EXTRA_DOUBLINGS),
-                 _parity_schedules(family, _PHASE_K_MAX),
-                 _parity_schedules(family, _PHASE_K_MAX * _PHASE_K_FACTOR))
+                 _parity_schedules(q_min, _PHASE_K_MAX),
+                 _parity_schedules(q_min, _PHASE_K_MAX * _PHASE_K_FACTOR))
 
 
 def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
@@ -340,10 +348,11 @@ class AdmissibilityReport:
     value_evidence: tuple[tuple[float, LimitEstimate], ...]
 
 
-def _parity_schedules(family: YoungFamily, k_max: int) -> tuple[tuple[float, ...], ...]:
+def _parity_schedules(q_min: float, k_max: int) -> tuple[tuple[float, ...], ...]:
     out = []
     for parity in ("odd", "even"):
-        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity) if family.admits(q))
+        # every phase-locked q is > 0, so q >= q_min is family.admits(q)
+        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity) if q >= q_min)
         out.append(qs if len(qs) >= 8 else ())
     return tuple(out)
 
@@ -551,18 +560,6 @@ class MonotonicityReport:
     per_q: tuple[tuple[float, bool], ...]
 
 
-def _scan_non_decreasing(ts, rs):
-    worst = None
-    for t1, t2, r1, r2 in zip(ts, ts[1:], rs, rs[1:]):
-        drop = r1 - r2
-        if drop > _MONO_TOL * max(1.0, abs(r1)):
-            if worst is None or drop > worst[0]:
-                worst = (drop, t1, t2, r1, r2)
-    if worst is None:
-        return True, None
-    return False, worst[1:]
-
-
 def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
                  inverse_form: bool) -> MonotonicityReport:
     """The one scan kernel behind both growth forms.
@@ -590,22 +587,23 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
     # geomspace ends exactly on k, so us[-1] is phi(k)
     interval = (0.0, us[-1]) if inverse_form else (0.0, k)
     qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
-    xs, nums = (us, phi.inverse_array(us).tolist()) if inverse_form else (ts, ts)
-
-    per_q = []
-    for q, column in zip(qs, family.inverse_grid(us, qs).T.tolist()):
-        rs = [n / v for n, v in zip(nums, column)]
-        ok, witness = _scan_non_decreasing(xs, rs)
-        per_q.append((q, ok))
+    xs, nums = (us, phi.inverse_array(us)) if inverse_form else (ts, ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio may overflow, inf - inf
+        rs = np.asarray(nums)[:, None] / family.inverse_grid(us, qs)
+        drops = rs[:-1] - rs[1:]
+        fails = drops > _MONO_TOL * np.maximum(1.0, np.abs(rs[:-1]))  # false for NaN
+    per_q = tuple(zip(qs, (~fails.any(axis=0)).tolist()))
     threshold = None
     for q, ok in reversed(per_q):
         if not ok:
             break
         threshold = q
     if threshold is not None:
-        return MonotonicityReport(True, interval, threshold, None, tuple(per_q))
-    # no threshold: the largest q failed, and the loop ended on its witness
-    return MonotonicityReport(False, interval, None, (qs[-1], *witness), tuple(per_q))
+        return MonotonicityReport(True, interval, threshold, None, per_q)
+    # no threshold: the largest q failed; its witness is its first largest drop
+    i = int(np.argmax(np.where(fails[:, -1], drops[:, -1], -np.inf)))
+    r1, r2 = rs[i:i + 2, -1].tolist()
+    return MonotonicityReport(False, interval, None, (qs[-1], xs[i], xs[i + 1], r1, r2), per_q)
 
 
 def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> MonotonicityReport:

@@ -37,13 +37,14 @@ Conventions
   bracket to grow.  The exact test ``psi(t) < y`` decides every step, so
   monotonicity is the only structural assumption for the result and the
   same code serves every catalog member; ``log y - log psi(t)`` only places
-  the probes.  ``family.inverse_grid(ys, qs)`` bisects in lockstep over a
-  whole ``(y, q)`` grid, 63 steps of one ``_array_formula`` pass each, so
-  each cell is exact to the ulp of the array formula and within the
-  array/scalar rounding of the scalar result; ``psi.inverse_array(ys)`` is
-  its one-column case.  ``family.evaluate_grid(ts, qs)`` is one
+  the probes.  ``family.inverse_grid(ys, qs)`` fixes one bit of every
+  cell's pattern per step, from the top bit down, in lockstep over a whole
+  ``(y, q)`` grid: 63 steps of one ``_array_formula`` pass each, so each cell
+  is exact to the ulp of the array formula and within the array/scalar
+  rounding of the scalar result; ``psi.inverse_array(ys)`` is its
+  one-column case.  ``family.evaluate_grid(ts, qs)`` is one
   ``_psi_array`` pass.  A family without an array form goes through the
-  same grid methods and the same lockstep solver over its vectorized scalar
+  same grid methods and the same lockstep walk over its vectorized scalar
   formula.  The limit diagnostics in :mod:`orlicz.admissibility` read these
   grids; the norm solver in :mod:`orlicz.luxemburg` runs :func:`_root` on
   the modular itself.
@@ -121,7 +122,8 @@ def _double(k: int) -> float:
 
 # Positive doubles sort in the same order as their int64 bit patterns, so
 # bisecting the patterns of [0, inf] reaches two adjacent doubles in at most
-# this many halvings: the bit length of the pattern of inf.
+# this many halvings: the bit length of the pattern of inf, which is also the
+# number of bits the grid walk of ``inverse_grid`` fixes.
 _INF_BITS = _bits(math.inf)
 _STEPS = _INF_BITS.bit_length()
 
@@ -409,6 +411,15 @@ class YoungFamily:
             raise DomainError(f"{self.label} requires q {bound}, got {q!r}")
         return q
 
+    def _check_qs(self, qs) -> list[float]:
+        """:meth:`_check_q` over ``qs`` in one pass: a finite sum and an
+        admitted least ``q``, or else the check one ``q`` at a time, which
+        names the first bad one."""
+        qs = list(map(float, qs))
+        if not (qs and math.isfinite(sum(qs)) and self.admits(min(qs))):
+            qs = [self._check_q(q) for q in qs]
+        return qs
+
     def make(self, q: float) -> YoungFunction:
         """The member at ``q``, after checking that the family admits it."""
         return YoungFunction(self, self._check_q(q))
@@ -446,7 +457,7 @@ class YoungFamily:
         """``psi_q(t)`` for every ``t`` in ``ts`` (rows) and ``q`` in ``qs``
         (columns), with the semantics of :meth:`YoungFunction.evaluate`."""
         import numpy as np
-        qs = [self._check_q(q) for q in qs]
+        qs = self._check_qs(qs)
         ts = _check_array(self.label, "t", ts)[0].reshape(-1, 1)
         out = self._psi_array(ts, np.array([qs]), True)
         # An array_fn may ignore q; the copy makes the broadcast view writable.
@@ -457,37 +468,42 @@ class YoungFamily:
         ``qs`` (columns), with the errors and results of
         :meth:`YoungFunction.inverse` cell by cell.
 
-        Every cell bisects the bit patterns of ``[0, inf]`` in lockstep, one
-        evaluation of :meth:`_array_formula` over the whole grid per step and
-        ``_STEPS`` steps in all.  A cell whose bracket has closed (its
-        midpoint is its lower end) keeps it.  A cell whose result a NaN of
-        ``psi`` decided raises ``ArithmeticError``.
+        Every cell walks the bit patterns of ``[0, inf]`` from the top bit
+        down, in lockstep: each step sets the next bit of the cell's lower
+        end where ``psi`` is still below ``y`` with it set, one evaluation of
+        :meth:`_array_formula` over the whole grid per step and ``_STEPS``
+        steps in all.  A cell ends on the pattern above its lower end, where
+        that test failed; for an increasing ``psi`` that is the smallest
+        pattern where it fails, where a bisection ends too.  ``psi`` is never
+        evaluated at ``t = 0``.  A cell whose result a NaN of ``psi`` decided
+        raises ``ArithmeticError``; a NaN the walk never meets decides
+        nothing.
         """
         import numpy as np
-        qs = [self._check_q(q) for q in qs]
+        qs = self._check_qs(qs)
         ys = _check_array(self.label, "y", ys)[0].ravel()
         shape = ys.size, len(qs)
         ys, q_cells = np.repeat(ys, len(qs)), np.tile(qs, ys.size)
         lo = np.zeros(ys.shape, dtype=np.int64)
-        hi = np.full(ys.shape, _INF_BITS, dtype=np.int64)
 
         def label(cell: int) -> str:
             return YoungFunction(self, float(q_cells[cell])).label
-        psi = self._array_formula()  # its value at t = 0 decides no cell
+        psi = self._array_formula()
         with np.errstate(all="ignore"):
-            for _ in range(_STEPS):
-                mid = lo + ((hi - lo) >> 1)  # lo + hi overflows int64
-                below = (psi(mid.view(float), q_cells) < ys) | (mid == lo)
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            unbounded = np.flatnonzero(hi == _INF_BITS)
+            for bit in range(_STEPS - 1, -1, -1):
+                mid = lo | (1 << bit)
+                np.copyto(lo, mid, where=psi(mid.view(float), q_cells) < ys)
+            # psi stayed below y up to the largest double.  Past inf the walk
+            # meets the NaN patterns, where a formula finite at inf lets lo
+            # reach 2**63 - 1, so test lo: lo + 1 may wrap.
+            unbounded = np.flatnonzero(lo >= _INF_BITS - 1)
             if unbounded.size:
                 raise _no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
-            # The upper end moves only to a value at or above y or to a NaN, so
-            # a NaN that decided a cell is still its upper end: one more
-            # evaluation finds it, where a NaN screen at every step cost ~10% of
-            # the solve.
-            ts = hi.view(float)
+            # lo + 1 is the pattern where the test last failed on the way
+            # down, so it is at or above y or a NaN, and a NaN that decided a
+            # cell is there: one more evaluation finds it, where a NaN screen
+            # at every step cost ~10% of the solve.
+            ts = (lo + 1).view(float)
             vs = psi(ts, q_cells)
             if math.isnan(vs.sum()):  # a cheap screen: true for any NaN (and for inf - inf)
                 nan = np.flatnonzero(np.isnan(vs) & (ys > 0.0))

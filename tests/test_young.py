@@ -278,13 +278,12 @@ def test_inverse_grid_nan_psi_raises(array_form):
 
 
 def test_inverse_grid_ignores_nan_that_decides_no_cell():
-    # The raw array form is NaN at t = 0, which only closed brackets
-    # evaluate (the scalar path never evaluates psi(0)), and on (2.5, 4),
-    # above the roots: the bisection meets that hole and moves below it.
+    # The raw array form is NaN on (40, 60), above every root: the walk tries
+    # t = 48 on its way down to the root 36 at q = 1, and moves below it.
     hits = []
 
     def array_fn(t, q):
-        hole = (t == 0.0) | (t > 2.5) & (t < 4.0)
+        hole = (t > 40.0) & (t < 60.0)
         hits.append(int(hole.sum()))
         return np.where(hole, np.nan, t ** q)
     family = YoungFamily("nan-holes", lambda t, q: t ** q, {}, q_min=1.0, array_fn=array_fn)
@@ -292,6 +291,99 @@ def test_inverse_grid_ignores_nan_that_decides_no_cell():
     want = [[family.make(q).inverse(y) for q in qs] for y in ys]
     assert family.inverse_grid(ys, qs).tolist() == want
     assert sum(hits) > 0
+
+
+def _bisect_oracle(family: YoungFamily, ys, qs) -> np.ndarray:
+    """The lockstep bisection that ``inverse_grid`` ran before its bit walk:
+    it halves each cell's bracket of patterns, and a closed bracket (whose
+    midpoint is its lower end, possibly t = 0) keeps it.  Same errors."""
+    ys, qs = np.asarray(ys, dtype=float), [float(q) for q in qs]
+    shape = ys.size, len(qs)
+    ys, q_cells = np.repeat(ys, len(qs)), np.tile(qs, ys.size)
+    lo = np.zeros(ys.shape, dtype=np.int64)
+    hi = np.full(ys.shape, young._INF_BITS, dtype=np.int64)
+
+    def label(cell: int) -> str:
+        return YoungFunction(family, float(q_cells[cell])).label
+    psi = family._array_formula()
+    with np.errstate(all="ignore"):
+        for _ in range(young._STEPS):
+            mid = lo + ((hi - lo) >> 1)
+            below = (psi(mid.view(float), q_cells) < ys) | (mid == lo)
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        unbounded = np.flatnonzero(hi == young._INF_BITS)
+        if unbounded.size:
+            raise young._no_upper_bracket(label(unbounded[0]), float(ys[unbounded[0]]))
+        ts = hi.view(float)
+        nan = np.flatnonzero(np.isnan(psi(ts, q_cells)) & (ys > 0.0))
+        if nan.size:
+            raise young._nan_psi(label(nan[0]), float(ts[nan[0]]))
+    return np.where(ys == 0.0, 0.0, ts).reshape(shape)
+
+
+def _outcome(solve, family, ys, qs):
+    """The cells ``solve`` gives, or the type and message of what it raises."""
+    try:
+        return solve(family, ys, qs).tolist()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+ORACLE_YS = (0.0, 5e-324, 1e-320, 1e-300, 0.5, 2.0, 1e300, 1.7976931348623157e308)
+ORACLE_QS = (0.5, 1.0, 2.5, 64.0, 4096.0, 2.0 ** 20, 2.0 ** 40)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3", "addie:N=3"))
+def test_inverse_grid_equals_bisection(spec):
+    family = make_family(spec)
+    rng = np.random.default_rng(2209)
+    ys = ORACLE_YS + tuple((10.0 ** rng.uniform(-320.0, 308.0, 24)).tolist())
+    qs = [q for q in ORACLE_QS if family.admits(q)]
+    zeros = []
+
+    def recorded(t, q):
+        zeros.append(bool((t == 0.0).any()))
+        return family.array_fn(t, q)
+    got = replace(family, array_fn=recorded).inverse_grid(ys, qs)
+    assert np.array_equal(got, _bisect_oracle(family, ys, qs))
+    assert zeros and not any(zeros)  # the walk never evaluates psi at t = 0
+    plain = replace(family, array_fn=None)
+    assert np.array_equal(plain.inverse_grid(ys[::3], qs), _bisect_oracle(plain, ys[::3], qs))
+
+
+def _fmin_family(array_form: bool) -> YoungFamily:
+    """``min(t, 1)``, whose array form ``np.fmin`` is 1 on the NaN patterns too."""
+    return YoungFamily("fmin", lambda t, q: min(t, 1.0), {}, q_min=0.0,
+                       array_fn=(lambda t, q: np.fmin(t, 1.0)) if array_form else None)
+
+
+@pytest.mark.parametrize("array_form", [True, False])
+@pytest.mark.parametrize("make", [_bounded_family, _nan_gap_family, _fmin_family])
+def test_inverse_grid_errors_equal_bisection(make, array_form):
+    # Every y is at most psi_q(2) of the NaN-gap family at these q; above it
+    # the walk and the bisection part (the next test).
+    family = make(array_form)
+    ys, qs = (0.0, 5e-324, 0.5, 1.0, 2.0, 4.0), (2.0, 3.0)
+    for rows in [ys] + [(y,) for y in ys]:
+        assert (_outcome(YoungFamily.inverse_grid, family, rows, qs)
+                == _outcome(_bisect_oracle, family, rows, qs)), rows
+
+
+@pytest.mark.parametrize("array_form", [True, False])
+def test_inverse_grid_solves_above_a_nan_gap_it_never_meets(array_form):
+    # The walk's first probe is t = 2, above the NaN hole (1e-3, 1.9).  Where
+    # psi(2) < y it never enters the hole, and each cell is the smallest t
+    # with psi(t) >= y (a NaN is not >= y).  The bisection's first probe, 1.5,
+    # lands in the hole, and it raises there.
+    family = _nan_gap_family(array_form)
+    ys, qs = (8.5, 10.0, 1e300), (1.0, 2.0, 3.0)
+    got = family.inverse_grid(ys, qs)
+    for y, row in zip(ys, got.tolist()):
+        for q, t in zip(qs, row):
+            assert t ** q >= y > math.nextafter(t, 0.0) ** q and t > 2.0, (y, q, t)
+            with pytest.raises(ArithmeticError, match=r"psi\(0.0010000000000000002\) is NaN"):
+                _bisect_oracle(family, (y,), (q,))
 
 
 def test_grids_fall_back_without_array_form():
