@@ -1,14 +1,14 @@
 """Exact Luxemburg norms of simple functions and limit diagnostics for
 one-parameter Young-function families.
 
-Every public name is exported here, and each is written once, in the
-``__all__`` of its module.  The norm side (``orlicz.young``,
-``orlicz.measure``, ``orlicz.luxemburg``) is imported with the package and
-republished whole.  The limit diagnostics of ``orlicz.admissibility`` are
-imported on the first read of one of their names, such as
-``orlicz.classify``, so ``import orlicz`` and the norm paths never compile
-them; ``_ADMISSIBILITY`` names them, because reading the module's own
-``__all__`` would import it.
+Every public name is exported here, and each is written once.  The norm
+side (``orlicz.young``, ``orlicz.measure``, ``orlicz.luxemburg``) is
+imported with the package and republished whole from the ``__all__`` of
+each module.  The limit diagnostics of ``orlicz.admissibility`` are imported
+on the first read of one of their names, such as ``orlicz.classify``, so
+``import orlicz`` and the norm paths never compile them; their names are
+written in ``_ADMISSIBILITY`` below, the one list, from which the module
+builds its own ``__all__``, since reading that would import it.
 """
 
 from . import luxemburg, measure, young

@@ -35,26 +35,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal, Sequence
 
+from . import _ADMISSIBILITY
+from .luxemburg import _reciprocal
 from .measure import MeasureSpace
 from .young import DomainError, E_MINUS_1, YoungFamily, YoungFunction, logbump_family
 
-__all__ = [
-    "AdmissibilityReport",
-    "FixedPointReport",
-    "LimitEstimate",
-    "MonotonicityReport",
-    "classify",
-    "classify_sequence",
-    "geometric_schedule",
-    "growth_check",
-    "growth_check_inverse_form",
-    "limit_of_inverses",
-    "limit_of_values",
-    "logbump_transfer",
-    "phase_locked_schedule",
-    "tc_fixed_point_check",
-    "tc_map",
-]
+__all__ = sorted(_ADMISSIBILITY)
 
 Kind = Literal["zero", "finite", "infinite", "oscillating", "undetermined"]
 
@@ -257,18 +243,21 @@ def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     oscillating, the two phase-locked subsequences (needed to certify
     oscillation) are read and aggregated with it.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
-    return _limits(family.evaluate_grid, (t,), _plan(family))[0]
+    return _limit_of(family.evaluate_grid, "t", t)
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     """Classify ``q -> psi_q^{-1}(y)``; scheduling as in :func:`limit_of_values`."""
-    y = float(y)
-    if not (math.isfinite(y) and y > 0.0):
-        raise DomainError(f"y must be positive and finite, got {y!r}")
-    return _limits(family.inverse_grid, (y,), _plan(family))[0]
+    return _limit_of(family.inverse_grid, "y", y)
+
+
+def _limit_of(grid, name: str, x: float) -> LimitEstimate:
+    """The estimate at the one point ``name = x`` read from ``grid``, a grid
+    method of the family."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return _limits(grid, (x,), _plan(grid.__self__))[0]
 
 
 @dataclass(frozen=True)
@@ -434,10 +423,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     on the value grid, 33 ``t`` by every q of the plan, raises
     :class:`DomainError` (see :func:`_check_young`).
     """
-    mass_floor = 1.0 / space.total_mass if space.finite else 0.0
-    if math.isinf(mass_floor):
-        raise OverflowError(f"1/total_mass is beyond the double range for "
-                            f"total_mass={space.total_mass!r}")
+    mass_floor = _reciprocal("total_mass", space.total_mass) if space.finite else 0.0
     plan = _plan(family)
     probe_ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                             | ({mass_floor} if space.finite else set())))
@@ -471,7 +457,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
         half = len(values) // 2  # the median
         delta = values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
         if all(abs(v - delta) <= _CLASS_TOL for v in values):
-            if _value_side_veto(value_evidence, delta, delta, space):
+            if _value_side_veto(value_evidence, delta, delta, mass_floor):
                 return report("undetermined")
             return report("delta_admissible", delta=delta)
 
@@ -480,7 +466,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
         bands = [_probe_band(est) for _, est in inverse_evidence if est.kind != "zero"]
         alpha = 0.0 if "zero" in kinds else min(lo for lo, _ in bands)
         beta = max(hi for _, hi in bands)
-        if _value_side_veto(value_evidence, alpha, beta, space):
+        if _value_side_veto(value_evidence, alpha, beta, mass_floor):
             return report("undetermined")
         return report("alpha_beta_admissible", alpha=alpha, beta=beta)
 
@@ -516,13 +502,14 @@ def _check_young(family: YoungFamily, ts, qs, grid) -> None:
 
 
 def _value_side_veto(value_evidence, alpha: float, beta: float,
-                     space: MeasureSpace) -> bool:
+                     mass_floor: float) -> bool:
     """True when a decisive value-side limit contradicts the candidate band.
 
     Above ``beta`` the members must blow up, so a limit classified zero or
-    finite there is a contradiction.  Below ``alpha`` (infinite mass) they
-    must vanish, so infinite or finite-nonzero limits contradict; with finite
-    total mass the limit must stay strictly below ``1/total_mass``.
+    finite there is a contradiction.  Below ``alpha`` (infinite mass,
+    ``mass_floor = 0``) they must vanish, so infinite or finite-nonzero
+    limits contradict; with finite total mass the limit must stay strictly
+    below ``mass_floor = 1/total_mass``.
     Undetermined value limits never veto — the inverse side carries the
     verdict and slow pointwise growth near the threshold is expected.
     """
@@ -535,9 +522,8 @@ def _value_side_veto(value_evidence, alpha: float, beta: float,
                 return True
             if est.kind in ("finite", "oscillating"):
                 high = est.limsup_est
-                if space.finite:
-                    cap = (1.0 / space.total_mass) * (1.0 - _CASE_II_SLACK)
-                    if high >= cap:
+                if mass_floor:
+                    if high >= mass_floor * (1.0 - _CASE_II_SLACK):
                         return True
                 elif high > _ZERO_TOL:
                     return True
@@ -628,6 +614,16 @@ def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction,
     return _growth_scan(family, phi, k, True)
 
 
+def _transfer_params(p: float, q0: float, q: float) -> tuple[float, float, float]:
+    """``(p, q0, q)`` as floats, after checking ``p >= 1`` and ``0 < q0 < q``."""
+    p, q0, q = float(p), float(q0), float(q)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError(f"p must be >= 1, got {p!r}")
+    if not (math.isfinite(q0) and math.isfinite(q) and 0.0 < q0 < q):
+        raise DomainError(f"need 0 < q0 < q, got q0={q0!r}, q={q!r}")
+    return p, q0, q
+
+
 def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     """Transfer factor ``F(t) = t / psi_q^{-1}(psi_q0(t))`` for the log-bump
     family with exponent ``p``.
@@ -637,14 +633,8 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     ``F(0)`` for every ``t > 0`` when ``q > q0``.  A ``t`` whose
     ``psi_q0(t)`` overflows raises :class:`OverflowError`.
     """
-    p = float(p)
-    q0 = float(q0)
-    q = float(q)
+    p, q0, q = _transfer_params(p, q0, q)
     t = float(t)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p must be >= 1, got {p!r}")
-    if not (math.isfinite(q0) and math.isfinite(q) and 0.0 < q0 < q):
-        raise DomainError(f"need 0 < q0 < q, got q0={q0!r}, q={q!r}")
     if math.isnan(t) or math.isinf(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:
@@ -672,41 +662,36 @@ class FixedPointReport:
     concave_on_grid: bool
     predicate_failures: tuple[float, ...]
 
-    def __bool__(self) -> bool:
-        return self.fixed_point_ok
 
-
-def tc_fixed_point_check(p: float, q0: float, q: float, c: float, t1: float,
-                         grid_hi: float | None = None) -> FixedPointReport:
+def tc_fixed_point_check(p: float, q0: float, q: float, c: float,
+                         t1: float) -> FixedPointReport:
     """Check ``T_c(t1) = t1`` for ``c = logbump_transfer(p, q0, q, t1)``.
 
-    Also evaluates the concavity predicate
+    ``p``, ``q0`` and ``q`` are checked as in :func:`logbump_transfer`.  Also
+    evaluates the concavity predicate
     ``q0 * c^(p/q) * log(e-1+t)^(q0/q) < q * log(e-1+t) + q - q0``
-    on a uniform grid ``[0, grid_hi]`` and reports the failing points.
-    ``grid_hi`` must be positive and finite; it defaults to
-    ``max(1, 2 * t1)``.
+    on 64 evenly spaced points of ``[0, max(1, 2 * t1)]`` and reports the
+    failing points; a ``t1`` whose ``2 * t1`` overflows raises
+    :class:`OverflowError`.
     """
-    p, q0, q = float(p), float(q0), float(q)
+    p, q0, q = _transfer_params(p, q0, q)
     c, t1 = float(c), float(t1)
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"c must be positive, got {c!r}")
     if not (math.isfinite(t1) and t1 > 0.0):
         raise DomainError(f"t1 must be positive, got {t1!r}")
-    if not (math.isfinite(q0) and math.isfinite(q) and 0.0 < q0 < q):
-        raise DomainError(f"need 0 < q0 < q, got q0={q0!r}, q={q!r}")
 
     residual = abs(tc_map(p, q0, q, c, t1) - t1)
     ok = residual <= _TC_TOL * max(1.0, t1)
 
-    hi = float(grid_hi) if grid_hi is not None else max(1.0, 2.0 * t1)
-    if grid_hi is None and hi == math.inf:
-        raise OverflowError(f"the default grid_hi = 2 * t1 is beyond the double range "
+    hi = max(1.0, 2.0 * t1)
+    if hi == math.inf:
+        raise OverflowError(f"the grid end 2 * t1 is beyond the double range "
                             f"for t1={t1!r}")
-    if not (math.isfinite(hi) and hi > 0.0):
-        raise DomainError(f"grid_hi must be positive and finite, got {hi!r}")
-    import numpy as np
+    # numpy.linspace(0, hi, n), bit for bit: i * (hi / (n - 1)), ending on hi
+    step = hi / (_TC_GRID_POINTS - 1)
     failures = []
-    for t in np.linspace(0.0, hi, _TC_GRID_POINTS).tolist():
+    for t in [i * step for i in range(_TC_GRID_POINTS - 1)] + [hi]:
         lhs = q0 * c ** (p / q) * math.log(E_MINUS_1 + t) ** (q0 / q)
         rhs = q * math.log(E_MINUS_1 + t) + q - q0
         if not lhs < rhs:

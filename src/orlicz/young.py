@@ -196,12 +196,11 @@ def _secant(i: int, j: int, gi: float, gj: float, xi: float, xj: float) -> int |
     return _step_bits(xj, -min(max(gj / (gj - gi), 0.0), 1.0) * span)
 
 
-def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
-          hi: float = math.inf) -> tuple[float, float]:
-    """Adjacent doubles ``(a, b)`` in ``[lo, hi]`` where ``below`` turns false.
+def _root(probe: Callable[[float], tuple[bool, float]]) -> tuple[float, float]:
+    """Adjacent doubles ``(a, b)`` in ``[0, inf]`` where ``below`` turns false.
 
     ``probe(x)`` returns ``(below, gap)``.  ``below`` is a predicate that is
-    true up to some point of ``[lo, hi]`` and false from there on; it alone
+    true up to some point of ``[0, inf]`` and false from there on; it alone
     decides which end of the bracket moves.  ``gap`` is a log ratio that
     falls through 0 near that point (``log modular``, ``log y - log psi``);
     it only places the next probe, so any value, ``±inf`` or NaN included,
@@ -221,15 +220,14 @@ def _root(probe: Callable[[float], tuple[bool, float]], lo: float = 0.0,
     jumps and steps in all, each with one more probe of budget.  ITP
     projects the estimate onto a shrinking radius around the midpoint
     pattern, so the search ends in at most
-    ``_STEPS + _N0 + _JUMPS`` probes from ``[0, inf]`` whatever the gaps
-    say, with no tolerance.  The endpoints are never probed: ``a`` is ``lo``
-    or a point where ``below`` held, ``b`` is ``hi`` or a point where it
-    failed.
+    ``_STEPS + _N0 + _JUMPS`` probes whatever the gaps say, with no
+    tolerance.  The endpoints are never probed: ``a`` is 0 or a point where
+    ``below`` held, ``b`` is ``inf`` or a point where it failed.
     """
-    i, j = _bits(lo), _bits(hi)
-    a, b = _double(i), _double(j)  # the ends as doubles
+    i, j = 0, _INF_BITS
+    a, b = 0.0, math.inf  # the ends as doubles
     gi = gj = math.nan  # the gap at each end; NaN until that end is probed
-    n_max = (j - i - 1).bit_length() + _N0
+    n_max = _STEPS + _N0
     k, jump, jumps, moved = 0, None, 0, None
     while j - i > 1:
         w = j - i
@@ -366,7 +364,8 @@ class YoungFunction:
 
     def inverse_array(self, ys: np.ndarray) -> np.ndarray:
         """:meth:`inverse` element by element over a float64 array: the
-        one-column :meth:`YoungFamily.inverse_grid` at this ``q``."""
+        one-column :meth:`YoungFamily.inverse_grid` at this ``q``, with its
+        caveat for a ``psi`` that is NaN somewhere."""
         import numpy as np
         return self.family.inverse_grid(ys, (self.q,)).reshape(np.shape(ys))
 
@@ -434,7 +433,7 @@ class YoungFamily:
         except OverflowError:
             return math.inf
 
-    def _psi_array(self, ts: np.ndarray, qs, zeros: bool = False) -> np.ndarray:
+    def _psi_array(self, ts: np.ndarray, qs, zeros: bool) -> np.ndarray:
         """:meth:`_psi` over float64 arrays, broadcasting over ``ts`` and
         ``qs``, unchecked.  ``zeros`` says whether ``ts`` may hold a 0, which
         the array formula alone does not map to 0."""
@@ -458,15 +457,15 @@ class YoungFamily:
         (columns), with the semantics of :meth:`YoungFunction.evaluate`."""
         import numpy as np
         qs = self._check_qs(qs)
-        ts = _check_array(self.label, "t", ts)[0].reshape(-1, 1)
-        out = self._psi_array(ts, np.array([qs]), True)
+        ts, zeros = _check_array(self.label, "t", ts)
+        out = self._psi_array(ts.reshape(-1, 1), np.array([qs]), zeros)
         # An array_fn may ignore q; the copy makes the broadcast view writable.
         return np.broadcast_to(out, (ts.size, len(qs))).copy()
 
     def inverse_grid(self, ys, qs) -> np.ndarray:
         """``psi_q^{-1}(y)`` for every ``y`` in ``ys`` (rows) and ``q`` in
         ``qs`` (columns), with the errors and results of
-        :meth:`YoungFunction.inverse` cell by cell.
+        :meth:`YoungFunction.inverse` cell by cell for a ``psi`` without NaN.
 
         Every cell walks the bit patterns of ``[0, inf]`` from the top bit
         down, in lockstep: each step sets the next bit of the cell's lower
@@ -477,7 +476,10 @@ class YoungFamily:
         pattern where it fails, where a bisection ends too.  ``psi`` is never
         evaluated at ``t = 0``.  A cell whose result a NaN of ``psi`` decided
         raises ``ArithmeticError``; a NaN the walk never meets decides
-        nothing.
+        nothing.  So below the root the grid raises only where a NaN decides
+        the cell, while :meth:`YoungFunction.inverse` raises where any of its
+        probes meets one: on a ``psi`` that is NaN below the root the two
+        may differ, one raising and the other giving the root.
         """
         import numpy as np
         qs = self._check_qs(qs)

@@ -17,7 +17,7 @@ SIGNATURES = {
     "limit_of_inverses": ["family", "y"],
     "growth_check": ["family", "phi", "k"],
     "growth_check_inverse_form": ["family", "phi", "k"],
-    "tc_fixed_point_check": ["p", "q0", "q", "c", "t1", "grid_hi"],
+    "tc_fixed_point_check": ["p", "q0", "q", "c", "t1"],
 }
 
 FIELDS = {

@@ -160,8 +160,9 @@ def test_cli_calls_the_package_diagnostics(monkeypatch, tmp_path, capsys):
 
 
 def test_one_list_of_public_names():
-    # Each name is written once, in its module's __all__; _ADMISSIBILITY is
-    # the one copy, kept so that listing the names does not import them.
+    # Each name is written once: the norm side's in its module's __all__, the
+    # diagnostics' in _ADMISSIBILITY, which admissibility.__all__ is built
+    # from, so that listing the names does not import them.
     from orlicz import admissibility, luxemburg, measure, young
     modules = (young, measure, luxemburg, admissibility)
     assert set(orlicz.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))

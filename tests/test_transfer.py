@@ -95,7 +95,7 @@ def test_tc_map_anchor():
 
 def test_fixed_point_at_anchor():
     report = tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 1.0)
-    assert bool(report)
+    assert report.fixed_point_ok
     assert report.residual <= 1e-12
     assert report.concave_on_grid
 
@@ -103,7 +103,7 @@ def test_fixed_point_at_anchor():
 def test_fixed_point_spec_case():
     c = logbump_transfer(1.0, 1.0, 8.0, 0.3)
     report = tc_fixed_point_check(1.0, 1.0, 8.0, c, 0.3)
-    assert bool(report)
+    assert report.fixed_point_ok
     assert report.residual <= 1e-8
 
 
@@ -119,19 +119,19 @@ def test_fixed_point_everywhere(t1, params):
 
 def test_predicate_holds_below_uniform_threshold():
     # With c below ((q/q0)^q * log(e-1)^(q-q0))^(1/p) the concavity
-    # inequality holds on the whole grid.
+    # inequality holds on the whole grid, here [0, 2 * 5].
     p, q0, q = 1.0, 1.0, 3.0
     M = ((q / q0) ** q * LOG_EM1 ** (q - q0)) ** (1.0 / p)
-    report = tc_fixed_point_check(p, q0, q, min(M, 1.0), 1.0, grid_hi=10.0)
+    report = tc_fixed_point_check(p, q0, q, min(M, 1.0), 5.0)
     assert report.concave_on_grid
     assert report.predicate_failures == ()
 
 
 def test_predicate_failures_reported_for_huge_c():
-    report = tc_fixed_point_check(1.0, 1.0, 3.0, 1e6, 1.0, grid_hi=5.0)
+    report = tc_fixed_point_check(1.0, 1.0, 3.0, 1e6, 2.5)  # the grid [0, 2 * 2.5]
     assert not report.concave_on_grid
     assert len(report.predicate_failures) > 0
-    assert not report.fixed_point_ok  # c=1e6 is nowhere near F(1)
+    assert not report.fixed_point_ok  # c=1e6 is nowhere near F(2.5)
 
 
 def test_fixed_point_check_domain_errors():
@@ -143,11 +143,12 @@ def test_fixed_point_check_domain_errors():
         tc_fixed_point_check(1.0, 3.0, 2.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("grid_hi", [math.nan, -1.0, 0.0, math.inf])
-def test_fixed_point_check_rejects_bad_grid_hi(grid_hi):
-    # NaN gave 64 NaN "failures", -1 a TypeError, and inf a grid of NaN and inf
-    with pytest.raises(DomainError, match="grid_hi"):
-        tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 1.0, grid_hi=grid_hi)
+@pytest.mark.parametrize("p", [math.nan, math.inf, -3.0, 0.5])
+def test_fixed_point_check_rejects_bad_p(p):
+    # p went unchecked: NaN gave residual NaN and 64 NaN "failures", and -3
+    # a residual of 0.617 with the predicate holding on the whole grid
+    with pytest.raises(DomainError, match="p must be >= 1"):
+        tc_fixed_point_check(p, 1.0, 3.0, 2.0, 0.3)
 
 
 def test_fixed_point_check_default_grid_beyond_double_range():
