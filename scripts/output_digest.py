@@ -3,18 +3,20 @@
 
 Groups: the ``classify`` reports of the catalog and of one family without an
 array form, on an infinite and a finite space; both growth-check forms on the
-surveyed comparison pairs; Luxemburg norms of seeded 1-8-atom functions over
-the catalog at q in {1, 4, 64, 4096}, split into ``norms`` (the norm, its
-modular and the bracket) and ``norm_steps`` (the modular evaluations each
-solve took); the stdout of the ``norm``, ``classify``, ``growth`` and
-``sweep`` commands; and ``read``, what ``simple_function_from_json`` makes of
-seeded documents of 1 to 10k atoms and of one document per input fault (the
-canonical atoms, or the exception); and ``verdicts``, the ``classify``
-reports again with every probe's evidence emptied.  Each group hashes the
-``repr`` of its outputs in a fixed order, so two source trees give the same
-results exactly when they print the same lines.  A change to the root finder
-that keeps every answer differs in ``norm_steps`` alone, and a change to what
-``classify`` reads that keeps every answer differs in ``classify`` alone:
+surveyed comparison pairs; Luxemburg norms over the catalog at q in
+{1, 4, 64, 4096} of seeded 1-8-atom functions, of a seeded 40-atom one (the
+modular's array pass) and of inputs whose terms leave the double range (its
+overflow rule), split into ``norms`` (the norm, its modular and the bracket)
+and ``norm_steps`` (the modular evaluations each solve took); the stdout of
+the ``norm``, ``classify``, ``growth`` and ``sweep`` commands; and ``read``,
+what ``simple_function_from_json`` makes of seeded documents of 1 to 10k
+atoms and of one document per input fault (the canonical atoms, or the
+exception); and ``verdicts``, the ``classify`` reports again with every
+probe's evidence emptied.  Each group hashes the ``repr`` of its outputs in a
+fixed order, so two source trees give the same results exactly when they
+print the same lines.  A change to the root finder that keeps every answer
+differs in ``norm_steps`` alone, and a change to what ``classify`` reads that
+keeps every answer differs in ``classify`` alone:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -45,7 +47,13 @@ GROWTH_PAIRS = (("power", "power", 1.5, 5.0), ("power", "power", 2.0, 5.0),
                 ("logbump", "logbump", 1.0, 10.0),
                 ("logbump:p=2", "logbump:p=2", 1.0, 10.0))
 NORM_QS = (1.0, 4.0, 64.0, 4096.0)
-NORM_FUNCTIONS = 4  # seeded functions per (family, q)
+NORM_FUNCTIONS = 4  # seeded 1-8-atom functions per (family, q)
+BULK_ATOMS = 40  # atoms of one more seeded function, above the array cut-off
+# Terms beyond the double range, as in tests/test_luxemburg.py: overflowing
+# terms of subnormal mass (1 and 40 atoms), one decided by a normal mass, and
+# masses whose terms overflow in sum.
+OVERFLOW_ATOMS = (((1.0, 1e-310),), tuple((1.0 + i, 1e-310) for i in range(40)),
+                  ((3.0, 4e-320), (1.0, 1e-300)), ((2.0, 1e308), (1.0, 1e308)))
 READ_SIZES = (1, 2, 8, 100, 10_000)  # atoms per valid read document
 SEED = 20221018
 
@@ -94,13 +102,16 @@ def norm_solves():
     rng = random.Random(SEED)
     space = orlicz.MeasureSpace(math.inf)
     out = []
+
+    def seeded(n):
+        return tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
+                     for _ in range(n))
     for spec in SPECS:
         family = orlicz.make_family(spec)
         for q in NORM_QS:
             psi = family.make(q)
-            for _ in range(NORM_FUNCTIONS):
-                atoms = tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
-                              for _ in range(rng.randint(1, 8)))
+            small = [seeded(rng.randint(1, 8)) for _ in range(NORM_FUNCTIONS)]
+            for atoms in (*small, seeded(BULK_ATOMS), *OVERFLOW_ATOMS):
                 f = orlicz.SimpleFunction(atoms, space)
                 try:
                     out.append(orlicz.luxemburg_norm(psi, f))

@@ -56,7 +56,7 @@ def main() -> int:
         print(f"transfer p={p:g} q0={q0:g} q={q:g}: "
               f"F(0)={logbump_transfer(p, q0, q, 0.0):.10f} "
               f"worst residual={worst:.3e} "
-              f"fixed-point residual={fp.residual:.3e} concave={fp.concave_on_grid}")
+              f"fixed-point residual={fp.residual:.3e} concave={not fp.predicate_failures}")
     return 0
 
 

@@ -243,21 +243,21 @@ def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     oscillating, the two phase-locked subsequences (needed to certify
     oscillation) are read and aggregated with it.
     """
-    return _limit_of(family.evaluate_grid, "t", t)
+    return _limit_of(family, family.evaluate_grid, "t", t)
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     """Classify ``q -> psi_q^{-1}(y)``; scheduling as in :func:`limit_of_values`."""
-    return _limit_of(family.inverse_grid, "y", y)
+    return _limit_of(family, family.inverse_grid, "y", y)
 
 
-def _limit_of(grid, name: str, x: float) -> LimitEstimate:
+def _limit_of(family: YoungFamily, grid, name: str, x: float) -> LimitEstimate:
     """The estimate at the one point ``name = x`` read from ``grid``, a grid
-    method of the family."""
+    method of ``family``."""
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
-    return _limits(grid, (x,), _plan(grid.__self__))[0]
+    return _limits(grid, (x,), _plan(family))[0]
 
 
 @dataclass(frozen=True)
@@ -396,13 +396,6 @@ def _parities(schedules, value_at: dict) -> list[LimitEstimate | None]:
     return [_estimate(qs, value_at) if qs else None for qs in schedules]
 
 
-def _probe_band(est: LimitEstimate) -> tuple[float, float]:
-    """Lower/upper asymptotic band claimed by one aggregated probe."""
-    if est.kind == "finite":
-        return est.value, est.value
-    return est.liminf_est, est.limsup_est
-
-
 def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     """Admissibility verdict from inverse-limit probes with value-side vetoes.
 
@@ -434,9 +427,9 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     _check_young(family, _T_GRID, qs, grid)
     column = {q: j for j, q in enumerate(qs)}
 
-    def values(ts, cols):
+    def value_grid(ts, cols):
         return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
-    value_evidence = tuple(zip(_T_GRID, _limits(values, _T_GRID, plan)))
+    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID, plan)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,
@@ -463,7 +456,8 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
 
     if all(k in ("zero", "finite", "oscillating") for k in kinds):
         # not all zero (handled above): a zero probe pins alpha at 0
-        bands = [_probe_band(est) for _, est in inverse_evidence if est.kind != "zero"]
+        bands = [(est.liminf_est, est.limsup_est) for _, est in inverse_evidence
+                 if est.kind != "zero"]
         alpha = 0.0 if "zero" in kinds else min(lo for lo, _ in bands)
         beta = max(hi for _, hi in bands)
         if _value_side_veto(value_evidence, alpha, beta, mass_floor):
@@ -535,11 +529,11 @@ class MonotonicityReport:
     """Result of a non-decreasing scan of a growth ratio over a grid.
 
     ``q_threshold`` is the smallest scheduled q from which every larger
-    scheduled q passes; ``witness`` is ``(q, t1, t2, ratio1, ratio2)`` for the
-    largest failing q when no threshold exists.
+    scheduled q passes, and ``None`` when the largest one fails (the ratio is
+    then not non-decreasing); ``witness`` is ``(q, t1, t2, ratio1, ratio2)``
+    for the largest failing q when no threshold exists.
     """
 
-    non_decreasing: bool
     interval: tuple[float, float]
     q_threshold: float | None
     witness: tuple[float, float, float, float, float] | None
@@ -585,11 +579,11 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
             break
         threshold = q
     if threshold is not None:
-        return MonotonicityReport(True, interval, threshold, None, per_q)
+        return MonotonicityReport(interval, threshold, None, per_q)
     # no threshold: the largest q failed; its witness is its first largest drop
     i = int(np.argmax(np.where(fails[:, -1], drops[:, -1], -np.inf)))
     r1, r2 = rs[i:i + 2, -1].tolist()
-    return MonotonicityReport(False, interval, None, (qs[-1], xs[i], xs[i + 1], r1, r2), per_q)
+    return MonotonicityReport(interval, None, (qs[-1], xs[i], xs[i + 1], r1, r2), per_q)
 
 
 def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> MonotonicityReport:
@@ -655,11 +649,11 @@ def tc_map(p: float, q0: float, q: float, c: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Fixed-point residual of ``T_c`` plus the concavity predicate on a grid."""
+    """Fixed-point residual of ``T_c`` plus the concavity predicate on a grid:
+    the grid points where it fails, none when it holds on the whole grid."""
 
     fixed_point_ok: bool
     residual: float
-    concave_on_grid: bool
     predicate_failures: tuple[float, ...]
 
 
@@ -696,4 +690,4 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float,
         rhs = q * math.log(E_MINUS_1 + t) + q - q0
         if not lhs < rhs:
             failures.append(t)
-    return FixedPointReport(ok, residual, not failures, tuple(failures))
+    return FixedPointReport(ok, residual, tuple(failures))

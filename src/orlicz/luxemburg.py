@@ -19,11 +19,13 @@ the other terms must decide the side, or :class:`OverflowError` says that
 doubles cannot.
 
 A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
-in one numpy pass, ``masses @ psi.evaluate(values / lam)``; a smaller one
-keeps the Python loop over its atoms, which calls the family's unchecked
-scalar kernel ``_psi``, because numpy's fixed per-call cost outweighs the
-loop below a few dozen atoms.  numpy is imported on the first such pass, so
-the norms of small functions never load it.
+in one numpy pass, ``masses @ family._psi_array(values / lam, q, ...)``, the
+family's unchecked array kernel; a smaller one keeps the Python loop over
+its atoms, which calls the unchecked scalar kernel ``family._psi``, because
+numpy's fixed per-call cost outweighs the loop below a few dozen atoms.  The
+loop alone applies the overflow rule above: the array pass hands over to it
+when its largest argument or its sum overflows.  numpy is imported on the
+first such pass, so the norms of small functions never load it.
 """
 
 from __future__ import annotations
@@ -68,57 +70,43 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
 
     A NaN sum (possible only for a user-built ``psi``) raises
     :class:`ArithmeticError` rather than being returned as a number.  A term
-    that leaves the double range gives ``inf`` when it decides
-    ``modular > 1``, else :class:`OverflowError` (see :func:`_overflowed`).
+    whose argument ``a_i / lam`` or whose value overflows exceeds its mass
+    times the largest double, so it decides ``modular > 1`` when that product
+    is at least 1, and the modular is ``inf``.  A smaller mass (below about
+    5.6e-309) leaves the side to the other terms; when they sum to at most 1,
+    doubles cannot decide it and :class:`OverflowError` names the member,
+    ``lam`` and the mass.  A sum that overflows is ``inf`` too.
     """
     lam = float(lam)
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
         raise DomainError(f"lambda must be positive and finite, got {lam!r}")
-    if f.atoms and f.atoms[0][0] / lam == math.inf:
-        return _overflowed(psi, f, lam)  # the largest value over lam overflows
-    if len(f.atoms) >= _ARRAY_MIN_ATOMS:
+    total = math.inf
+    if len(f.atoms) >= _ARRAY_MIN_ATOMS and f.atoms[0][0] / lam < math.inf:
         import numpy as np
         with np.errstate(over="ignore", under="ignore"):
-            total = float(f.masses @ psi.evaluate(f.values / lam))
-        if total == math.inf:
-            return _overflowed(psi, f, lam)
-    else:
-        psi_at, q = psi.family._psi, psi.q  # each value / lam is finite and >= 0
-        total = 0.0
+            ts = f.values / lam  # positive and decreasing: only the last can be 0
+            total = float(f.masses @ psi.family._psi_array(ts, psi.q, ts[-1] == 0.0))
+    if total == math.inf:  # the loop, also where the array pass overflowed
+        psi_at, q, inf = psi.family._psi, psi.q, math.inf
+        total, tiny = 0.0, None
         for value, mass in f.atoms:
-            term = mass * psi_at(value / lam, q)
-            if math.isinf(term):
-                return _overflowed(psi, f, lam)
-            total += term
+            t = value / lam
+            term = mass * psi_at(t, q) if t < inf else inf
+            if term != inf:
+                total += term
+            elif mass * sys.float_info.max >= 1.0:
+                return inf
+            else:
+                tiny = mass
+        if tiny is not None:
+            if total <= 1.0:
+                raise OverflowError(f"{psi.label}: the modular at lambda={lam!r} is beyond "
+                                    f"the double range: psi overflows on an atom of mass "
+                                    f"{tiny!r}")
+            return inf
     if math.isnan(total):
         raise ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
     return total
-
-
-def _overflowed(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
-    """The modular at ``lam`` once a term or the sum has left the double range.
-
-    A term whose argument or whose ``psi`` overflows exceeds its mass times
-    the largest double, so it decides ``modular > 1`` when that product is
-    at least 1, and the modular counts as ``inf``.  A smaller mass (below
-    about 5.6e-309) leaves the side to the other terms; when they sum to at
-    most 1, doubles cannot decide it and :class:`OverflowError` names the
-    member, ``lam`` and the mass.  A sum that overflows is ``inf`` too.
-    """
-    rest, tiny = 0.0, None
-    for value, mass in f.atoms:
-        t = value / lam
-        term = mass * psi.family._psi(t, psi.q) if t < math.inf else math.inf
-        if term != math.inf:
-            rest += term
-        elif mass * sys.float_info.max >= 1.0:
-            return math.inf
-        else:
-            tiny = mass
-    if tiny is not None and rest <= 1.0:
-        raise OverflowError(f"{psi.label}: the modular at lambda={lam!r} is beyond the "
-                            f"double range: psi overflows on an atom of mass {tiny!r}")
-    return math.inf
 
 
 def indicator_norm(psi: YoungFunction, mass: float) -> float:

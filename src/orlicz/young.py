@@ -662,13 +662,13 @@ def identity_family() -> YoungFamily:
 
 
 _CATALOG: dict[str, tuple[tuple[str, ...], Callable[..., YoungFamily]]] = {
-    "power": ((), lambda: power_family()),
-    "logbump": (("p",), lambda p=1.0: logbump_family(p)),
-    "iterlog": (("p", "N"), lambda p=1.0, N=1: iterlog_family(N, p)),
-    "addie": (("p", "N"), lambda p=1.0, N=1: addie_family(N, p)),
-    "sinpiecewise": ((), lambda: sinpiecewise_family()),
-    "powerlog_e": (("p",), lambda p=1.0: powerlog_e_family(p)),
-    "identity": ((), lambda: identity_family()),
+    "power": ((), power_family),
+    "logbump": (("p",), logbump_family),
+    "iterlog": (("p", "N"), iterlog_family),
+    "addie": (("p", "N"), addie_family),
+    "sinpiecewise": ((), sinpiecewise_family),
+    "powerlog_e": (("p",), powerlog_e_family),
+    "identity": ((), identity_family),
 }
 
 

@@ -357,7 +357,6 @@ def test_delta_verdict_equivalent_to_pointwise_finiteness():
 
 def test_growth_power_threshold_exact():
     rep = growth_check(power_family(), power_family().make(2.0), 5.0)
-    assert rep.non_decreasing
     assert rep.q_threshold == 2.0
     assert dict(rep.per_q)[1.0] is False
 
@@ -369,7 +368,6 @@ def test_growth_power_identity_comparison():
 
 def test_growth_logbump_vs_cubic_violation():
     rep = growth_check(logbump_family(1.0), power_family().make(3.0), 5.0)
-    assert not rep.non_decreasing
     assert rep.q_threshold is None
     q, t1, t2, r1, r2 = rep.witness
     assert q == 32.0  # largest scheduled q still fails
@@ -380,7 +378,6 @@ def test_growth_logbump_self_comparison_threshold():
     for p in (1.0, 2.0):
         fam = logbump_family(p)
         rep = growth_check(fam, fam.make(1.0), 10.0)
-        assert rep.non_decreasing
         assert rep.q_threshold == 1.0
 
 
@@ -395,7 +392,6 @@ def test_growth_forms_agree_across_catalog():
     for fam, phi, k in pairs:
         direct = growth_check(fam, phi, k)
         inverse = growth_check_inverse_form(fam, phi, k)
-        assert direct.non_decreasing == inverse.non_decreasing
         assert direct.q_threshold == inverse.q_threshold
         assert direct.per_q == inverse.per_q
 
@@ -411,7 +407,7 @@ def test_growth_skips_points_where_phi_underflows(form):
     # and the exact law q >= 40 shows as a violation at every scheduled q <= 32.
     rep = form(power_family(), power_family().make(40.0), 1.0)
     assert [q for q, _ in rep.per_q] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    assert not rep.non_decreasing and rep.witness[0] == 32.0
+    assert rep.q_threshold is None and rep.witness[0] == 32.0
     assert not any(ok for _, ok in rep.per_q)
     with pytest.raises(OverflowError):  # t^40 is 0 on all of (0, 1e-10]
         form(power_family(), power_family().make(40.0), 1e-10)

@@ -24,6 +24,8 @@ FIELDS = {
     "YoungFunction": ["family", "q"],
     "YoungFamily": ["label", "fn", "params", "q_min", "array_fn"],
     "MeasureSpace": ["total_mass"],
+    "MonotonicityReport": ["interval", "q_threshold", "witness", "per_q"],
+    "FixedPointReport": ["fixed_point_ok", "residual", "predicate_failures"],
 }
 
 

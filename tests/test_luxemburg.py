@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,6 @@ from orlicz import (
     MeasureSpace,
     SimpleFunction,
     YoungFamily,
-    YoungFunction,
     chebyshev_bound,
     indicator_norm,
     luxemburg_norm,
@@ -233,12 +234,12 @@ def test_paths_agree_at_cutoff(monkeypatch, spec, q, n):
     psi = make_family(spec).make(q)
     f = lognormal_function(n, n)
     array_passes = []
-    evaluate = YoungFunction.evaluate
+    psi_array = YoungFamily._psi_array
 
-    def spy(self, ts):
+    def spy(self, ts, qs, zeros):
         array_passes.append(len(ts))
-        return evaluate(self, ts)
-    monkeypatch.setattr(YoungFunction, "evaluate", spy)
+        return psi_array(self, ts, qs, zeros)
+    monkeypatch.setattr(YoungFamily, "_psi_array", spy)
 
     default = (modular(psi, f, 2.0), luxemburg_norm(psi, f).norm)
     assert bool(array_passes) == (n == 32)
@@ -248,6 +249,19 @@ def test_paths_agree_at_cutoff(monkeypatch, spec, q, n):
     assert bool(array_passes) == (n == 31)
     for a, b in zip(default, other):
         assert a == pytest.approx(b, rel=n * 2.0 ** -52, abs=0.0)
+
+
+def test_array_pass_pins_psi_at_zero(monkeypatch):
+    # An array formula that is NaN at 0, and a smallest value / lam that
+    # underflows to 0: only the kernel's zero rule keeps the sum a number.
+    family = YoungFamily("nan-at-0", lambda t, q: t ** q, {}, q_min=1.0,
+                         array_fn=lambda t, q: np.where(t > 0.0, t ** q, np.nan))
+    psi = family.make(2.0)
+    f = SimpleFunction(tuple((float(a), 1.0) for a in range(1, 40)) + ((5e-324, 1.0),), INF)
+    assert f.atoms[-1][0] / 2.0 == 0.0
+    array_pass = modular(psi, f, 2.0)
+    monkeypatch.setattr(luxemburg, "_ARRAY_MIN_ATOMS", 41)
+    assert array_pass == modular(psi, f, 2.0) == math.fsum(a * a for a in range(1, 40)) / 4
 
 
 @pytest.mark.parametrize("n", [1, 32])
@@ -296,3 +310,81 @@ def test_reciprocal_mass_beyond_double_range():
         indicator_norm(psi, 1e-310)
     with pytest.raises(OverflowError, match="beyond the double range"):
         chebyshev_bound(psi, SimpleFunction(((1.0, 1e-310),), INF), 1.0)
+
+
+def _oracle_modular(psi, f, lam):
+    """The modular as two loops: the scalar loop or the checked array pass,
+    each handing an overflowed term or sum to :func:`_oracle_overflowed`."""
+    lam = float(lam)
+    if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
+        raise DomainError(f"lambda must be positive and finite, got {lam!r}")
+    if f.atoms and f.atoms[0][0] / lam == math.inf:
+        return _oracle_overflowed(psi, f, lam)
+    if len(f.atoms) >= luxemburg._ARRAY_MIN_ATOMS:
+        with np.errstate(over="ignore", under="ignore"):
+            total = float(f.masses @ psi.evaluate(f.values / lam))
+        if total == math.inf:
+            return _oracle_overflowed(psi, f, lam)
+    else:
+        total = 0.0
+        for value, mass in f.atoms:
+            term = mass * psi.family._psi(value / lam, psi.q)
+            if math.isinf(term):
+                return _oracle_overflowed(psi, f, lam)
+            total += term
+    if math.isnan(total):
+        raise ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
+    return total
+
+
+def _oracle_overflowed(psi, f, lam):
+    rest, tiny = 0.0, None
+    for value, mass in f.atoms:
+        t = value / lam
+        term = mass * psi.family._psi(t, psi.q) if t < math.inf else math.inf
+        if term != math.inf:
+            rest += term
+        elif mass * sys.float_info.max >= 1.0:
+            return math.inf
+        else:
+            tiny = mass
+    if tiny is not None and rest <= 1.0:
+        raise OverflowError(f"{psi.label}: the modular at lambda={lam!r} is beyond the "
+                            f"double range: psi overflows on an atom of mass {tiny!r}")
+    return math.inf
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Log-uniform positive doubles, 5e-324 up to the largest exponent below 1e308
+# (or, for lam, the largest double), with both ends of the range mixed in.
+def _doubles(top_exponent, top):
+    return st.one_of(st.sampled_from([5e-324, top]),
+                     st.tuples(st.floats(1.0, 2.0, exclude_max=True),
+                               st.integers(-1074, top_exponent))
+                     .map(lambda me: max(math.ldexp(*me), 5e-324)))
+
+
+_MEMBERS = [("power", 2.0), ("power", 4096.0), ("logbump:p=2", 64.0), ("iterlog:N=2", 16.0),
+            ("addie:N=2", 4096.0), ("sinpiecewise", 33.0), ("powerlog_e", 4.0),
+            ("identity", 1.0)]
+
+
+@given(st.sampled_from(_MEMBERS), st.sampled_from([1, 31, 32, 40]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_modular_agrees_with_two_loop_oracle(member, n, data):
+    """The one loop and the array pass give the oracle's value, or its
+    exception and message, across the double range on both sides of the
+    array cut-off.  ``lam`` is drawn from the whole range, or is one of the
+    values, which keeps more of the sums finite."""
+    psi = make_family(member[0]).make(member[1])
+    values = data.draw(st.lists(_doubles(1022, 1e308), min_size=n, max_size=n, unique=True))
+    masses = data.draw(st.lists(_doubles(1022, 1e308), min_size=n, max_size=n))
+    lam = data.draw(st.one_of(_doubles(1023, sys.float_info.max), st.sampled_from(values)))
+    f = SimpleFunction(tuple(zip(values, masses)), INF)
+    assert _outcome(modular, psi, f, lam) == _outcome(_oracle_modular, psi, f, lam)

@@ -97,7 +97,7 @@ def test_fixed_point_at_anchor():
     report = tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, 1.0)
     assert report.fixed_point_ok
     assert report.residual <= 1e-12
-    assert report.concave_on_grid
+    assert report.predicate_failures == ()
 
 
 def test_fixed_point_spec_case():
@@ -123,13 +123,11 @@ def test_predicate_holds_below_uniform_threshold():
     p, q0, q = 1.0, 1.0, 3.0
     M = ((q / q0) ** q * LOG_EM1 ** (q - q0)) ** (1.0 / p)
     report = tc_fixed_point_check(p, q0, q, min(M, 1.0), 5.0)
-    assert report.concave_on_grid
     assert report.predicate_failures == ()
 
 
 def test_predicate_failures_reported_for_huge_c():
     report = tc_fixed_point_check(1.0, 1.0, 3.0, 1e6, 2.5)  # the grid [0, 2 * 2.5]
-    assert not report.concave_on_grid
     assert len(report.predicate_failures) > 0
     assert not report.fixed_point_ok  # c=1e6 is nowhere near F(2.5)
 
