@@ -60,7 +60,7 @@ def counted_roots():
     counts: list[int] = []
     root = young._root
 
-    def counted(probe):
+    def counted(probe, start=None):
         n = 0
 
         def wrapped(x):
@@ -68,7 +68,7 @@ def counted_roots():
             n += 1
             return probe(x)
         try:
-            return root(wrapped)
+            return root(wrapped, start)
         finally:
             counts.append(n)
     young._root = luxemburg._root = counted

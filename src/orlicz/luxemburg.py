@@ -10,13 +10,14 @@ The solver searches every positive double for the point where
 ``modular > 1`` turns false, on the ordered bit patterns of the floats
 (:func:`orlicz.young._root`): no bracket to seed or grow, two adjacent
 doubles at the end whatever the scale of ``f``, and at most 67 modular
-evaluations, about 13 on average.  That exact test alone decides each step;
-``log modular`` only places the next probe, by ITP interpolation.  A term
-whose argument ``a_i / lam`` or whose value overflows counts as ``+inf``,
-which is the correct side for bracketing (a huge modular just means ``lam``
-is too small), when its mass is at least ``1 / DBL_MAX``.  Below that mass
-the other terms must decide the side, or :class:`OverflowError` says that
-doubles cannot.
+evaluations, about 10 on average.  That exact test alone decides each step;
+``log modular`` only places the next probe, by ITP interpolation.  The
+first probe is ``ess_sup(f)``: the paper's limit puts the norm at
+``C * ||f||_inf`` for large ``q``.  A term whose argument ``a_i / lam`` or
+whose value overflows counts as ``+inf``, which is the correct side for
+bracketing (a huge modular just means ``lam`` is too small), when its mass
+is at least ``1 / DBL_MAX``.  Below that mass the other terms must decide
+the side, or :class:`OverflowError` says that doubles cannot.
 
 A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
 in one numpy pass, ``masses @ family._psi_array(values / lam, q, ...)``, the
@@ -34,7 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .measure import SimpleFunction, distribution
+from .measure import SimpleFunction, distribution, ess_sup
 from .young import BracketError, DomainError, YoungFunction, _root
 
 __all__ = [
@@ -55,7 +56,7 @@ class NormResult:
     """The norm, its modular, and how the search reached it.
 
     ``iterations`` counts the search steps, one modular evaluation each: at
-    most 67, typically about 13.  ``bracket`` is the pair of adjacent doubles
+    most 67, typically about 10.  ``bracket`` is the pair of adjacent doubles
     around the root; ``norm`` is the one whose modular is closer to 1.
     """
 
@@ -125,10 +126,10 @@ def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
     at the returned point is within rounding of 1 even for very steep members
     (large ``q``); of the two the one whose modular is closer to 1 is
     reported, from the values the search already probed, and ``iterations``
-    counts the search steps, which are all the modular evaluations.  A norm
-    above the largest double or below the smallest normal one raises
-    :class:`BracketError`: a subnormal carries too few significant bits to
-    be an answer.
+    counts the search steps, which are all the modular evaluations.  The
+    first step probes ``ess_sup(f)``.  A norm above the largest double or
+    below the smallest normal one raises :class:`BracketError`: a subnormal
+    carries too few significant bits to be an answer.
     """
     if not f.atoms:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
@@ -138,7 +139,7 @@ def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
         m = seen[lam] = modular(psi, f, lam)
         return m > 1.0, math.log(m) if m > 0.0 else -math.inf
 
-    lo, hi = _root(probe)
+    lo, hi = _root(probe, ess_sup(f))
     if hi == math.inf or lo < sys.float_info.min:
         raise BracketError(f"{psi.label}: the norm lies outside the double range "
                            f"[{sys.float_info.min!r}, {sys.float_info.max!r}] "

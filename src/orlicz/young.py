@@ -33,10 +33,11 @@ Conventions
 * ``psi.inverse(y)`` is the smallest double ``t`` with ``psi(t) >= y``.  It is
   found by :func:`_root`, an ITP search over the ordered int64 bit patterns
   of ``[0, inf]`` that reaches two adjacent doubles in at most 67
-  evaluations at any scale (about 13 for a norm), with no tolerance and no
-  bracket to grow.  The exact test ``psi(t) < y`` decides every step, so
-  monotonicity is the only structural assumption for the result and the
-  same code serves every catalog member; ``log y - log psi(t)`` only places
+  evaluations at any scale (about 10 for a norm, whose search starts at
+  ``||f||_inf``), with no tolerance and no bracket to grow.  The exact test
+  ``psi(t) < y`` decides every step, so monotonicity is the only
+  structural assumption for the result and the same code serves every
+  catalog member; ``log y - log psi(t)`` only places
   the probes.  ``family.inverse_grid(ys, qs)`` fixes one bit of every
   cell's pattern per step, from the top bit down, in lockstep over a whole
   ``(y, q)`` grid: 63 steps of one ``_array_formula`` pass each, so each cell
@@ -196,7 +197,8 @@ def _secant(i: int, j: int, gi: float, gj: float, xi: float, xj: float) -> int |
     return _step_bits(xj, -min(max(gj / (gj - gi), 0.0), 1.0) * span)
 
 
-def _root(probe: Callable[[float], tuple[bool, float]]) -> tuple[float, float]:
+def _root(probe: Callable[[float], tuple[bool, float]],
+          start: float | None = None) -> tuple[float, float]:
     """Adjacent doubles ``(a, b)`` in ``[0, inf]`` where ``below`` turns false.
 
     ``probe(x)`` returns ``(below, gap)``.  ``below`` is a predicate that is
@@ -207,9 +209,12 @@ def _root(probe: Callable[[float], tuple[bool, float]]) -> tuple[float, float]:
     leaves the result unchanged.
 
     The search runs on the ordered int64 bit patterns of the doubles.  The
-    first probe with a finite gap is followed by a convexity jump to
-    ``x * e**gap``, which crosses the root when ``psi(t) / t`` is
-    nondecreasing.  After that each estimate is the secant of the gaps at
+    first probe is the midpoint pattern or, when ``start`` (a positive
+    double) is given, the pattern of ``start`` clipped into the open
+    bracket: a caller that knows the scale of the root saves the probes
+    that would find it.  The first probe with a finite gap is followed by a
+    convexity jump to ``x * e**gap``, which crosses the root when
+    ``psi(t) / t`` is nondecreasing.  After that each estimate is the secant of the gaps at
     the two ends against ``log x`` (against the pattern once the ends are
     close, and from the nearer end).  When two estimates in a row move the
     same end, the gap at the other end is scaled down (Anderson-Bjorck; an
@@ -220,14 +225,18 @@ def _root(probe: Callable[[float], tuple[bool, float]]) -> tuple[float, float]:
     jumps and steps in all, each with one more probe of budget.  ITP
     projects the estimate onto a shrinking radius around the midpoint
     pattern, so the search ends in at most
-    ``_STEPS + _N0 + _JUMPS`` probes whatever the gaps say, with no
-    tolerance.  The endpoints are never probed: ``a`` is 0 or a point where
-    ``below`` held, ``b`` is ``inf`` or a point where it failed.
+    ``_STEPS + _N0 + _JUMPS`` probes whatever the gaps and ``start`` say,
+    with no tolerance: the whole of ``[0, inf]`` spans fewer than the
+    ``2**(_STEPS + _N0 - 1)`` patterns that ITP allows after one probe, so
+    any first probe keeps the budget.  The endpoints are never probed:
+    ``a`` is 0 or a point where ``below`` held, ``b`` is ``inf`` or a point
+    where it failed.
     """
     i, j = 0, _INF_BITS
     a, b = 0.0, math.inf  # the ends as doubles
     gi = gj = math.nan  # the gap at each end; NaN until that end is probed
     n_max = _STEPS + _N0
+    first = _INF_BITS >> 1 if start is None else min(max(_bits(start), 1), _INF_BITS - 1)
     k, jump, jumps, moved = 0, None, 0, None
     while j - i > 1:
         w = j - i
@@ -237,8 +246,8 @@ def _root(probe: Callable[[float], tuple[bool, float]]) -> tuple[float, float]:
         else:  # a jump beyond the bracket tells nothing new
             x, jump = (jump if i <= jump <= j else None), None
         estimated = x is not None
-        if x is None:
-            x = mid
+        if x is None:  # no gap at either end before the first probe
+            x = mid if k else first
         else:
             r = (1 << (n_max - k - 1)) - ((w + 1) >> 1)  # next w <= 2**(n_max-k-1)
             # min(max(x, mid - r, i + 1), mid + r, j - 1), without the calls

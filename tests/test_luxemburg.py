@@ -24,6 +24,8 @@ from orlicz import (
     powerlog_e_family,
 )
 
+from conftest import CATALOG_SPECS
+
 INF = MeasureSpace(math.inf)
 SQRT10 = 3.1622776601683795
 
@@ -130,6 +132,19 @@ def test_norm_reuses_its_probes(monkeypatch, spec, q):
     result = luxemburg_norm(make_family(spec).make(q), two_atom())
     assert len(calls) == result.iterations
     assert set(result.bracket) <= set(calls)
+
+
+@pytest.mark.parametrize("spec", [s for s in CATALOG_SPECS if s != "powerlog_e"])
+def test_large_q_norm_closes_from_the_sup(spec):
+    # The paper's limit: for these members ||f|| -> ||f||_inf as q grows,
+    # and by q = 2**16 the norm of f = {2 on mass 1, 1 on mass 3} is 2.0 to
+    # the double.  The first probe, ||f||_inf, and the jump from it close
+    # the bracket; from the midpoint the search took 16-67 evaluations.
+    f = SimpleFunction(((2.0, 1.0), (1.0, 3.0)), INF)
+    family = make_family(spec)
+    for q in (2.0 ** k for k in range(16, 37, 4)):
+        result = luxemburg_norm(family.make(q), f)
+        assert result.norm == 2.0 and result.iterations <= 3, (q, result)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, 64.0, 1024.0, 4096.0])
