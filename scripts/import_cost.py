@@ -3,8 +3,11 @@
 
 For ``import orlicz`` and ``import orlicz.cli`` in turn, start ``--runs``
 fresh interpreters and print the median wall time of the import, timed
-inside each child.  Then start as many under ``-X importtime`` and print the
-median self time of every ``orlicz`` module that the import loaded.
+inside each child.  Then print the modules outside ``orlicz`` that the
+import adds to a fresh interpreter, so that a new dependency of the import
+(such as ``dataclasses``, ``json`` or ``numpy``) shows.  Then start as many
+interpreters under ``-X importtime`` and print the median self time of
+every ``orlicz`` module that the import loaded.
 
 Every child runs with ``PYTHONDONTWRITEBYTECODE=1`` on a copy of the package
 without ``__pycache__``, so each one compiles the package from source, as a
@@ -26,6 +29,8 @@ import tempfile
 
 STATEMENTS = ("import orlicz", "import orlicz.cli")
 TIMED = "import time; t = time.perf_counter(); {}; print(time.perf_counter() - t)"
+ADDED = ("import sys; before = set(sys.modules); {}; print(*sorted("
+         "m for m in sys.modules.keys() - before if m.partition('.')[0] != 'orlicz'))")
 
 
 def _child(args: list[str], env: dict) -> subprocess.CompletedProcess:
@@ -62,6 +67,8 @@ def main() -> int:
                        for _ in range(args.runs)]
             print(f"{statement}: median {statistics.median(seconds) * 1e3:.2f} ms "
                   f"of {args.runs} runs")
+            added = _child(["-c", ADDED.format(statement)], env).stdout.split()
+            print(f"  other modules it loads: {', '.join(added) or 'none'}")
             runs = [_self_times(_child(["-X", "importtime", "-c", statement], env).stderr)
                     for _ in range(args.runs)]
             for module in runs[0]:

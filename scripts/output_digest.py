@@ -25,7 +25,6 @@ keeps every answer differs in ``classify`` alone:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -79,9 +78,9 @@ def classify_reports():
 
 def _without_evidence(report):
     def strip(evidence):
-        return tuple((x, dataclasses.replace(est, evidence=())) for x, est in evidence)
-    return dataclasses.replace(report, inverse_evidence=strip(report.inverse_evidence),
-                               value_evidence=strip(report.value_evidence))
+        return tuple((x, est._replace(evidence=())) for x, est in evidence)
+    return report._replace(inverse_evidence=strip(report.inverse_evidence),
+                           value_evidence=strip(report.value_evidence))
 
 
 def verdicts():

@@ -25,15 +25,14 @@ Its values come from one ``family.evaluate_grid`` over every q of the plan,
 which is also the grid the Young axioms are checked on.  A growth scan reads
 one ``inverse_grid`` over ``(u, q)``.
 
-Everything is deterministic and pure; reports are frozen dataclasses.
+Everything is deterministic and pure; reports are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from . import _ADMISSIBILITY
 from .luxemburg import _reciprocal
@@ -90,8 +89,7 @@ _TC_TOL = 1e-8
 _CONVEX_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Verdict for one sequence ``q -> value`` along a schedule.
 
     For ``finite`` kinds ``value`` is the accelerated limit and both liminf
@@ -260,8 +258,7 @@ def _limit_of(family: YoungFamily, grid, name: str, x: float) -> LimitEstimate:
     return _limits(grid, (x,), _plan(family))[0]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Every q-schedule one probe may read, in the order :func:`_limits` reads
     them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, the two
     phase-locked parities, and their retry out to ``_PHASE_K_FACTOR`` times
@@ -318,8 +315,7 @@ def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
     return ests
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Classification of a family over a measure-space context.
 
     ``verdict`` is one of ``delta_admissible``, ``alpha_beta_admissible``,
@@ -367,14 +363,14 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
         return LimitEstimate("oscillating", None, lo, hi, ev)
 
     if geo.kind != "undetermined":
-        return replace(geo, evidence=ev)
+        return geo._replace(evidence=ev)
 
     if odd is not None and even is not None and odd.kind == even.kind:
         if odd.kind == "finite":  # agree within class_tol by the test above
             value = 0.5 * (odd.value + even.value)
             return LimitEstimate("finite", value, value, value, ev)
         if odd.kind in ("zero", "infinite"):
-            return replace(odd, evidence=ev)
+            return odd._replace(evidence=ev)
 
     lo = min(p.liminf_est for p in parts)
     hi = max(p.limsup_est for p in parts)
@@ -524,8 +520,7 @@ def _value_side_veto(value_evidence, alpha: float, beta: float,
     return False
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Result of a non-decreasing scan of a growth ratio over a grid.
 
     ``q_threshold`` is the smallest scheduled q from which every larger
@@ -647,8 +642,7 @@ def tc_map(p: float, q0: float, q: float, c: float, t: float) -> float:
         - c * E_MINUS_1
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """Fixed-point residual of ``T_c`` plus the concavity predicate on a grid:
     the grid points where it fails, none when it holds on the whole grid."""
 

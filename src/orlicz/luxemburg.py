@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .measure import SimpleFunction, distribution, ess_sup
 from .young import BracketError, DomainError, YoungFunction, _root
@@ -51,8 +51,7 @@ __all__ = [
 _ARRAY_MIN_ATOMS = 32
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(NamedTuple):
     """The norm, its modular, and how the search reached it.
 
     ``iterations`` counts the search steps, one modular evaluation each: at

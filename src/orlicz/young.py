@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -301,8 +300,7 @@ def _nan_psi(label: str, t: float) -> ArithmeticError:
     return ArithmeticError(f"{label}: psi({t!r}) is NaN")
 
 
-@dataclass(frozen=True)
-class YoungFunction:
+class YoungFunction(NamedTuple):
     """One member ``psi_q`` of a :class:`YoungFamily`: its formula at a fixed ``q``.
 
     Build one with ``family.make(q)``, which checks ``q``.  The formula is
@@ -379,8 +377,7 @@ class YoungFunction:
         return self.family.inverse_grid(ys, (self.q,)).reshape(np.shape(ys))
 
 
-@dataclass(frozen=True)
-class YoungFamily:
+class YoungFamily(NamedTuple):
     """A one-parameter family of Young functions ``psi_q``.
 
     ``fn(t, q)`` is the formula of the member at ``q`` for a float ``t > 0``;

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,7 +448,7 @@ def _scalar_path(family: YoungFamily) -> YoungFamily:
     """The family without its array form: every grid evaluates the scalar
     formula ``fn`` cell by cell, and an inverse grid bisects over it in the
     same lockstep as over the array form."""
-    return replace(family, array_fn=None)
+    return family._replace(array_fn=None)
 
 
 # A Richardson stage with q^m weights maps errors e1, e2 at nodes q1 < q2 to
@@ -509,7 +508,7 @@ def test_classify_grid_matches_scalar_path(catalog_family, mass):
 @pytest.mark.parametrize("spec,phi_spec,phi_q,k", GROWTH_PAIRS)
 def test_growth_grid_matches_scalar_path(form, spec, phi_spec, phi_q, k):
     family, phi = make_family(spec), make_family(phi_spec).make(phi_q)
-    want = form(_scalar_path(family), replace(phi.family, array_fn=None).make(phi_q), k)
+    want = form(_scalar_path(family), phi.family._replace(array_fn=None).make(phi_q), k)
     assert form(family, phi, k) == want
 
 
@@ -587,9 +586,9 @@ def _lazy_reference_limits(grid, points, plan):
 
 def _without_evidence(report):
     def strip(evidence):
-        return tuple((x, replace(est, evidence=())) for x, est in evidence)
-    return replace(report, inverse_evidence=strip(report.inverse_evidence),
-                   value_evidence=strip(report.value_evidence))
+        return tuple((x, est._replace(evidence=())) for x, est in evidence)
+    return report._replace(inverse_evidence=strip(report.inverse_evidence),
+                           value_evidence=strip(report.value_evidence))
 
 
 TWO_STAGE_FAMILIES = [*CATALOG_SPECS, "iterlog:N=3", "addie:N=3", "identity", "user-power"]

@@ -1,10 +1,10 @@
 """The public signatures of the limit diagnostics stay free of tuning knobs:
 the classifier gates, schedules, grids and tolerances are module constants.
 The data types carry only the fields that define them: a member is its
-family at one ``q``."""
+family at one ``q``.  They are immutable named tuples."""
 
-import dataclasses
 import inspect
+import math
 
 import pytest
 
@@ -24,6 +24,11 @@ FIELDS = {
     "YoungFunction": ["family", "q"],
     "YoungFamily": ["label", "fn", "params", "q_min", "array_fn"],
     "MeasureSpace": ["total_mass"],
+    "SimpleFunction": ["atoms", "space"],
+    "NormResult": ["norm", "modular_at_norm", "iterations", "bracket"],
+    "LimitEstimate": ["kind", "value", "liminf_est", "limsup_est", "evidence"],
+    "AdmissibilityReport": ["verdict", "delta", "alpha", "beta", "context_mass",
+                            "inverse_evidence", "value_evidence"],
     "MonotonicityReport": ["interval", "q_threshold", "witness", "per_q"],
     "FixedPointReport": ["fixed_point_ok", "residual", "predicate_failures"],
 }
@@ -36,9 +41,26 @@ def test_signature_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_dataclass_fields_pinned(name):
-    fields = dataclasses.fields(getattr(orlicz, name))
-    assert [f.name for f in fields] == FIELDS[name]
+def test_record_fields_pinned(name):
+    assert list(getattr(orlicz, name)._fields) == FIELDS[name]
+
+
+def test_records_are_immutable():
+    family = orlicz.make_family("power")
+    psi = family.make(2.0)
+    space = orlicz.MeasureSpace(math.inf)
+    f = orlicz.SimpleFunction(((2.0, 1.0), (1.0, 3.0)), space)
+    report = orlicz.classify(family, space)
+    records = [family, psi, space, f, orlicz.luxemburg_norm(psi, f), report,
+               report.inverse_evidence[0][1], orlicz.growth_check(family, psi, 5.0),
+               orlicz.tc_fixed_point_check(1.0, 1.0, 2.0, 1.0, 1.0)]
+    assert sorted(type(r).__name__ for r in records) == sorted(FIELDS)
+    for record in records:
+        # every field, and ``values``: SimpleFunction caches an array under
+        # that name in its instance dict, and no other record has it
+        for name in (*record._fields, "values"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
 
 
 def test_export_count():

@@ -1,9 +1,11 @@
-"""Each module is imported where it is first needed.  Importing the package,
-building the catalog and the scalar paths (small norms, scalar inverses,
-indicator norms, ``orlicz norm``) load neither numpy nor the limit
-diagnostics of ``orlicz.admissibility``, so a fresh interpreter checks that
-both stay unloaded; the first grid then loads numpy and gives the values
-this process computes, and the first ``classify`` loads the diagnostics.
+"""Each module is imported where it is first needed.  ``import orlicz``
+loads none of ``dataclasses``, ``inspect``, ``json`` and numpy.  Building
+the catalog and the scalar paths (small norms, scalar inverses, indicator
+norms, ``orlicz norm``) load none of numpy, ``dataclasses``, ``inspect``
+and the limit diagnostics of ``orlicz.admissibility``, so a fresh
+interpreter checks that they stay unloaded; the first grid then loads numpy
+and gives the values this process computes, and the first ``classify``
+loads the diagnostics.
 
 The diagnostics' names are exported lazily (PEP 562): in a fresh interpreter
 they resolve, star-import and list like eager ones, and a patch on
@@ -50,8 +52,12 @@ def _grids(specs):
 
 # The child imports this module without pytest, which conftest would bring.
 CHILD = f"""
-import contextlib, io, json, sys
-import orlicz, orlicz.cli
+import sys
+import orlicz
+after_import = sorted(m for m in ("dataclasses", "inspect", "json", "numpy")
+                      if m in sys.modules)
+import contextlib, io, json
+import orlicz.cli
 sys.path.insert(0, {os.path.dirname(__file__)!r})
 import test_imports as t
 specs = json.loads(sys.argv[2])
@@ -60,12 +66,12 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = orlicz.cli.main(["norm", "--family", "power", "--q", "3",
                             "--input", sys.argv[1]])
-loaded = sorted(m for m in ("numpy", "statistics", "pytest", "orlicz.admissibility", "csv")
-                if m in sys.modules)
+loaded = sorted(m for m in ("numpy", "statistics", "pytest", "orlicz.admissibility", "csv",
+                            "dataclasses", "inspect") if m in sys.modules)
 grids = t._grids(specs)
 numpy_after_grid = "numpy" in sys.modules
 orlicz.classify(orlicz.make_family("power"), orlicz.MeasureSpace(float("inf")))
-print(json.dumps({{"scalar": scalar, "cli": [code, out.getvalue()],
+print(json.dumps({{"after_import": after_import, "scalar": scalar, "cli": [code, out.getvalue()],
                   "loaded": loaded, "numpy_after_grid": numpy_after_grid, "grids": grids,
                   "admissibility_after_classify": "orlicz.admissibility" in sys.modules}}))
 """
@@ -87,6 +93,7 @@ def test_scalar_paths_leave_numpy_unloaded(tmp_path):
     path.write_text(json.dumps({"total_mass": "inf",
                                 "atoms": [{"value": 1.0, "mass": 8.0}]}))
     child = _run_child(CHILD, str(path), json.dumps(CATALOG_SPECS))
+    assert child["after_import"] == []
     assert child["loaded"] == []
     assert child["cli"] == [0, "2.00000000000\n"]
     assert child["scalar"] == _scalar_results(CATALOG_SPECS)

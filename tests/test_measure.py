@@ -102,6 +102,23 @@ def test_atom_arrays_follow_canonical_order():
     assert not f.values.flags.writeable and not f.masses.flags.writeable
 
 
+def test_replace_checks_and_canonicalizes():
+    f = SimpleFunction(((1.0, 1.0),), INF)
+    g = f._replace(atoms=((1.0, 2.0), (5.0, 3.0), (1.0, 0.5), (0.0, 1.0)))
+    assert g.atoms == ((5.0, 3.0), (1.0, 2.5))
+    assert g.values.tolist() == [5.0, 1.0]
+    assert g == SimpleFunction(g.atoms, INF) and g.space is INF
+    with pytest.raises(MeasureModelError):
+        f._replace(space=MeasureSpace(0.5))
+    with pytest.raises(MeasureModelError):
+        f._replace(atoms=((1.0, -1.0),))
+    assert INF._replace(total_mass=2) == MeasureSpace(2.0)
+    with pytest.raises(MeasureModelError):
+        INF._replace(total_mass=0.0)
+    with pytest.raises(MeasureModelError):
+        MeasureSpace._make([math.nan])
+
+
 def test_distribution_examples():
     f = SimpleFunction(((3.0, 1.0), (1.0, 2.0)), INF)
     assert distribution(f, 2.0) == 1.0

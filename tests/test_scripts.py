@@ -66,7 +66,12 @@ def test_import_cost_lists_the_modules_each_import_loads(monkeypatch, capsys):
     heads = [i for i, line in enumerate(lines) if not line.startswith("  ")]
     assert [lines[i].split(":")[0] for i in heads] == ["import orlicz", "import orlicz.cli"]
     assert all(lines[i].endswith(" ms of 1 runs") for i in heads)
-    modules = [sorted(line.split()[0] for line in lines[i + 1:j])
+    prefix = "  other modules it loads: "
+    assert all(lines[i + 1].startswith(prefix) for i in heads)
+    others = [set(lines[i + 1].removeprefix(prefix).split(", ")) for i in heads]
+    assert not {"dataclasses", "inspect", "json", "numpy"} & others[0]
+    assert "argparse" in others[1] and not any(m.startswith("orlicz") for m in others[1])
+    modules = [sorted(line.split()[0] for line in lines[i + 2:j])
                for i, j in zip(heads, heads[1:] + [len(lines)])]
     # The limit diagnostics load on first use, not with the package or the CLI.
     assert modules == [["orlicz", "orlicz.luxemburg", "orlicz.measure", "orlicz.young"],
