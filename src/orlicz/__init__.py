@@ -34,7 +34,6 @@ _ADMISSIBILITY = frozenset((
     "logbump_transfer",
     "phase_locked_schedule",
     "tc_fixed_point_check",
-    "tc_map",
 ))
 
 

@@ -31,13 +31,15 @@ Everything is deterministic and pure; reports are immutable named tuples.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
 from . import _ADMISSIBILITY
 from .luxemburg import _reciprocal
 from .measure import MeasureSpace
-from .young import DomainError, E_MINUS_1, YoungFamily, YoungFunction, logbump_family
+from .young import (DomainError, E_MINUS_1, YoungFamily, YoungFunction, _positive,
+                    logbump_family)
 
 __all__ = sorted(_ADMISSIBILITY)
 
@@ -114,26 +116,19 @@ def _whole(name: str, k) -> int:
 
 def geometric_schedule(q0: float = 1.0, doublings: int = 12) -> tuple[float, ...]:
     """``q0 * 2^j`` for ``j = 0..doublings``."""
-    if not (math.isfinite(q0) and q0 > 0):
-        raise DomainError(f"q0 must be positive and finite, got {q0!r}")
+    q0 = _positive("q0", q0)
     return tuple(q0 * 2.0 ** j for j in range(_whole("doublings", doublings) + 1))
 
 
-def phase_locked_schedule(k_min: int = 1, k_max: int = 64,
-                          parity: str | None = None) -> tuple[float, ...]:
-    """``pi/2 + k*pi`` for ``k = k_min..k_max``, optionally one parity only.
+def phase_locked_schedule(k_min: int = 1, k_max: int = 64) -> tuple[float, ...]:
+    """``pi/2 + k*pi`` for ``k = k_min..k_max``.
 
     Along these q values ``sin q`` is frozen at ``-1`` (odd ``k``) or ``+1``
-    (even ``k``).  Both bounds must be whole numbers ``>= 0``, so every q is
-    positive; ``k_max < k_min`` gives no q.
+    (even ``k``); one parity is every other entry.  Both bounds must be
+    whole numbers ``>= 0``, so every q is positive; ``k_max < k_min`` gives
+    no q.
     """
     ks = range(_whole("k_min", k_min), _whole("k_max", k_max) + 1)
-    if parity == "odd":
-        ks = [k for k in ks if k % 2 == 1]
-    elif parity == "even":
-        ks = [k for k in ks if k % 2 == 0]
-    elif parity is not None:
-        raise DomainError(f"parity must be 'odd', 'even' or None, got {parity!r}")
     return tuple(math.pi / 2.0 + k * math.pi for k in ks)
 
 
@@ -252,10 +247,7 @@ def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
 def _limit_of(family: YoungFamily, grid, name: str, x: float) -> LimitEstimate:
     """The estimate at the one point ``name = x`` read from ``grid``, a grid
     method of ``family``."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {x!r}")
-    return _limits(grid, (x,), _plan(family))[0]
+    return _limits(grid, (_positive(name, x),), _plan(family))[0]
 
 
 class _Plan(NamedTuple):
@@ -334,12 +326,12 @@ class AdmissibilityReport(NamedTuple):
 
 
 def _parity_schedules(q_min: float, k_max: int) -> tuple[tuple[float, ...], ...]:
-    out = []
-    for parity in ("odd", "even"):
-        # every phase-locked q is > 0, so q >= q_min is family.admits(q)
-        qs = tuple(q for q in phase_locked_schedule(1, k_max, parity) if q >= q_min)
-        out.append(qs if len(qs) >= 8 else ())
-    return tuple(out)
+    """The odd-k and the even-k phase-locked q up to ``k_max`` that a family
+    with this ``q_min`` admits, each empty when it has fewer than 8."""
+    locked = phase_locked_schedule(1, k_max)
+    # every phase-locked q is > 0, so q >= q_min is family.admits(q)
+    parities = (tuple(q for q in locked[first::2] if q >= q_min) for first in (0, 1))
+    return tuple(qs if len(qs) >= 8 else () for qs in parities)
 
 
 def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
@@ -542,27 +534,28 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
     Both read ``psi_q^{-1}(u)`` on the same u-grid ``u = phi(t)``, solved as
     one grid over ``(u, q)``.  The direct form divides ``t`` by it; the
     inverse form divides ``phi^{-1}(u)`` and reports against ``u``.  Points
-    where ``phi(t)`` underflows to 0 are dropped, since the ratio is a 0/0
-    form there; fewer than two points left, or ``phi(t)`` overflowing at any
-    point, raise :class:`OverflowError`.
+    where ``phi(t)`` is below the normal double range are dropped: at 0 the
+    ratio is a 0/0 form, and a subnormal ``u`` carries too few bits for its
+    inverse to resolve ``t``.  Fewer than two points left, or ``phi(t)``
+    overflowing at any point, raise :class:`OverflowError`.
     """
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive and finite, got {k!r}")
+    k = _positive("k", k)
     import numpy as np
     points = [(t, phi(t)) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()]
     for t, u in points:
         if math.isinf(u):
             raise OverflowError(f"{phi.label} overflows at grid point t={t!r} on (0, {k!r}]")
-    points = [(t, u) for t, u in points if u > 0.0]
+    points = [(t, u) for t, u in points if u >= sys.float_info.min]
     if len(points) < 2:
-        raise OverflowError(f"{phi.label} is 0 at all but {len(points)} of the "
-                            f"{_GROWTH_POINTS} grid points on (0, {k!r}]")
+        raise OverflowError(f"{phi.label} is below the normal double range at all but "
+                            f"{len(points)} of the {_GROWTH_POINTS} grid points on "
+                            f"(0, {k!r}]")
     ts, us = map(list, zip(*points))
     # geomspace ends exactly on k, so us[-1] is phi(k)
     interval = (0.0, us[-1]) if inverse_form else (0.0, k)
     qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
-    xs, nums = (us, phi.inverse_array(us)) if inverse_form else (ts, ts)
+    xs, nums = ((us, phi.family.inverse_grid(us, (phi.q,))[:, 0]) if inverse_form
+                else (ts, ts))
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio may overflow, inf - inf
         rs = np.asarray(nums)[:, None] / family.inverse_grid(us, qs)
         drops = rs[:-1] - rs[1:]
@@ -586,7 +579,7 @@ def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> Monotonic
 
     The grid is geometric from ``1e-9 * k`` to ``k``; the left endpoint 0 is
     excluded (the ratio is a 0/0 form there), and so is every point where
-    ``phi(t)`` underflows to 0.
+    ``phi(t)`` is below the normal double range.
     """
     return _growth_scan(family, phi, k, False)
 
@@ -620,7 +613,8 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     At ``t = 0`` the continuous extension is ``log(e-1)^((q-q0)/p)``.  ``F``
     satisfies ``F(t)^p * log(e-1+t)^q0 = log(e-1 + t/F(t))^q`` and exceeds
     ``F(0)`` for every ``t > 0`` when ``q > q0``.  A ``t`` whose
-    ``psi_q0(t)`` overflows raises :class:`OverflowError`.
+    ``psi_q0(t)`` overflows, or falls below the normal double range where
+    its inverse can no longer resolve ``t``, raises :class:`OverflowError`.
     """
     p, q0, q = _transfer_params(p, q0, q)
     t = float(t)
@@ -633,10 +627,13 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     if y == math.inf:
         raise OverflowError(f"psi_q0({t!r}) is beyond the double range for "
                             f"p={p!r}, q0={q0!r}")
+    if y < sys.float_info.min:
+        raise OverflowError(f"psi_q0({t!r}) is below the normal double range for "
+                            f"p={p!r}, q0={q0!r}")
     return t / fam.make(q).inverse(y)
 
 
-def tc_map(p: float, q0: float, q: float, c: float, t: float) -> float:
+def _tc_map(p: float, q0: float, q: float, c: float, t: float) -> float:
     """Comparison map ``T_c(t) = c * exp(c^(p/q) * log(e-1+t)^(q0/q)) - c*(e-1)``."""
     return c * math.exp(c ** (p / q) * math.log(E_MINUS_1 + t) ** (q0 / q)) \
         - c * E_MINUS_1
@@ -663,13 +660,9 @@ def tc_fixed_point_check(p: float, q0: float, q: float, c: float,
     :class:`OverflowError`.
     """
     p, q0, q = _transfer_params(p, q0, q)
-    c, t1 = float(c), float(t1)
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"c must be positive, got {c!r}")
-    if not (math.isfinite(t1) and t1 > 0.0):
-        raise DomainError(f"t1 must be positive, got {t1!r}")
+    c, t1 = _positive("c", c), _positive("t1", t1)
 
-    residual = abs(tc_map(p, q0, q, c, t1) - t1)
+    residual = abs(_tc_map(p, q0, q, c, t1) - t1)
     ok = residual <= _TC_TOL * max(1.0, t1)
 
     hi = max(1.0, 2.0 * t1)

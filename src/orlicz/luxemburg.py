@@ -36,7 +36,7 @@ import sys
 from typing import NamedTuple
 
 from .measure import SimpleFunction, distribution, ess_sup
-from .young import BracketError, DomainError, YoungFunction, _root
+from .young import BracketError, YoungFunction, _positive, _root
 
 __all__ = [
     "NormResult",
@@ -77,9 +77,7 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
     doubles cannot decide it and :class:`OverflowError` names the member,
     ``lam`` and the mass.  A sum that overflows is ``inf`` too.
     """
-    lam = float(lam)
-    if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
-        raise DomainError(f"lambda must be positive and finite, got {lam!r}")
+    lam = _positive("lambda", lam)
     total = math.inf
     if len(f.atoms) >= _ARRAY_MIN_ATOMS and f.atoms[0][0] / lam < math.inf:
         import numpy as np
@@ -112,10 +110,7 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
 def indicator_norm(psi: YoungFunction, mass: float) -> float:
     """Closed-form norm of an indicator: ``1 / psi^{-1}(1 / mass)``.  A mass
     so small that ``1 / mass`` overflows raises :class:`OverflowError`."""
-    m = float(mass)
-    if math.isnan(m) or math.isinf(m) or m <= 0.0:
-        raise DomainError(f"mass must be positive and finite, got {mass!r}")
-    return 1.0 / psi.inverse(_reciprocal("mass", m))
+    return 1.0 / psi.inverse(_reciprocal("mass", _positive("mass", mass)))
 
 
 def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
@@ -156,9 +151,7 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     empty.  A superlevel mass beyond the double range, or so small that
     its reciprocal is, raises :class:`OverflowError`.
     """
-    a = float(alpha)
-    if math.isnan(a) or math.isinf(a) or a <= 0.0:
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    a = _positive("alpha", alpha)
     d = distribution(f, a)
     if d == 0.0:
         return 0.0

@@ -121,12 +121,6 @@ class SimpleFunction(NamedTuple("SimpleFunction", [("atoms", tuple[tuple[float, 
         merged.pop(0.0, None)  # the zero-value atom's mass belongs to the complement
         return tuple(sorted(merged.items(), key=itemgetter(0), reverse=True))
 
-    @property
-    def support_mass(self) -> float:
-        """Total mass where the function is nonzero; ``inf`` when the masses
-        sum beyond the double range."""
-        return _mass_sum(m for _, m in self.atoms)
-
     @cached_property
     def values(self) -> np.ndarray:
         """Atom values in canonical (decreasing) order, read-only."""

@@ -53,16 +53,11 @@ def test_t_grid_is_geomspace():
 
 
 def test_phase_locked_parity():
-    odd = phase_locked_schedule(1, 6, "odd")
-    even = phase_locked_schedule(1, 6, "even")
+    locked = phase_locked_schedule(1, 6)
+    odd, even = locked[0::2], locked[1::2]
     assert all(math.sin(q) == pytest.approx(-1.0, abs=1e-12) for q in odd)
     assert all(math.sin(q) == pytest.approx(1.0, abs=1e-12) for q in even)
     assert len(odd) == 3 and len(even) == 3
-
-
-def test_phase_locked_rejects_bad_parity():
-    with pytest.raises(DomainError):
-        phase_locked_schedule(1, 8, "both")
 
 
 @pytest.mark.parametrize("doublings", [2.5, -1, "3", True])
@@ -408,8 +403,12 @@ def test_growth_skips_points_where_phi_underflows(form):
     assert [q for q, _ in rep.per_q] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     assert rep.q_threshold is None and rep.witness[0] == 32.0
     assert not any(ok for _, ok in rep.per_q)
-    with pytest.raises(OverflowError):  # t^40 is 0 on all of (0, 1e-10]
-        form(power_family(), power_family().make(40.0), 1e-10)
+    with pytest.raises(OverflowError, match="below the normal double range"):
+        form(power_family(), power_family().make(40.0), 1e-10)  # t^40 is 0 there
+    # t^4 is subnormal at the small end of (0, 1e-75]; kept, those points
+    # made the direct form fail q = 4, where the ratio is exactly 1.
+    rep = form(power_family(), power_family().make(4.0), 1e-75)
+    assert rep.q_threshold == 4.0
 
 
 @pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])

@@ -5,6 +5,7 @@ family at one ``q``.  They are immutable named tuples."""
 
 import inspect
 import math
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ SIGNATURES = {
     "limit_of_inverses": ["family", "y"],
     "growth_check": ["family", "phi", "k"],
     "growth_check_inverse_form": ["family", "phi", "k"],
+    "phase_locked_schedule": ["k_min", "k_max"],
     "tc_fixed_point_check": ["p", "q0", "q", "c", "t1"],
 }
 
@@ -63,8 +65,32 @@ def test_records_are_immutable():
                 setattr(record, name, 0.0)
 
 
+_PSI = orlicz.power_family().make(2.0)
+_F = orlicz.SimpleFunction(((2.0, 1.0),), orlicz.MeasureSpace(math.inf))
+# Every argument that must be positive and finite, and a call that passes it.
+POSITIVE = {
+    "lambda": lambda x: orlicz.modular(_PSI, _F, x),
+    "mass": lambda x: orlicz.indicator_norm(_PSI, x),
+    "alpha": lambda x: orlicz.chebyshev_bound(_PSI, _F, x),
+    "q0": lambda x: orlicz.geometric_schedule(x),
+    "t": lambda x: orlicz.limit_of_values(_PSI.family, x),
+    "y": lambda x: orlicz.limit_of_inverses(_PSI.family, x),
+    "k": lambda x: orlicz.growth_check(_PSI.family, _PSI, x),
+    "c": lambda x: orlicz.tc_fixed_point_check(1.0, 1.0, 3.0, x, 1.0),
+    "t1": lambda x: orlicz.tc_fixed_point_check(1.0, 1.0, 3.0, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(POSITIVE))
+def test_positive_arguments_share_one_rule(name, bad):
+    message = f"{name} must be positive and finite, got {bad!r}"
+    with pytest.raises(orlicz.DomainError, match=f"^{re.escape(message)}$"):
+        POSITIVE[name](bad)
+
+
 def test_export_count():
-    assert len(orlicz.__all__) == 42
+    assert len(orlicz.__all__) == 41
 
 
 def test_no_classifier_config_export():

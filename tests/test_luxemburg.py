@@ -328,7 +328,7 @@ def test_reciprocal_mass_beyond_double_range():
 
 
 def _oracle_modular(psi, f, lam):
-    """The modular as two loops: the scalar loop or the checked array pass,
+    """The modular as two loops: the scalar loop or the checked one-column grid,
     each handing an overflowed term or sum to :func:`_oracle_overflowed`."""
     lam = float(lam)
     if math.isnan(lam) or math.isinf(lam) or lam <= 0.0:
@@ -337,7 +337,7 @@ def _oracle_modular(psi, f, lam):
         return _oracle_overflowed(psi, f, lam)
     if len(f.atoms) >= luxemburg._ARRAY_MIN_ATOMS:
         with np.errstate(over="ignore", under="ignore"):
-            total = float(f.masses @ psi.evaluate(f.values / lam))
+            total = float(f.masses @ psi.family.evaluate_grid(f.values / lam, (psi.q,))[:, 0])
         if total == math.inf:
             return _oracle_overflowed(psi, f, lam)
     else:

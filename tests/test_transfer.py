@@ -11,8 +11,8 @@ from orlicz import (
     logbump_family,
     logbump_transfer,
     tc_fixed_point_check,
-    tc_map,
 )
+from orlicz.admissibility import _tc_map
 
 LOG_EM1 = math.log(math.e - 1.0)
 
@@ -83,6 +83,16 @@ def test_transfer_psi_q0_beyond_double_range(p, q0, q, t):
         logbump_transfer(p, q0, q, t)
 
 
+@pytest.mark.parametrize("p,q0,q,t", [(1.0, 1.0, 3.0, 5e-324), (2.0, 1.0, 8.0, 1e-160),
+                                     (2.0, 1.0, 8.0, 1e-162)])
+def test_transfer_psi_q0_below_normal_range(p, q0, q, t):
+    # psi_q0(t) is subnormal or 0, where its inverse cannot resolve t: these
+    # gave 0.25 (mpmath: 0.29303), 0.116716988 (7.2e-5 relative off
+    # 0.116708608) and ZeroDivisionError.
+    with pytest.raises(OverflowError, match="below the normal double range"):
+        logbump_transfer(p, q0, q, t)
+
+
 def test_transfer_near_double_range():
     assert logbump_transfer(1.0, 1.0, 3.0, 1e300) == pytest.approx(450697.3936671827, rel=1e-12)
 
@@ -90,7 +100,7 @@ def test_transfer_near_double_range():
 def test_tc_map_anchor():
     # T_1(1) = exp(1) - (e-1) = 1: the normalization point is a fixed point
     # of the unit-c map.
-    assert tc_map(1.0, 1.0, 3.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert _tc_map(1.0, 1.0, 3.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fixed_point_at_anchor():

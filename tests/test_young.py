@@ -54,11 +54,18 @@ def test_sinpiecewise_low_branch():
     assert sinpiecewise_family().make(4.0)(0.5) == pytest.approx(0.03125, abs=1e-16)
 
 
+def _psi_array(psi: YoungFunction, ts) -> np.ndarray:
+    """``psi`` over an array by the family's kernel, as the modular runs it:
+    unchecked, told whether ``ts`` holds a 0."""
+    ts = np.asarray(ts, dtype=float)
+    return psi.family._psi_array(ts, psi.q, bool((ts == 0.0).any()))
+
+
 def test_zero_maps_to_zero(catalog_family):
     psi = catalog_family.make(2.0)
     assert psi(0.0) == 0.0
-    assert psi.evaluate(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
-    assert psi.evaluate(np.array([])).size == 0
+    assert _psi_array(psi, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert _psi_array(psi, np.array([])).size == 0
 
 
 def test_negative_and_nonfinite_rejected():
@@ -79,7 +86,7 @@ PARITY_GRID = (0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-200, 1e-20, 0.25
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
 def test_array_evaluation_matches_scalar(spec, q):
     psi = make_family(spec).make(q)
-    got = psi.evaluate(np.array(PARITY_GRID))
+    got = _psi_array(psi, PARITY_GRID)
     # One rounding in log or pow is amplified by the exponent it is raised to.
     rel = 8.0 * (psi.family.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
     for t, a in zip(PARITY_GRID, got.tolist()):
@@ -96,7 +103,7 @@ def test_array_evaluation_rejects_bad_t(catalog_family, bad):
     with pytest.raises(DomainError):
         psi(bad)
     with pytest.raises(DomainError):
-        psi.evaluate(np.array([1.0, bad, 2.0]))
+        catalog_family.evaluate_grid(np.array([1.0, bad, 2.0]), (2.0,))
 
 
 def test_overflow_saturates_to_inf():
@@ -238,16 +245,16 @@ def _bounded_family(array_form: bool) -> YoungFamily:
 
 @pytest.mark.parametrize("array_form", [True, False])
 def test_inverse_grid_unbracketable(array_form):
-    # The bounded member of test_inverse_unbracketable, through the grid and
-    # the member's array inverse: the scalar path's error, message and all.
+    # The bounded member of test_inverse_unbracketable, through a grid and
+    # its one-column case: the scalar path's error, message and all.
     family = _bounded_family(array_form)
     with pytest.raises(BracketError) as scalar:
         family.make(1.0).inverse(2.0)
     with pytest.raises(BracketError) as grid:
         family.inverse_grid([0.5, 2.0], [1.0, 3.0])
-    with pytest.raises(BracketError) as array:
-        family.make(1.0).inverse_array(np.array([0.5, 2.0]))
-    assert str(grid.value) == str(array.value) == str(scalar.value)
+    with pytest.raises(BracketError) as column:
+        family.inverse_grid(np.array([0.5, 2.0]), [1.0])
+    assert str(grid.value) == str(column.value) == str(scalar.value)
 
 
 def _nan_gap_family(array_form: bool) -> YoungFamily:
@@ -393,21 +400,23 @@ def test_grids_fall_back_without_array_form():
     assert plain.inverse_grid(ys, qs).tolist() == want
     ts = np.array(PARITY_GRID)
     assert np.array_equal(plain.evaluate_grid(ts, qs),
-                          np.array([plain.make(q).evaluate(ts) for q in qs]).T)
+                          np.array([_psi_array(plain.make(q), ts) for q in qs]).T)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity",))
 def test_inverse_array_matches_scalar(spec):
+    # The one-column grid: the scalar inverse over an array of y.
     psi = make_family(spec).make(8.0)
     ys = np.array(GRID_YS + (0.5, 1e6))
     want = [psi.inverse(y) for y in ys.tolist()]
-    got = psi.inverse_array(ys)
+    got = psi.family.inverse_grid(ys, (psi.q,))[:, 0]
     _assert_smallest_root(lambda ts: psi.family.array_fn(ts, psi.q), ys, got)
     np.testing.assert_allclose(got, want, rtol=_psi_rel(psi), atol=0.0)
     # without an array form every element is the scalar solve
-    assert psi.family._replace(array_fn=None).make(psi.q).inverse_array(ys).tolist() == want
+    plain = psi.family._replace(array_fn=None)
+    assert plain.inverse_grid(ys, (psi.q,))[:, 0].tolist() == want
     with pytest.raises(DomainError):
-        psi.inverse_array(np.array([1.0, -1.0]))
+        psi.family.inverse_grid(np.array([1.0, -1.0]), (psi.q,))
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("identity", "iterlog:N=3"))
@@ -524,7 +533,7 @@ def test_array_evaluation_pins_zero():
     def shifted(t, q):
         return t + 1.0
     psi = YoungFamily("shifted", shifted, {}, q_min=0.0, array_fn=shifted).make(1.0)
-    assert psi.evaluate(np.array([0.0, 1.0])).tolist() == [psi(0.0), psi(1.0)] == [0.0, 2.0]
+    assert _psi_array(psi, [0.0, 1.0]).tolist() == [psi(0.0), psi(1.0)] == [0.0, 2.0]
 
 
 def _exp_family(array_form: bool) -> YoungFamily:
@@ -540,7 +549,7 @@ def test_every_path_pins_zero_and_maps_overflow_to_inf(array_form):
     psi = family.make(1.0)
     assert (psi(0.0), psi(1.0), psi(1000.0)) == (0.0, math.e, math.inf)
     ts = np.array([0.0, 1.0, 1000.0])
-    assert psi.evaluate(ts).tolist() == [0.0, math.e, math.inf]
+    assert _psi_array(psi, ts).tolist() == [0.0, math.e, math.inf]
     assert family.evaluate_grid(ts, (1.0, 2.0)).tolist() == [
         [0.0, 0.0], [math.e, family.make(2.0)(1.0)], [math.inf, math.inf]]
     # Every t above the last finite exp(t) overflows, so the smallest t with
@@ -597,7 +606,7 @@ def test_unit_point_exact(name, N, p, q):
     family = make_family(f"{name}:N={N},p={p}")
     psi = family.make(q)
     assert psi(1.0) == 1.0
-    assert psi.evaluate(np.array([1.0])).tolist() == [1.0]
+    assert _psi_array(psi, [1.0]).tolist() == [1.0]
     assert family.evaluate_grid([1.0], [q]).tolist() == [[1.0]]
 
 
