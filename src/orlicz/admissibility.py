@@ -115,9 +115,15 @@ def _whole(name: str, k) -> int:
 
 
 def geometric_schedule(q0: float = 1.0, doublings: int = 12) -> tuple[float, ...]:
-    """``q0 * 2^j`` for ``j = 0..doublings``."""
-    q0 = _positive("q0", q0)
-    return tuple(q0 * 2.0 ** j for j in range(_whole("doublings", doublings) + 1))
+    """``q0 * 2^j`` for ``j = 0..doublings``, each exact.
+
+    A last q beyond the double range raises :class:`DomainError`.
+    """
+    q0, n = _positive("q0", q0), _whole("doublings", doublings)
+    if math.frexp(q0)[1] + n > sys.float_info.max_exp:
+        raise DomainError(f"q0 * 2^doublings is beyond the double range for "
+                          f"q0={q0!r}, doublings={n!r}")
+    return tuple(math.ldexp(q0, j) for j in range(n + 1))
 
 
 def phase_locked_schedule(k_min: int = 1, k_max: int = 64) -> tuple[float, ...]:
@@ -170,10 +176,14 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     accelerated tail extrapolating below ``zero_tol``); a stable accelerated
     limit after two Richardson stages, or — for monotone tails only — three;
     alternating oscillation; otherwise undetermined.  A NaN value raises
-    :class:`ArithmeticError` naming the first q that has one.
+    :class:`ArithmeticError` naming the first q that has one; ``qs`` and
+    ``vs`` of different lengths, or empty, raise :class:`DomainError`.
     """
     qs = tuple(map(float, qs))
     vs = tuple(map(float, vs))
+    if len(qs) != len(vs) or not qs:
+        raise DomainError(f"qs and vs must have the same length > 0, "
+                          f"got {len(qs)} and {len(vs)}")
     evidence = tuple(zip(qs, vs))
     if math.isnan(sum(vs)):  # a cheap screen: true for any NaN (and for inf - inf)
         for q, v in evidence:
@@ -423,9 +433,6 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,
                                    inverse_evidence, value_evidence)
 
-    if not inverse_evidence:
-        return report("undetermined")
-
     kinds = [est.kind for _, est in inverse_evidence]
 
     if all(k == "zero" for k in kinds):
@@ -527,17 +534,15 @@ class MonotonicityReport(NamedTuple):
     per_q: tuple[tuple[float, bool], ...]
 
 
-def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
-                 inverse_form: bool) -> MonotonicityReport:
-    """The one scan kernel behind both growth forms.
+def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float) -> MonotonicityReport:
+    """The one growth scan: ``t / psi_q^{-1}(phi(t))`` on ``(0, k]``, which
+    both public forms report.
 
-    Both read ``psi_q^{-1}(u)`` on the same u-grid ``u = phi(t)``, solved as
-    one grid over ``(u, q)``.  The direct form divides ``t`` by it; the
-    inverse form divides ``phi^{-1}(u)`` and reports against ``u``.  Points
-    where ``phi(t)`` is below the normal double range are dropped: at 0 the
-    ratio is a 0/0 form, and a subnormal ``u`` carries too few bits for its
-    inverse to resolve ``t``.  Fewer than two points left, or ``phi(t)``
-    overflowing at any point, raise :class:`OverflowError`.
+    ``psi_q^{-1}`` is read on the u-grid ``u = phi(t)``, solved as one grid
+    over ``(u, q)``.  Points where ``phi(t)`` is below the normal double range
+    are dropped: at 0 the ratio is a 0/0 form, and a subnormal ``u`` carries
+    too few bits for its inverse to resolve ``t``.  Fewer than two points
+    left, or ``phi(t)`` overflowing at any point, raise :class:`OverflowError`.
     """
     k = _positive("k", k)
     import numpy as np
@@ -551,13 +556,9 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
                             f"{len(points)} of the {_GROWTH_POINTS} grid points on "
                             f"(0, {k!r}]")
     ts, us = map(list, zip(*points))
-    # geomspace ends exactly on k, so us[-1] is phi(k)
-    interval = (0.0, us[-1]) if inverse_form else (0.0, k)
     qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
-    xs, nums = ((us, phi.family.inverse_grid(us, (phi.q,))[:, 0]) if inverse_form
-                else (ts, ts))
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio may overflow, inf - inf
-        rs = np.asarray(nums)[:, None] / family.inverse_grid(us, qs)
+        rs = np.asarray(ts)[:, None] / family.inverse_grid(us, qs)
         drops = rs[:-1] - rs[1:]
         fails = drops > _MONO_TOL * np.maximum(1.0, np.abs(rs[:-1]))  # false for NaN
     per_q = tuple(zip(qs, (~fails.any(axis=0)).tolist()))
@@ -567,11 +568,11 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float,
             break
         threshold = q
     if threshold is not None:
-        return MonotonicityReport(interval, threshold, None, per_q)
+        return MonotonicityReport((0.0, k), threshold, None, per_q)
     # no threshold: the largest q failed; its witness is its first largest drop
     i = int(np.argmax(np.where(fails[:, -1], drops[:, -1], -np.inf)))
     r1, r2 = rs[i:i + 2, -1].tolist()
-    return MonotonicityReport(interval, None, (qs[-1], xs[i], xs[i + 1], r1, r2), per_q)
+    return MonotonicityReport((0.0, k), None, (qs[-1], ts[i], ts[i + 1], r1, r2), per_q)
 
 
 def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> MonotonicityReport:
@@ -581,19 +582,23 @@ def growth_check(family: YoungFamily, phi: YoungFunction, k: float) -> Monotonic
     excluded (the ratio is a 0/0 form there), and so is every point where
     ``phi(t)`` is below the normal double range.
     """
-    return _growth_scan(family, phi, k, False)
+    return _growth_scan(family, phi, k)
 
 
 def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction,
                               k: float) -> MonotonicityReport:
-    """Equivalent scan of ``u -> phi^{-1}(u) / psi_q^{-1}(u)`` on ``(0, phi(k)]``.
+    """The scan of :func:`growth_check` reported against ``u = phi(t)``.
 
-    The u-grid is the image under ``phi`` of the direct scan's t-grid, so the
-    two forms examine the same effective points and their verdicts agree;
-    gridding u geometrically instead would compress the small-t region where
-    the violations of fast-growing comparisons live.
+    In u the ratio reads ``phi^{-1}(u) / psi_q^{-1}(u)`` on ``(0, phi(k)]``,
+    and ``phi^{-1}(u) = t``: the q, the ratios and ``per_q`` are the direct
+    scan's, the interval ends on ``phi(k)``, and the witness points are
+    ``phi(t1)``, ``phi(t2)``.
     """
-    return _growth_scan(family, phi, k, True)
+    report = _growth_scan(family, phi, k)
+    if report.witness is not None:
+        q, t1, t2, r1, r2 = report.witness
+        report = report._replace(witness=(q, phi(t1), phi(t2), r1, r2))
+    return report._replace(interval=(0.0, phi(report.interval[1])))
 
 
 def _transfer_params(p: float, q0: float, q: float) -> tuple[float, float, float]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from orlicz import (
     DomainError,
     MeasureSpace,
+    SimpleFunction,
     YoungFamily,
     YoungFunction,
     classify,
@@ -21,6 +22,7 @@ from orlicz import (
     limit_of_inverses,
     limit_of_values,
     logbump_family,
+    luxemburg_norm,
     make_family,
     phase_locked_schedule,
     power_family,
@@ -75,6 +77,25 @@ def test_phase_locked_rejects_bad_bounds(k_min, k_max, name):
     with pytest.raises(DomainError, match=rf"^{name} must be a whole number >= 0, "
                                           rf"got {re.escape(repr(bad))}$"):
         phase_locked_schedule(k_min, k_max)
+
+
+@pytest.mark.parametrize("q0,doublings", [(1e307, 12), (1.0, 1024), (1.0, 2000),
+                                          (5e-324, 2098)])
+def test_geometric_schedule_rejects_leaving_the_double_range(q0, doublings):
+    message = (f"q0 * 2^doublings is beyond the double range for q0={q0!r}, "
+               f"doublings={doublings!r}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        geometric_schedule(q0, doublings)
+
+
+def test_geometric_schedule_is_exact_to_the_range_ends():
+    # 2.0 ** 1024 overflows, yet 5e-324 * 2^1100 is 2^26
+    assert geometric_schedule(5e-324, 1100)[-1] == 2.0 ** 26
+    assert geometric_schedule(5e-324, 2097)[-1] == 2.0 ** 1023
+    assert geometric_schedule(1.5, 1023)[-1] == 1.5 * 2.0 ** 1023
+    for q0 in (1.0, 0.3, math.pi, 5e-324, 1e-310, 1e290):
+        qs = geometric_schedule(q0, 40)
+        assert qs == tuple(q0 * 2.0 ** j for j in range(41))
 
 
 def test_schedules_take_whole_number_bounds():
@@ -154,6 +175,14 @@ def test_sequence_nan_raises_naming_its_q(position):
     vs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     vs[position] = math.nan
     with pytest.raises(ArithmeticError, match=rf"q={qs[position]!r} is NaN"):
+        classify_sequence(qs, vs)
+
+
+@pytest.mark.parametrize("qs,vs", [([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [1.0, 2.0]),
+                                   ([], [])])
+def test_sequence_rejects_unequal_or_empty_input(qs, vs):
+    with pytest.raises(DomainError, match=rf"^qs and vs must have the same length > 0, "
+                                          rf"got {len(qs)} and {len(vs)}$"):
         classify_sequence(qs, vs)
 
 
@@ -347,6 +376,52 @@ def test_delta_verdict_equivalent_to_pointwise_finiteness():
     assert "oscillating" in kinds
 
 
+# ------------------------------------------------ norms confirm the verdicts
+
+# Three simple functions as (value, mass) atoms; the first scaled into mass 2
+# for the finite space.  Every sup atom has mass >= 1/4: a norm at q falls
+# short of its limit by about a factor m^(1/q) for a sup atom of mass m, which
+# keeps the phase-locked norms at q ~ 320 within 1% of their band.
+NORM_FUNCTIONS = (((2.0, 1.0), (1.0, 3.0)), ((3.0, 0.25), (0.5, 1.0)),
+                  ((0.75, 0.5), (0.25, 1.0), (0.1, 0.3)))
+NORM_QS = (2.0 ** 8, 2.0 ** 12, 2.0 ** 16, 2.0 ** 20)
+
+
+def _norm_functions(space):
+    scale = 0.5 if space.finite else 1.0
+    first, *rest = NORM_FUNCTIONS
+    for atoms in (tuple((v, m * scale) for v, m in first), *rest):
+        yield SimpleFunction(atoms, space), max(v for v, _ in atoms)
+
+
+@pytest.mark.parametrize("mass", [math.inf, 2.0])
+def test_norms_confirm_catalog_verdict(catalog_family, mass):
+    """The theorem's side of a verdict: ``||f||_{psi_q} -> ||f||_inf / delta``,
+    a band ``[||f||_inf / beta, ||f||_inf / alpha]`` along the phase-locked q,
+    or norms growing without bound."""
+    space = MeasureSpace(mass)
+    rep = classify(catalog_family, space)
+
+    def norms(f, qs):
+        return [luxemburg_norm(catalog_family.make(q), f).norm for q in qs]
+    for f, sup in _norm_functions(space):
+        if rep.verdict == "delta_admissible":
+            limit = sup / rep.delta
+            errs = [abs(n - limit) / limit for n in norms(f, NORM_QS)]
+            assert errs[-1] <= 1e-3, (f, errs)
+            # a norm that settled at its limit may move by its rounding
+            assert all(b <= a + 1e-15 for a, b in zip(errs[1:], errs[2:])), (f, errs)
+        elif rep.verdict == "alpha_beta_admissible":
+            locked = norms(f, phase_locked_schedule(100, 110))
+            assert sup / rep.beta * 0.99 <= min(locked), (f, locked)
+            assert max(locked) <= sup / rep.alpha * 1.01, (f, locked)
+        else:
+            assert rep.verdict == "inadmissible_divergent"
+            grown = norms(f, NORM_QS)
+            assert all(b > a for a, b in zip(grown, grown[1:])), (f, grown)
+            assert grown[-1] > 100.0 * sup, (f, grown)
+
+
 # ------------------------------------------------------------ growth checks
 
 def test_growth_power_threshold_exact():
@@ -383,11 +458,30 @@ def test_growth_forms_agree_across_catalog():
         (logbump_family(2.0), logbump_family(2.0).make(1.0), 10.0),
         (sinpiecewise_family(), power_family().make(1.5), 2.0),
     ]
+    witnesses = 0
     for fam, phi, k in pairs:
         direct = growth_check(fam, phi, k)
         inverse = growth_check_inverse_form(fam, phi, k)
-        assert direct.q_threshold == inverse.q_threshold
-        assert direct.per_q == inverse.per_q
+        # the inverse form is the direct scan reported against u = phi(t)
+        witness = direct.witness
+        if witness is not None:
+            q, t1, t2, r1, r2 = witness
+            witness = (q, phi(t1), phi(t2), r1, r2)
+            witnesses += 1
+        assert inverse == direct._replace(interval=(0.0, phi(k)), witness=witness)
+    assert witnesses == 1  # logbump against t^3 still fails at q = 32
+
+
+def test_growth_inverse_form_solves_one_inverse_grid(monkeypatch):
+    calls = []
+    original = YoungFamily.inverse_grid
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.label)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(YoungFamily, "inverse_grid", counted)
+    growth_check_inverse_form(logbump_family(1.0), power_family().make(3.0), 5.0)
+    assert calls == ["logbump"]  # psi's (u, q) grid only: phi^{-1}(phi(t)) is t
 
 
 def test_growth_rejects_bad_arguments():
