@@ -38,8 +38,8 @@ from typing import Literal, NamedTuple, Sequence
 from . import _ADMISSIBILITY
 from .luxemburg import _reciprocal
 from .measure import MeasureSpace
-from .young import (DomainError, E_MINUS_1, YoungFamily, YoungFunction, _positive,
-                    logbump_family)
+from .young import (DomainError, E_MINUS_1, YoungFamily, YoungFunction, _float,
+                    _positive, logbump_family)
 
 __all__ = sorted(_ADMISSIBILITY)
 
@@ -603,7 +603,7 @@ def growth_check_inverse_form(family: YoungFamily, phi: YoungFunction,
 
 def _transfer_params(p: float, q0: float, q: float) -> tuple[float, float, float]:
     """``(p, q0, q)`` as floats, after checking ``p >= 1`` and ``0 < q0 < q``."""
-    p, q0, q = float(p), float(q0), float(q)
+    p, q0, q = _float("p", p), _float("q0", q0), _float("q", q)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"p must be >= 1, got {p!r}")
     if not (math.isfinite(q0) and math.isfinite(q) and 0.0 < q0 < q):
@@ -622,7 +622,7 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     its inverse can no longer resolve ``t``, raises :class:`OverflowError`.
     """
     p, q0, q = _transfer_params(p, q0, q)
-    t = float(t)
+    t = _float("t", t)
     if math.isnan(t) or math.isinf(t) or t < 0.0:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:

@@ -19,21 +19,27 @@ bracketing (a huge modular just means ``lam`` is too small), when its mass
 is at least ``1 / DBL_MAX``.  Below that mass the other terms must decide
 the side, or :class:`OverflowError` says that doubles cannot.
 
-A function with at least ``_ARRAY_MIN_ATOMS`` atoms has its modular evaluated
-in one numpy pass, ``masses @ family._psi_array(values / lam, q, ...)``, the
-family's unchecked array kernel; a smaller one keeps the Python loop over
-its atoms, which calls the unchecked scalar kernel ``family._psi``, because
-numpy's fixed per-call cost outweighs the loop below a few dozen atoms.  The
-loop alone applies the overflow rule above: the array pass hands over to it
-when its largest argument or its sum overflows.  numpy is imported on the
-first such pass, so the norms of small functions never load it.
+A norm solve builds its modular once, by :func:`_modular_of`, and each
+probe calls that kernel; the public :func:`modular` checks ``lam`` and calls
+the same kernel.  A function with at least ``_ARRAY_MIN_ATOMS`` atoms has
+its modular evaluated in one numpy pass, ``masses @ family._psi_array(values
+/ lam, q, ...)``, the family's unchecked array kernel; a smaller one keeps
+the Python loop over its atoms, because numpy's fixed per-call cost
+outweighs the loop below a few dozen atoms.  The loop calls the formula
+``fn(t, q)`` itself and states ``family._psi``'s two rules for its terms,
+``psi(0) = 0`` and overflow to ``inf``: a small solve is mostly per-call
+overhead, and a ``_psi`` call per atom was a large share of it.  The loop
+alone applies the overflow rule above: the array pass hands over to it when
+its largest argument or its sum overflows.  numpy is imported when the
+kernel of a large function is built, so the norms of small functions never
+load it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .measure import SimpleFunction, distribution, ess_sup
 from .young import BracketError, YoungFunction, _positive, _root
@@ -46,8 +52,11 @@ __all__ = [
     "modular",
 ]
 
-# Measured crossover of numpy's per-call cost against the scalar loop: 12-32
-# atoms depending on the family.
+# Measured crossover of numpy's per-call cost against the scalar loop, on one
+# x86-64 CPU with Python 3.11 and numpy 2.4: about 11 atoms (addie:N=2), 14
+# (addie), 17-19 (iterlog), 31-33 (logbump, powerlog_e), 44 (power), 52
+# (identity) and 92 (sinpiecewise).  No one value suits every family; 32 is
+# near the middle of the catalog.
 _ARRAY_MIN_ATOMS = 32
 
 
@@ -77,19 +86,29 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
     doubles cannot decide it and :class:`OverflowError` names the member,
     ``lam`` and the mass.  A sum that overflows is ``inf`` too.
     """
-    lam = _positive("lambda", lam)
-    total = math.inf
-    if len(f.atoms) >= _ARRAY_MIN_ATOMS and f.atoms[0][0] / lam < math.inf:
-        import numpy as np
-        with np.errstate(over="ignore", under="ignore"):
-            ts = f.values / lam  # positive and decreasing: only the last can be 0
-            total = float(f.masses @ psi.family._psi_array(ts, psi.q, ts[-1] == 0.0))
-    if total == math.inf:  # the loop, also where the array pass overflowed
-        psi_at, q, inf = psi.family._psi, psi.q, math.inf
+    return _modular_of(psi, f)(_positive("lambda", lam))
+
+
+def _modular_of(psi: YoungFunction, f: SimpleFunction) -> Callable[[float], float]:
+    """The modular of ``f`` under ``psi`` as an unchecked function of
+    ``lam > 0``, with the rules of :func:`modular`.  The formula, ``q``, the
+    atoms and the path are bound here, so a call makes no call per atom but
+    ``fn(t, q)``."""
+    fn, q, atoms, inf = psi.family.fn, psi.q, f.atoms, math.inf
+
+    def loop(lam: float) -> float:
         total, tiny = 0.0, None
-        for value, mass in f.atoms:
+        for value, mass in atoms:
             t = value / lam
-            term = mass * psi_at(t, q) if t < inf else inf
+            if 0.0 < t < inf:
+                try:
+                    term = mass * fn(t, q)
+                except OverflowError:
+                    term = inf
+            elif t == 0.0:  # the values decrease: every later term is 0 too
+                break
+            else:
+                term = inf
             if term != inf:
                 total += term
             elif mass * sys.float_info.max >= 1.0:
@@ -102,9 +121,29 @@ def modular(psi: YoungFunction, f: SimpleFunction, lam: float) -> float:
                                     f"the double range: psi overflows on an atom of mass "
                                     f"{tiny!r}")
             return inf
-    if math.isnan(total):
-        raise ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
-    return total
+        if math.isnan(total):
+            raise _nan_modular(psi, lam)
+        return total
+    if len(atoms) < _ARRAY_MIN_ATOMS:
+        return loop
+    import numpy as np
+    top, values, masses, psi_array = atoms[0][0], f.values, f.masses, psi.family._psi_array
+
+    def array_pass(lam: float) -> float:
+        if top / lam < inf:
+            with np.errstate(over="ignore", under="ignore"):
+                ts = values / lam  # positive and decreasing: only the last can be 0
+                total = float(masses @ psi_array(ts, q, ts[-1] == 0.0))
+            if total != inf:
+                if math.isnan(total):
+                    raise _nan_modular(psi, lam)
+                return total
+        return loop(lam)  # also where the array pass overflows
+    return array_pass
+
+
+def _nan_modular(psi: YoungFunction, lam: float) -> ArithmeticError:
+    return ArithmeticError(f"{psi.label}: modular at lambda={lam!r} is NaN")
 
 
 def indicator_norm(psi: YoungFunction, mass: float) -> float:
@@ -128,9 +167,10 @@ def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
     if not f.atoms:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
     seen: dict[float, float] = {}
+    modular_at = _modular_of(psi, f)
 
     def probe(lam: float) -> tuple[bool, float]:
-        m = seen[lam] = modular(psi, f, lam)
+        m = seen[lam] = modular_at(lam)
         return m > 1.0, math.log(m) if m > 0.0 else -math.inf
 
     lo, hi = _root(probe, ess_sup(f))

@@ -23,9 +23,12 @@ Conventions
   without an array form: ``family._psi(t, q)`` for one float and
   ``family._psi_array(ts, qs)`` for arrays, which runs
   ``family._array_formula()``, that is ``array_fn`` or, without one, ``_psi``
-  vectorized.  The public calls check their input and call a kernel; the
-  solvers call the kernels directly.  The norm solver takes the
-  array path for simple functions with many atoms (see
+  vectorized.  The public calls check their input and call a kernel, and
+  ``inverse`` and the grid solvers call the kernels directly.  The norm
+  solver's loop over the atoms of a small simple function calls ``fn``
+  itself and states the zero and overflow rules for its terms: a call of
+  ``_psi`` per atom was a large share of a probe.  For simple functions with
+  many atoms it takes the array path through ``_psi_array`` (see
   :mod:`orlicz.luxemburg`).
 * numpy is imported where an array is first built, never at module level, so
   building families and members and the scalar paths (``psi(t)``,
@@ -95,9 +98,20 @@ class BracketError(ArithmeticError):
     """Root bracketing failed; the message carries the last bracket tried."""
 
 
+def _float(name: str, x: float, owner: YoungFamily | YoungFunction | None = None) -> float:
+    """``float(x)``.  An int beyond the double range is an input error, as
+    ``inf`` is in the same place: :class:`DomainError` naming ``name``, after
+    the label of ``owner`` when one is given."""
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the doubles
+        where = "" if owner is None else f"{owner.label}: "
+        raise DomainError(f"{where}{name} is beyond the double range") from None
+
+
 def _positive(name: str, x: float) -> float:
     """``x`` as a float, after checking that it is positive and finite."""
-    x = float(x)
+    x = _float(name, x)
     if not 0.0 < x < math.inf:  # both comparisons are false for NaN
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
     return x
@@ -107,7 +121,10 @@ def _check_array(label: str, name: str, xs) -> tuple[np.ndarray, bool]:
     """``xs`` as a float64 array, and whether it holds a 0, after checking
     that every entry is finite and ``>= 0``."""
     import numpy as np
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError(f"{label}: {name} is beyond the double range") from None
     if not xs.size:
         return xs, False
     lo, hi = float(xs.min()), float(xs.max())
@@ -326,7 +343,7 @@ class YoungFunction(NamedTuple):
         return f"{self.family.label}[{','.join(f'{k}={v:g}' for k, v in params.items())}]"
 
     def __call__(self, t: float) -> float:
-        t = float(t)
+        t = _float("t", t, self)
         if math.isnan(t) or math.isinf(t) or t < 0:
             raise DomainError(f"{self.label}: t must be finite and >= 0, got {t!r}")
         return self.family._psi(t, self.q)
@@ -342,7 +359,7 @@ class YoungFunction(NamedTuple):
         on every finite ``t``; ``ArithmeticError`` when a probe finds ``psi``
         NaN.
         """
-        y = float(y)
+        y = _float("y", y, self)
         if math.isnan(y) or math.isinf(y) or y < 0:
             raise DomainError(f"{self.label}: inverse needs finite y >= 0, got {y!r}")
         if y == 0.0:
@@ -399,7 +416,7 @@ class YoungFamily(NamedTuple):
         return q >= self.q_min if self.q_min > 0.0 else q > 0.0
 
     def _check_q(self, q: float) -> float:
-        q = float(q)
+        q = _float("q", q, self)
         if math.isnan(q) or math.isinf(q):
             raise DomainError(f"{self.label}: q must be finite, got {q!r}")
         if not self.admits(q):
@@ -411,10 +428,14 @@ class YoungFamily(NamedTuple):
         """:meth:`_check_q` over ``qs`` in one pass: a finite sum and an
         admitted least ``q``, or else the check one ``q`` at a time, which
         names the first bad one."""
-        qs = list(map(float, qs))
-        if not (qs and math.isfinite(sum(qs)) and self.admits(min(qs))):
-            qs = [self._check_q(q) for q in qs]
-        return qs
+        qs = list(qs)
+        try:
+            floats = list(map(float, qs))
+        except OverflowError:  # an int beyond the doubles, which _check_q names
+            floats = []
+        if not (floats and math.isfinite(sum(floats)) and self.admits(min(floats))):
+            floats = [self._check_q(q) for q in qs]
+        return floats
 
     def make(self, q: float) -> YoungFunction:
         """The member at ``q``, after checking that the family admits it."""

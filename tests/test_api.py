@@ -89,6 +89,32 @@ def test_positive_arguments_share_one_rule(name, bad):
         POSITIVE[name](bad)
 
 
+# Every argument converted by ``float``, named as its DomainError names it,
+# and a call that passes it.  The positive ones above share ``_positive``.
+FLOAT_ARGUMENTS = {
+    **POSITIVE,
+    "power: q": lambda x: orlicz.make_family("power").make(x),
+    "power: q (grid)": lambda x: _PSI.family.evaluate_grid([1.0], [x]),
+    "power: t": lambda x: _PSI.family.evaluate_grid([1.0, x], [2.0]),
+    "power: y": lambda x: _PSI.family.inverse_grid([x], [2.0]),
+    "power[q=2]: t": lambda x: _PSI(x),
+    "power[q=2]: y": lambda x: _PSI.inverse(x),
+    "q (transfer)": lambda x: orlicz.logbump_transfer(1.0, 1.0, x, 1.0),
+    "t (transfer)": lambda x: orlicz.logbump_transfer(1.0, 1.0, 3.0, x),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", sorted(FLOAT_ARGUMENTS))
+def test_ints_beyond_the_doubles_are_domain_errors(name, sign):
+    # float(10**400) raises OverflowError, an ArithmeticError, which the
+    # package keeps for numeric failure; inf in the same place is an input
+    # error, and so is this int.
+    message = f"{name.partition(' (')[0]} is beyond the double range"
+    with pytest.raises(orlicz.DomainError, match=f"^{re.escape(message)}$"):
+        FLOAT_ARGUMENTS[name](sign * 10 ** 400)
+
+
 def test_export_count():
     assert len(orlicz.__all__) == 41
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import orlicz.luxemburg as luxemburg
 from orlicz import (BracketError, MeasureSpace, SimpleFunction, YoungFamily, ess_sup,
-                    luxemburg_norm, make_family)
+                    luxemburg_norm, make_family, modular)
 from orlicz import admissibility, young
 from orlicz.young import _root, _secant
 
@@ -27,7 +27,6 @@ from conftest import CATALOG_SPECS
 
 INF = MeasureSpace(math.inf)
 DBL_MIN = sys.float_info.min
-MODULAR = luxemburg.modular
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
 
 
@@ -125,7 +124,7 @@ def test_norm_and_inverse_brackets_equal_bisection(spec):
         psi = family.make(q)
         for _, atoms in FUNCTIONS:
             f = SimpleFunction(atoms, INF)
-            lo, hi = bisect(lambda lam: MODULAR(psi, f, lam) > 1.0)
+            lo, hi = bisect(lambda lam: modular(psi, f, lam) > 1.0)
             if hi == math.inf or lo < DBL_MIN:
                 with pytest.raises(BracketError):
                     luxemburg_norm(psi, f)
@@ -141,61 +140,47 @@ def test_norm_and_inverse_brackets_equal_bisection(spec):
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS)
-def test_norm_first_probes_the_sup(monkeypatch, spec):
+def test_norm_first_probes_the_sup(probes, spec):
     # The paper's limit puts the norm at C * ||f||_inf for large q, so the
     # search starts there, not at the midpoint pattern (1.5).
-    lams = []
-
-    def recorded(psi, f, lam):
-        lams.append(lam)
-        return MODULAR(psi, f, lam)
-    monkeypatch.setattr(luxemburg, "modular", recorded)
     psi = make_family(spec).make(4.0)
     for _, atoms in FUNCTIONS:
         f = SimpleFunction(atoms, INF)
-        lams.clear()
         try:
             luxemburg_norm(psi, f)
         except BracketError:
             pass
-        assert lams[0] == ess_sup(f), (spec, atoms)
+        assert probes.take()[0][0] == ess_sup(f), (spec, atoms)
 
 
-def _steps(monkeypatch, spec, q, kinds):
+def _steps(probes, spec, q, kinds):
     """Modular evaluations of each norm solve over the seeded functions."""
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return MODULAR(*args)
-    monkeypatch.setattr(luxemburg, "modular", counted)
     psi = make_family(spec).make(q)
     steps = []
     for kind, atoms in FUNCTIONS:
         if kind in kinds:
-            calls.clear()
             try:
                 luxemburg_norm(psi, SimpleFunction(atoms, INF))
             except BracketError:
                 pass
-            steps.append(len(calls))
+            steps.append(len(probes.take()))
     return steps
 
 
-def test_mean_steps_over_the_catalog(monkeypatch):
+def test_mean_steps_over_the_catalog(probes):
     # Plain bisection took 63 steps and 65 modular evaluations on every solve.
     steps = [n for spec in CATALOG_SPECS for q in QS
-             for n in _steps(monkeypatch, spec, q, ("lognormal", "wide"))]
+             for n in _steps(probes, spec, q, ("lognormal", "wide"))]
     # Bisection's _STEPS, ITP's _N0 of slack, and the _JUMPS taken outside it.
     assert max(steps) <= young._STEPS + young._N0 + young._JUMPS
     assert sum(steps) / len(steps) <= 9.25  # 8.92 measured; 12.01 from the midpoint
 
 
 @pytest.mark.parametrize("spec", ["power", "identity"])
-def test_linear_members_take_few_steps(monkeypatch, spec):
+def test_linear_members_take_few_steps(probes, spec):
     # log modular is linear in log lam: the first probe, the convexity jump
     # and a secant or two close the bracket.
-    assert max(_steps(monkeypatch, spec, 1.0, ("lognormal",))) <= 8
+    assert max(_steps(probes, spec, 1.0, ("lognormal",))) <= 8
 
 
 @pytest.mark.parametrize("k", [1, 3, 10, 100])
@@ -210,18 +195,12 @@ def test_secant_lands_next_to_a_near_end(k):
         assert abs(x - bits(root)) <= 1
 
 
-def test_one_sided_secants_keep_few_steps(monkeypatch):
+def test_one_sided_secants_keep_few_steps(probes):
     # sinpiecewise bends sharply between the first probes and the root, so
     # secants used to creep up on it from one side until the slack was spent
     # and the search bisected to the end: 3 of these 80 solves took all 64
     # steps.  With the step after a stall and the finite stand-in for an
     # infinite gap they take 9-28, most of them 11-15.
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return MODULAR(*args)
-    monkeypatch.setattr(luxemburg, "modular", counted)
     rng = random.Random(11)
     steps = []
     for q in (33.0, 64.0):
@@ -230,9 +209,8 @@ def test_one_sided_secants_keep_few_steps(monkeypatch):
             for _ in range(20):
                 atoms = [(rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
                          for _ in range(n)]
-                calls.clear()
                 luxemburg_norm(psi, SimpleFunction(atoms, INF))
-                steps.append(len(calls))
+                steps.append(len(probes.take()))
     assert max(steps) <= 32
 
 
@@ -266,7 +244,7 @@ def test_classify_plan_inverses_take_few_probes(spec):
 
 
 @pytest.mark.parametrize("mass", [0.1, 0.25, 0.5])
-def test_secants_against_an_infinite_end_do_not_creep(monkeypatch, mass):
+def test_secants_against_an_infinite_end_do_not_creep(probes, mass):
     # The jump from the first probe lands where the modular overflows, so the
     # bracket's lower end has an infinite gap.  Its finite stand-in used to
     # stay at full size, so each secant moved the upper end by about 1% (1.5,
@@ -274,22 +252,17 @@ def test_secants_against_an_infinite_end_do_not_creep(monkeypatch, mass):
     # stand-in is damped like a finite gap now.  The first probe is
     # ||f||_inf = 1, where the modular is the mass, so the premise needs a
     # mass below 1.
-    values = []
-
-    def recorded(*args):
-        values.append(MODULAR(*args))
-        return values[-1]
-    monkeypatch.setattr(luxemburg, "modular", recorded)
     luxemburg_norm(make_family("sinpiecewise").make(1024.0),
                    SimpleFunction(((1.0, mass),), INF))
+    values = [m for _, m in probes.take()]
     assert values[0] < 1.0 and values[1] == math.inf  # the premise
     assert len(values) <= 32
 
 
 @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
-def test_secants_from_the_midpoint_do_not_creep(monkeypatch, mass):
+def test_secants_from_the_midpoint_do_not_creep(monkeypatch, probes, mass):
     # The solves above, started at the midpoint pattern (1.5), as every
     # inverse is.  From ||f||_inf = 1 they pass even without the damping of
     # the infinite stand-in; from the midpoint, mass 1.0 then takes 65 probes.
     monkeypatch.setattr(luxemburg, "_root", lambda probe, start: _root(probe))
-    test_secants_against_an_infinite_end_do_not_creep(monkeypatch, mass)
+    test_secants_against_an_infinite_end_do_not_creep(probes, mass)
