@@ -26,13 +26,11 @@ _ADMISSIBILITY = frozenset((
     "MonotonicityReport",
     "classify",
     "classify_sequence",
-    "geometric_schedule",
     "growth_check",
     "growth_check_inverse_form",
     "limit_of_inverses",
     "limit_of_values",
     "logbump_transfer",
-    "phase_locked_schedule",
     "tc_fixed_point_check",
 ))
 

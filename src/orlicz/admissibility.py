@@ -31,6 +31,7 @@ Everything is deterministic and pure; reports are immutable named tuples.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
@@ -39,7 +40,7 @@ from . import _ADMISSIBILITY
 from .luxemburg import _reciprocal
 from .measure import MeasureSpace
 from .young import (DomainError, E_MINUS_1, YoungFamily, YoungFunction, _float,
-                    _positive, logbump_family)
+                    _nonneg, _positive, logbump_family)
 
 __all__ = sorted(_ADMISSIBILITY)
 
@@ -107,35 +108,22 @@ class LimitEstimate(NamedTuple):
     evidence: tuple[tuple[float, float], ...]
 
 
-def _whole(name: str, k) -> int:
-    """``k`` when it is an integer ``>= 0``; a float, a string or a bool is not."""
-    if isinstance(k, bool) or not hasattr(type(k), "__index__") or k < 0:
-        raise DomainError(f"{name} must be a whole number >= 0, got {k!r}")
-    return int(k)
-
-
-def geometric_schedule(q0: float = 1.0, doublings: int = 12) -> tuple[float, ...]:
+def _geometric_schedule(q0: float, doublings: int) -> tuple[float, ...]:
     """``q0 * 2^j`` for ``j = 0..doublings``, each exact.
 
-    A last q beyond the double range raises :class:`DomainError`.
+    ``q0`` comes from a family's ``q_min``, so a last q beyond the double
+    range raises :class:`DomainError`.
     """
-    q0, n = _positive("q0", q0), _whole("doublings", doublings)
-    if math.frexp(q0)[1] + n > sys.float_info.max_exp:
+    if math.frexp(q0)[1] + doublings > sys.float_info.max_exp:
         raise DomainError(f"q0 * 2^doublings is beyond the double range for "
-                          f"q0={q0!r}, doublings={n!r}")
-    return tuple(math.ldexp(q0, j) for j in range(n + 1))
+                          f"q0={q0!r}, doublings={doublings!r}")
+    return tuple(math.ldexp(q0, j) for j in range(doublings + 1))
 
 
-def phase_locked_schedule(k_min: int = 1, k_max: int = 64) -> tuple[float, ...]:
-    """``pi/2 + k*pi`` for ``k = k_min..k_max``.
-
-    Along these q values ``sin q`` is frozen at ``-1`` (odd ``k``) or ``+1``
-    (even ``k``); one parity is every other entry.  Both bounds must be
-    whole numbers ``>= 0``, so every q is positive; ``k_max < k_min`` gives
-    no q.
-    """
-    ks = range(_whole("k_min", k_min), _whole("k_max", k_max) + 1)
-    return tuple(math.pi / 2.0 + k * math.pi for k in ks)
+def _phase_locked_schedule(k_min: int, k_max: int) -> tuple[float, ...]:
+    """``pi/2 + k*pi`` for ``k = k_min..k_max``: ``sin q`` is frozen at ``-1``
+    (odd ``k``) or ``+1`` (even ``k``); one parity is every other entry."""
+    return tuple(math.pi / 2.0 + k * math.pi for k in range(k_min, k_max + 1))
 
 
 def _richardson_stage(nodes: Sequence[float], vals: Sequence[float],
@@ -177,13 +165,20 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     limit after two Richardson stages, or — for monotone tails only — three;
     alternating oscillation; otherwise undetermined.  A NaN value raises
     :class:`ArithmeticError` naming the first q that has one; ``qs`` and
-    ``vs`` of different lengths, or empty, raise :class:`DomainError`.
+    ``vs`` of different lengths, or empty, an int beyond the double range in
+    either, and ``qs`` that are not finite, positive and strictly increasing
+    raise :class:`DomainError`.
     """
-    qs = tuple(map(float, qs))
-    vs = tuple(map(float, vs))
+    try:
+        qs, vs = tuple(map(float, qs)), tuple(map(float, vs))
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError("qs and vs must be within the double range") from None
     if len(qs) != len(vs) or not qs:
         raise DomainError(f"qs and vs must have the same length > 0, "
                           f"got {len(qs)} and {len(vs)}")
+    # one C-level pass: this runs for every probe and scan of a classify
+    if not (0.0 < qs[0] and qs[-1] < math.inf and all(map(operator.lt, qs, qs[1:]))):
+        raise DomainError("qs must be finite, positive and strictly increasing")
     evidence = tuple(zip(qs, vs))
     if math.isnan(sum(vs)):  # a cheap screen: true for any NaN (and for inf - inf)
         for q, v in evidence:
@@ -262,9 +257,9 @@ def _limit_of(family: YoungFamily, grid, name: str, x: float) -> LimitEstimate:
 
 class _Plan(NamedTuple):
     """Every q-schedule one probe may read, in the order :func:`_limits` reads
-    them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, the two
-    phase-locked parities, and their retry out to ``_PHASE_K_FACTOR`` times
-    as many k."""
+    them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, which
+    extends it, the two phase-locked parities, and their retry out to
+    ``_PHASE_K_FACTOR`` times as many k, which extends each parity."""
 
     base: tuple[float, ...]
     longer: tuple[float, ...]
@@ -273,15 +268,15 @@ class _Plan(NamedTuple):
 
 
 def _plan(family: YoungFamily) -> _Plan:
-    return _plan_of(family.schedule_q0, family.q_min)
+    return _plan_of(family.q_min)
 
 
 @lru_cache(maxsize=16)
-def _plan_of(q0: float, q_min: float) -> _Plan:
-    """The plan of every family with this ``schedule_q0`` and ``q_min``,
-    which is all that a plan reads of its family."""
-    base = geometric_schedule(q0, _DOUBLINGS)
-    return _Plan(base, geometric_schedule(base[0], _DOUBLINGS + _EXTRA_DOUBLINGS),
+def _plan_of(q_min: float) -> _Plan:
+    """The plan of every family with this ``q_min``, which is all that a plan
+    reads of its family: the scans start at ``max(q_min, 1)``."""
+    longer = _geometric_schedule(max(q_min, 1.0), _DOUBLINGS + _EXTRA_DOUBLINGS)
+    return _Plan(longer[:_DOUBLINGS + 1], longer,
                  _parity_schedules(q_min, _PHASE_K_MAX),
                  _parity_schedules(q_min, _PHASE_K_MAX * _PHASE_K_FACTOR))
 
@@ -299,8 +294,7 @@ def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
     solved on its own, so a point's estimate is the one a single grid over
     every schedule would give under the same rule.
     """
-    qs = sorted(set(plan.base).union(plan.longer))
-    rows = [dict(zip(qs, row)) for row in grid(points, qs).tolist()]
+    rows = [dict(zip(plan.longer, row)) for row in grid(points, plan.longer).tolist()]
     geos = [_geometric(plan, row) for row in rows]
     ests = list(geos)
     # The retry is for slow phase-locked settling (members converging like
@@ -338,7 +332,7 @@ class AdmissibilityReport(NamedTuple):
 def _parity_schedules(q_min: float, k_max: int) -> tuple[tuple[float, ...], ...]:
     """The odd-k and the even-k phase-locked q up to ``k_max`` that a family
     with this ``q_min`` admits, each empty when it has fewer than 8."""
-    locked = phase_locked_schedule(1, k_max)
+    locked = _phase_locked_schedule(1, k_max)
     # every phase-locked q is > 0, so q >= q_min is family.admits(q)
     parities = (tuple(q for q in locked[first::2] if q >= q_min) for first in (0, 1))
     return tuple(qs if len(qs) >= 8 else () for qs in parities)
@@ -420,7 +414,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
                             | ({mass_floor} if space.finite else set())))
     inverse_evidence = tuple(zip(probe_ys, _limits(family.inverse_grid, probe_ys, plan)))
     # Every value the plan may read, in one grid the Young check covers whole.
-    qs = sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+    qs = sorted(set(plan.longer).union(*plan.retry))
     grid = family.evaluate_grid(_T_GRID, qs)
     _check_young(family, _T_GRID, qs, grid)
     column = {q: j for j, q in enumerate(qs)}
@@ -556,7 +550,7 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float) -> Monotonic
                             f"{len(points)} of the {_GROWTH_POINTS} grid points on "
                             f"(0, {k!r}]")
     ts, us = map(list, zip(*points))
-    qs = geometric_schedule(family.schedule_q0, _GROWTH_DOUBLINGS)
+    qs = _geometric_schedule(max(family.q_min, 1.0), _GROWTH_DOUBLINGS)
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio may overflow, inf - inf
         rs = np.asarray(ts)[:, None] / family.inverse_grid(us, qs)
         drops = rs[:-1] - rs[1:]
@@ -622,9 +616,7 @@ def logbump_transfer(p: float, q0: float, q: float, t: float) -> float:
     its inverse can no longer resolve ``t``, raises :class:`OverflowError`.
     """
     p, q0, q = _transfer_params(p, q0, q)
-    t = _float("t", t)
-    if math.isnan(t) or math.isinf(t) or t < 0.0:
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
+    t = _nonneg("t", t)
     if t == 0.0:
         return math.log(E_MINUS_1) ** ((q - q0) / p)
     fam = logbump_family(p)

@@ -65,8 +65,8 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
             raise ValueError(
                 f"phase-locked sweep needs 1 <= q-min <= q-max as integer k bounds, "
                 f"got {args.q_min!r}..{args.q_max!r}")
-        from . import phase_locked_schedule
-        return list(phase_locked_schedule(int(args.q_min), int(args.q_max)))
+        from .admissibility import _phase_locked_schedule
+        return list(_phase_locked_schedule(int(args.q_min), int(args.q_max)))
     if not 0 < args.q_min <= args.q_max < math.inf:
         raise ValueError(
             f"need 0 < q-min <= q-max < inf, got {args.q_min!r}..{args.q_max!r}")

@@ -65,10 +65,7 @@ class MeasureSpace(NamedTuple("MeasureSpace", [("total_mass", float)])):
     __slots__ = ()
 
     def __new__(cls, total_mass: float) -> MeasureSpace:
-        try:
-            m = float(total_mass)
-        except OverflowError:  # an int beyond the doubles
-            raise MeasureModelError("total_mass is beyond the double range") from None
+        m = _double(total_mass, "total_mass", MeasureModelError)
         if math.isnan(m) or m <= 0.0:
             raise MeasureModelError(f"total_mass must be positive, got {total_mass!r}")
         return super().__new__(cls, m)
@@ -105,13 +102,16 @@ class SimpleFunction(NamedTuple("SimpleFunction", [("atoms", tuple[tuple[float, 
         ``perfbench/tracer.py`` wraps this name as its ``measure.simple_function``
         layer, so ``__new__`` looks it up on the class at every call."""
         merged: dict[float, float] = {}
-        for value, mass in atoms:
-            v, m = float(value), float(mass)
-            if not 0.0 <= v < math.inf:  # both comparisons are false for NaN
-                raise MeasureModelError(f"atom value must be finite and >= 0, got {value!r}")
-            if not 0.0 < m < math.inf:
-                raise MeasureModelError(f"atom mass must be finite and > 0, got {mass!r}")
-            merged[v] = merged.get(v, 0.0) + m
+        try:  # one try for the loop: it is most of the cost of reading a function
+            for value, mass in atoms:
+                v, m = float(value), float(mass)
+                if not 0.0 <= v < math.inf:  # both comparisons are false for NaN
+                    raise MeasureModelError(f"atom value must be finite and >= 0, got {value!r}")
+                if not 0.0 < m < math.inf:
+                    raise MeasureModelError(f"atom mass must be finite and > 0, got {mass!r}")
+                merged[v] = merged.get(v, 0.0) + m
+        except OverflowError:  # an int beyond the doubles
+            raise MeasureModelError("atom value or mass is beyond the double range") from None
         if math.inf in merged.values():
             raise OverflowError("atom masses at one value sum beyond the double range")
         support = _mass_sum(merged.values())
@@ -156,7 +156,7 @@ def ess_sup(f: SimpleFunction) -> float:
 def distribution(f: SimpleFunction, alpha: float) -> float:
     """Mass of ``{|f| >= alpha}``.  At ``alpha = 0`` that is the whole space;
     ``inf`` when the masses sum beyond the double range."""
-    a = float(alpha)
+    a = _double(alpha, "alpha", MeasureModelError)
     if math.isnan(a) or a < 0.0:
         raise MeasureModelError(f"alpha must be >= 0, got {alpha!r}")
     if a == 0.0:
@@ -229,12 +229,13 @@ def _checked_atoms(raw_atoms: list) -> list[tuple[float, float]]:
     return atoms
 
 
-def _double(x: int | float, name: str) -> float:
-    """``float(x)``; an int beyond the double range is an input error."""
+def _double(x: int | float, name: str, error: type[ValueError] = InputFormatError) -> float:
+    """``float(x)``; an int beyond the double range is an input error,
+    ``error`` naming ``name``."""
     try:
         return float(x)
-    except OverflowError:
-        raise InputFormatError(f"{name} is beyond the double range") from None
+    except OverflowError:  # an int beyond the doubles
+        raise error(f"{name} is beyond the double range") from None
 
 
 def read_simple_function(path: str) -> SimpleFunction:

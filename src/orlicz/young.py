@@ -98,15 +98,19 @@ class BracketError(ArithmeticError):
     """Root bracketing failed; the message carries the last bracket tried."""
 
 
-def _float(name: str, x: float, owner: YoungFamily | YoungFunction | None = None) -> float:
+def _float(name: str, x: float, owner: YoungFamily | YoungFunction | None = None,
+           error: type[ValueError] = DomainError) -> float:
     """``float(x)``.  An int beyond the double range is an input error, as
-    ``inf`` is in the same place: :class:`DomainError` naming ``name``, after
-    the label of ``owner`` when one is given."""
+    ``inf`` is in the same place: ``error`` naming ``name``, after the label
+    of ``owner`` when one is given."""
     try:
         return float(x)
     except OverflowError:  # an int beyond the doubles
-        where = "" if owner is None else f"{owner.label}: "
-        raise DomainError(f"{where}{name} is beyond the double range") from None
+        raise error(f"{_where(owner)}{name} is beyond the double range") from None
+
+
+def _where(owner: YoungFamily | YoungFunction | None) -> str:
+    return "" if owner is None else f"{owner.label}: "
 
 
 def _positive(name: str, x: float) -> float:
@@ -114,6 +118,15 @@ def _positive(name: str, x: float) -> float:
     x = _float(name, x)
     if not 0.0 < x < math.inf:  # both comparisons are false for NaN
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
+def _nonneg(name: str, x: float, owner: YoungFamily | YoungFunction | None = None) -> float:
+    """``x`` as a float, after checking that it is finite and ``>= 0``; the
+    message names ``name`` as :func:`_float` does."""
+    x = _float(name, x, owner)
+    if not 0.0 <= x < math.inf:  # both comparisons are false for NaN
+        raise DomainError(f"{_where(owner)}{name} must be finite and >= 0, got {x!r}")
     return x
 
 
@@ -343,10 +356,7 @@ class YoungFunction(NamedTuple):
         return f"{self.family.label}[{','.join(f'{k}={v:g}' for k, v in params.items())}]"
 
     def __call__(self, t: float) -> float:
-        t = _float("t", t, self)
-        if math.isnan(t) or math.isinf(t) or t < 0:
-            raise DomainError(f"{self.label}: t must be finite and >= 0, got {t!r}")
-        return self.family._psi(t, self.q)
+        return self.family._psi(_nonneg("t", t, self), self.q)
 
     def inverse(self, y: float) -> float:
         """The smallest double ``t`` with ``psi(t) >= y``: the root of
@@ -359,9 +369,7 @@ class YoungFunction(NamedTuple):
         on every finite ``t``; ``ArithmeticError`` when a probe finds ``psi``
         NaN.
         """
-        y = _float("y", y, self)
-        if math.isnan(y) or math.isinf(y) or y < 0:
-            raise DomainError(f"{self.label}: inverse needs finite y >= 0, got {y!r}")
+        y = _nonneg("y", y, self)
         if y == 0.0:
             return 0.0
 
@@ -533,11 +541,6 @@ class YoungFamily(NamedTuple):
                     raise _nan_psi(label(nan[0]), float(ts[nan[0]]))
         return np.where(ys == 0.0, 0.0, ts).reshape(shape)  # y = 0 maps to 0
 
-    @property
-    def schedule_q0(self) -> float:
-        """Default starting point for q-schedules over this family."""
-        return max(self.q_min, 1.0)
-
 
 def _array_log(x: np.ndarray) -> np.ndarray:
     """``np.log``, the log of the catalog's ``array_fn`` formulas.  numpy is
@@ -562,20 +565,21 @@ def _anchor_constant(n: int) -> float:
 
 
 def _check_p(name: str, p: float) -> float:
-    p = float(p)
+    p = _float(f"{name}: p", p, error=FamilySpecError)
     if not math.isfinite(p) or p < 1.0:
         raise FamilySpecError(f"{name} requires p >= 1, got {p!r}")
     return p
 
 
 def _check_N(name: str, N: int) -> int:
-    N = int(N)
-    if N < 1:
+    """``N`` when it is a whole number (an ``__index__`` type, not a bool) in
+    ``1..3``; a float or a bool is not truncated to one."""
+    if isinstance(N, bool) or not hasattr(type(N), "__index__") or N < 1:
         raise FamilySpecError(f"{name} requires integer N >= 1, got {N!r}")
     if N > 3:
         raise FamilySpecError(
             f"{name} anchor for N={N} is not representable in double precision (N <= 3)")
-    return N
+    return int(N)
 
 
 def power_family() -> YoungFamily:

@@ -18,7 +18,6 @@ SIGNATURES = {
     "limit_of_inverses": ["family", "y"],
     "growth_check": ["family", "phi", "k"],
     "growth_check_inverse_form": ["family", "phi", "k"],
-    "phase_locked_schedule": ["k_min", "k_max"],
     "tc_fixed_point_check": ["p", "q0", "q", "c", "t1"],
 }
 
@@ -72,7 +71,6 @@ POSITIVE = {
     "lambda": lambda x: orlicz.modular(_PSI, _F, x),
     "mass": lambda x: orlicz.indicator_norm(_PSI, x),
     "alpha": lambda x: orlicz.chebyshev_bound(_PSI, _F, x),
-    "q0": lambda x: orlicz.geometric_schedule(x),
     "t": lambda x: orlicz.limit_of_values(_PSI.family, x),
     "y": lambda x: orlicz.limit_of_inverses(_PSI.family, x),
     "k": lambda x: orlicz.growth_check(_PSI.family, _PSI, x),
@@ -99,6 +97,7 @@ FLOAT_ARGUMENTS = {
     "power: y": lambda x: _PSI.family.inverse_grid([x], [2.0]),
     "power[q=2]: t": lambda x: _PSI(x),
     "power[q=2]: y": lambda x: _PSI.inverse(x),
+    "q0": lambda x: orlicz.logbump_transfer(1.0, x, 3.0, 1.0),
     "q (transfer)": lambda x: orlicz.logbump_transfer(1.0, 1.0, x, 1.0),
     "t (transfer)": lambda x: orlicz.logbump_transfer(1.0, 1.0, 3.0, x),
 }
@@ -115,8 +114,58 @@ def test_ints_beyond_the_doubles_are_domain_errors(name, sign):
         FLOAT_ARGUMENTS[name](sign * 10 ** 400)
 
 
+_BIG = 10 ** 400
+_QS = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+_VS = [1.0 + 1.0 / q for q in _QS]
+_SEQUENCE_RULE = "qs must be finite, positive and strictly increasing"
+# Inputs that raised a numeric failure (OverflowError, ZeroDivisionError),
+# truncated silently or returned a verdict; each is an input error, with the
+# class of its module.
+INPUT_ERRORS = {
+    "logbump p": (lambda: orlicz.logbump_family(_BIG), orlicz.FamilySpecError,
+                  "logbump: p is beyond the double range"),
+    "iterlog p": (lambda: orlicz.iterlog_family(1, _BIG), orlicz.FamilySpecError,
+                  "iterlog: p is beyond the double range"),
+    "addie p": (lambda: orlicz.addie_family(1, _BIG), orlicz.FamilySpecError,
+                "addie: p is beyond the double range"),
+    "iterlog N=2.7": (lambda: orlicz.iterlog_family(2.7), orlicz.FamilySpecError,
+                      "iterlog requires integer N >= 1, got 2.7"),
+    "iterlog N=True": (lambda: orlicz.iterlog_family(True), orlicz.FamilySpecError,
+                       "iterlog requires integer N >= 1, got True"),
+    "addie N=2.0": (lambda: orlicz.addie_family(2.0), orlicz.FamilySpecError,
+                    "addie requires integer N >= 1, got 2.0"),
+    "sequence big q": (lambda: orlicz.classify_sequence([_BIG], [1.0]), orlicz.DomainError,
+                       "qs and vs must be within the double range"),
+    "sequence big v": (lambda: orlicz.classify_sequence([1.0], [-_BIG]), orlicz.DomainError,
+                       "qs and vs must be within the double range"),
+    "sequence equal q": (lambda: orlicz.classify_sequence([1.0] * 8, _VS), orlicz.DomainError,
+                         _SEQUENCE_RULE),
+    "sequence decreasing q": (lambda: orlicz.classify_sequence(_QS[::-1], _VS),
+                              orlicz.DomainError, _SEQUENCE_RULE),
+    "sequence nan q": (lambda: orlicz.classify_sequence(_QS[:4] + [math.nan] + _QS[5:], _VS),
+                       orlicz.DomainError, _SEQUENCE_RULE),
+    "sequence negative q": (lambda: orlicz.classify_sequence([-q for q in _QS[::-1]], _VS),
+                            orlicz.DomainError, _SEQUENCE_RULE),
+    "sequence inf q": (lambda: orlicz.classify_sequence(_QS[:-1] + [math.inf], _VS),
+                       orlicz.DomainError, _SEQUENCE_RULE),
+    "distribution alpha": (lambda: orlicz.distribution(_F, _BIG), orlicz.MeasureModelError,
+                           "alpha is beyond the double range"),
+    "atom value": (lambda: orlicz.SimpleFunction(((_BIG, 1.0),), _F.space),
+                   orlicz.MeasureModelError, "atom value or mass is beyond the double range"),
+    "atom mass": (lambda: orlicz.SimpleFunction(((1.0, 1.0), (2.0, _BIG)), _F.space),
+                  orlicz.MeasureModelError, "atom value or mass is beyond the double range"),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_ERRORS))
+def test_input_errors_not_numeric_failures(name):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_export_count():
-    assert len(orlicz.__all__) == 41
+    assert len(orlicz.__all__) == 39
 
 
 def test_no_classifier_config_export():

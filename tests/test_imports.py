@@ -132,9 +132,9 @@ def test_lazy_namespace_in_fresh_interpreter():
 
 
 DIAGNOSTICS = ("AdmissibilityReport", "FixedPointReport", "LimitEstimate", "MonotonicityReport",
-               "classify", "classify_sequence", "geometric_schedule", "growth_check",
-               "growth_check_inverse_form", "limit_of_inverses", "limit_of_values",
-               "logbump_transfer", "phase_locked_schedule", "tc_fixed_point_check")
+               "classify", "classify_sequence", "growth_check", "growth_check_inverse_form",
+               "limit_of_inverses", "limit_of_values", "logbump_transfer",
+               "tc_fixed_point_check")
 
 
 def test_exports_resolve_to_the_diagnostics_objects():

@@ -16,21 +16,19 @@ from orlicz import (
     YoungFamily,
     YoungFunction,
     classify,
-    geometric_schedule,
     identity_family,
     iterlog_family,
     logbump_family,
     luxemburg_norm,
     make_family,
     modular,
-    phase_locked_schedule,
     power_family,
     powerlog_e_family,
     sinpiecewise_family,
 )
 from orlicz.admissibility import (
     _DOUBLINGS, _EXTRA_DOUBLINGS, _PHASE_K_FACTOR, _PHASE_K_MAX, _T_GRID, _Y_GRID,
-    _check_young, _plan)
+    _check_young, _geometric_schedule, _phase_locked_schedule, _plan)
 from orlicz import young
 from orlicz.young import E_MINUS_1, _anchor_constant
 
@@ -146,8 +144,8 @@ def test_inverse_unbracketable():
 # Every q a classify may read: the extra-doublings scan and the retry of the
 # phase-locked schedules included.
 Q_UNION = tuple(sorted(
-    set(geometric_schedule(1.0, _DOUBLINGS + _EXTRA_DOUBLINGS))
-    | set(phase_locked_schedule(1, _PHASE_K_MAX * _PHASE_K_FACTOR))))
+    set(_geometric_schedule(1.0, _DOUBLINGS + _EXTRA_DOUBLINGS))
+    | set(_phase_locked_schedule(1, _PHASE_K_MAX * _PHASE_K_FACTOR))))
 GRID_YS = (0.0,) + _Y_GRID
 
 
