@@ -536,11 +536,16 @@ def _growth_scan(family: YoungFamily, phi: YoungFunction, k: float) -> Monotonic
     over ``(u, q)``.  Points where ``phi(t)`` is below the normal double range
     are dropped: at 0 the ratio is a 0/0 form, and a subnormal ``u`` carries
     too few bits for its inverse to resolve ``t``.  Fewer than two points
-    left, or ``phi(t)`` overflowing at any point, raise :class:`OverflowError`.
+    left, ``phi(t)`` overflowing at any point, or a ``k`` so small that the
+    grid start ``1e-9 * k`` underflows to 0 raise :class:`OverflowError`.
     """
     k = _positive("k", k)
+    start = 1e-9 * k
+    if start == 0.0:
+        raise OverflowError(f"k={k!r} is so small that the grid start 1e-9 * k "
+                            f"underflows to 0")
     import numpy as np
-    points = [(t, phi(t)) for t in np.geomspace(1e-9 * k, k, _GROWTH_POINTS).tolist()]
+    points = [(t, phi(t)) for t in np.geomspace(start, k, _GROWTH_POINTS).tolist()]
     for t, u in points:
         if math.isinf(u):
             raise OverflowError(f"{phi.label} overflows at grid point t={t!r} on (0, {k!r}]")

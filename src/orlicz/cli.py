@@ -58,6 +58,11 @@ def _parse_mass(text: str) -> float:
     return mass
 
 
+# The most q one sweep takes.  The schedule, every norm and every CSV row
+# are built before the first row is written, so the count is checked first.
+_MAX_SWEEP_POINTS = 100_000
+
+
 def _sweep_qs(args: argparse.Namespace) -> list[float]:
     if args.phase_locked:
         if not (args.q_min.is_integer() and args.q_max.is_integer()
@@ -65,13 +70,19 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
             raise ValueError(
                 f"phase-locked sweep needs 1 <= q-min <= q-max as integer k bounds, "
                 f"got {args.q_min!r}..{args.q_max!r}")
+        count = int(args.q_max) - int(args.q_min) + 1
+    else:
+        if not 0 < args.q_min <= args.q_max < math.inf:
+            raise ValueError(
+                f"need 0 < q-min <= q-max < inf, got {args.q_min!r}..{args.q_max!r}")
+        if args.q_steps < 1:
+            raise ValueError(f"q-steps must be >= 1, got {args.q_steps!r}")
+        count = args.q_steps
+    if count > _MAX_SWEEP_POINTS:
+        raise ValueError(f"a sweep takes at most {_MAX_SWEEP_POINTS} q, asked for {count}")
+    if args.phase_locked:
         from .admissibility import _phase_locked_schedule
         return list(_phase_locked_schedule(int(args.q_min), int(args.q_max)))
-    if not 0 < args.q_min <= args.q_max < math.inf:
-        raise ValueError(
-            f"need 0 < q-min <= q-max < inf, got {args.q_min!r}..{args.q_max!r}")
-    if args.q_steps < 1:
-        raise ValueError(f"q-steps must be >= 1, got {args.q_steps!r}")
     import numpy as np
     qs = []
     for q in np.geomspace(args.q_min, args.q_max, args.q_steps):
@@ -178,9 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q-min", type=float, default=1.0)
     sweep.add_argument("--q-max", type=float, default=4096.0)
     sweep.add_argument("--q-steps", type=int, default=13,
-                       help="geometric schedule length from q-min to q-max")
+                       help=f"geometric schedule length from q-min to q-max, "
+                            f"at most {_MAX_SWEEP_POINTS}")
     sweep.add_argument("--phase-locked", action="store_true",
-                       help="use q = pi/2 + k*pi with integer k from q-min to q-max")
+                       help=f"use q = pi/2 + k*pi with integer k from q-min to q-max, "
+                            f"at most {_MAX_SWEEP_POINTS} k")
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -30,6 +30,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
+from .young import _float
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -65,7 +67,7 @@ class MeasureSpace(NamedTuple("MeasureSpace", [("total_mass", float)])):
     __slots__ = ()
 
     def __new__(cls, total_mass: float) -> MeasureSpace:
-        m = _double(total_mass, "total_mass", MeasureModelError)
+        m = _float("total_mass", total_mass, error=MeasureModelError)
         if math.isnan(m) or m <= 0.0:
             raise MeasureModelError(f"total_mass must be positive, got {total_mass!r}")
         return super().__new__(cls, m)
@@ -156,7 +158,7 @@ def ess_sup(f: SimpleFunction) -> float:
 def distribution(f: SimpleFunction, alpha: float) -> float:
     """Mass of ``{|f| >= alpha}``.  At ``alpha = 0`` that is the whole space;
     ``inf`` when the masses sum beyond the double range."""
-    a = _double(alpha, "alpha", MeasureModelError)
+    a = _float("alpha", alpha, error=MeasureModelError)
     if math.isnan(a) or a < 0.0:
         raise MeasureModelError(f"alpha must be >= 0, got {alpha!r}")
     if a == 0.0:
@@ -186,7 +188,7 @@ def simple_function_from_json(obj: object) -> SimpleFunction:
     if tm == "inf":
         total = math.inf
     elif isinstance(tm, (int, float)) and not isinstance(tm, bool):
-        total = _double(tm, "total_mass")
+        total = _float("total_mass", tm, error=InputFormatError)
         if total == math.inf:  # 1e400 or Infinity; only "inf" asks for an infinite space
             raise InputFormatError("total_mass is beyond the double range")
     else:
@@ -225,17 +227,9 @@ def _checked_atoms(raw_atoms: list) -> list[tuple[float, float]]:
         for key in ("value", "mass"):
             if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
                 raise InputFormatError(f"atom #{i} {key} must be a number, got {entry[key]!r}")
-        atoms.append(tuple(_double(entry[k], f"atom #{i} {k}") for k in ("value", "mass")))
+        atoms.append(tuple(_float(f"atom #{i} {k}", entry[k], error=InputFormatError)
+                           for k in ("value", "mass")))
     return atoms
-
-
-def _double(x: int | float, name: str, error: type[ValueError] = InputFormatError) -> float:
-    """``float(x)``; an int beyond the double range is an input error,
-    ``error`` naming ``name``."""
-    try:
-        return float(x)
-    except OverflowError:  # an int beyond the doubles
-        raise error(f"{name} is beyond the double range") from None
 
 
 def read_simple_function(path: str) -> SimpleFunction:

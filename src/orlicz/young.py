@@ -695,6 +695,10 @@ _CATALOG: dict[str, tuple[tuple[str, ...], Callable[..., YoungFamily]]] = {
 }
 
 
+# How ``make_family`` converts each spec value, and what the value must be.
+_SPEC_VALUES = {"p": (float, "a real number"), "N": (int, "an integer")}
+
+
 def make_family(spec: str) -> YoungFamily:
     """Build a catalog family from a descriptor string.
 
@@ -724,14 +728,9 @@ def make_family(spec: str) -> YoungFamily:
             if key in kwargs:
                 raise FamilySpecError(f"duplicate key {key!r} in {spec!r}")
             text = value.strip()
-            if key == "N":
-                try:
-                    kwargs["N"] = int(text)
-                except ValueError:
-                    raise FamilySpecError(f"N must be an integer, got {text!r}") from None
-            else:
-                try:
-                    kwargs["p"] = float(text)
-                except ValueError:
-                    raise FamilySpecError(f"p must be a real number, got {text!r}") from None
+            convert, kind = _SPEC_VALUES[key]
+            try:
+                kwargs[key] = convert(text)
+            except ValueError:
+                raise FamilySpecError(f"{key} must be {kind}, got {text!r}") from None
     return builder(**kwargs)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import orlicz.luxemburg as luxemburg
-from orlicz import MeasureSpace, SimpleFunction, make_family
+from orlicz import MeasureSpace, SimpleFunction, YoungFamily, make_family
 
 # Every built-in family in spec form, with the verdict its construction implies
 # on an infinite-measure space.
@@ -23,6 +23,12 @@ CATALOG_SPECS = (
 )
 
 STRICT_SPECS = CATALOG_SPECS  # identity is the lone non-strict entry
+
+
+def vanishing_family():
+    """``t^2 / (4 q^2)``: every member vanishes pointwise as q grows, so every
+    inverse limit is infinite.  No catalog family does this."""
+    return YoungFamily("vanish", lambda t, q: t * t / (4.0 * q * q), {}, q_min=1.0)
 
 
 @pytest.fixture(scope="session")

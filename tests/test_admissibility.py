@@ -30,7 +30,7 @@ from orlicz import (
 from orlicz import admissibility
 from orlicz.admissibility import (_PHASE_K_FACTOR, _PHASE_K_MAX, _geometric_schedule,
                                   _phase_locked_schedule)
-from conftest import CATALOG_SPECS
+from conftest import CATALOG_SPECS, vanishing_family
 
 INF = MeasureSpace(math.inf)
 GEO = _geometric_schedule(1.0, 12)
@@ -326,6 +326,71 @@ def test_classify_mass_beyond_reciprocal_range_overflows():
         classify(power_family(), MeasureSpace(1e-320))
 
 
+@pytest.mark.parametrize("mass", [math.inf, 2.0])
+def test_classify_vanishing_family(mass):
+    rep = classify(vanishing_family(), MeasureSpace(mass))
+    assert rep.verdict == "inadmissible_vanishing"
+    assert {est.kind for _, est in rep.inverse_evidence} == {"infinite"}
+
+
+# Families that show the geometric scan (q a power of two) one face and every
+# other q another.  On the powers of two the member is (t / L)^8, with L such
+# that psi^{-1}(0.0005) = 0.06, except that on two of every three it is raised
+# below 0.06 to the chord from 0 to (0.06, 0.0005).  So every inverse probe
+# y >= 0.0005 lands above 0.06 and reads a flat, finite geometric scan, while
+# the value probe t = 0.05 reads an undetermined one and goes on to the
+# phase-locked q, where the member is scale(q) * (t / L)^8.
+_TWO_FACED_L = 0.06 / 0.0005 ** 0.125
+
+
+def _two_faced_family(scale):
+    def fn(t, q):
+        mantissa, exponent = math.frexp(q)
+        base = (t / _TWO_FACED_L) ** 8
+        if mantissa != 0.5:
+            return scale(q) * base
+        return max(base, t / 120.0) if exponent % 3 else base
+    return YoungFamily("two-faced", fn, {}, q_min=1.0)
+
+
+def test_agreeing_decisive_parities_rescue_an_undetermined_scan():
+    family = _two_faced_family(lambda q: q ** 8)
+    longer = admissibility._plan(family).longer
+    geometric = classify_sequence(longer, [family.fn(0.05, q) for q in longer])
+    assert geometric.kind == "undetermined"
+    est = limit_of_values(family, 0.05)
+    assert est.kind == "infinite"
+    assert len(est.evidence) > len(longer)  # the parities were read
+
+
+@pytest.mark.parametrize("scale,mass,kind", [
+    (lambda q: q ** 8, math.inf, "infinite"),  # members blow up below alpha
+    (lambda q: 100.0, math.inf, "finite"),     # a limit above _ZERO_TOL below alpha
+    (lambda q: 100.0, 2000.0, "finite"),       # a limit above 1/total_mass below alpha
+], ids=["infinite", "finite-infinite-mass", "finite-finite-mass"])
+def test_value_side_vetoes_below_alpha(scale, mass, kind):
+    rep = classify(_two_faced_family(scale), MeasureSpace(mass))
+    assert rep.verdict == "undetermined"
+    # the inverse side alone gives a band, and its alpha is above t = 0.05
+    assert {est.kind for _, est in rep.inverse_evidence} == {"finite"}
+    alpha = min(est.value for _, est in rep.inverse_evidence)
+    beta = max(est.value for _, est in rep.inverse_evidence)
+    t, est = rep.value_evidence[0]
+    assert t < alpha * (1.0 - admissibility._MARGIN) and est.kind == kind
+    floor = 0.0 if math.isinf(mass) else 1.0 / mass
+    assert admissibility._value_side_veto(rep.value_evidence[:1], alpha, beta, floor)
+
+
+def test_value_side_vetoes_a_delta_candidate():
+    # t^2000 for every q: the inverse limits y^(1/2000) agree within
+    # _CLASS_TOL on a delta near 1, but the values above it stay finite.
+    rep = classify(YoungFamily("frozen", lambda t, q: t ** 2000.0, {}, q_min=1.0), INF)
+    assert rep.verdict == "undetermined"
+    values = [est.value for _, est in rep.inverse_evidence]
+    assert max(values) - min(values) <= admissibility._CLASS_TOL
+    assert dict(rep.value_evidence)[1.2059085510306964].kind == "finite"
+
+
 KNOWN_BANDS = {
     "power": (1.0, 1.0),
     "logbump": (1.0, 1.0),
@@ -501,6 +566,16 @@ def test_growth_rejects_phi_overflowing_on_grid(form):
     # reported as a numeric failure naming phi and the first overflowing t.
     with pytest.raises(OverflowError, match=r"power\[q=2\] overflows at grid point t="):
         form(power_family(), power_family().make(2.0), 1e200)
+
+
+@pytest.mark.parametrize("form", [growth_check, growth_check_inverse_form])
+def test_growth_rejects_a_k_whose_grid_start_underflows(form):
+    # 1e-9 * 1e-320 is 0: the grid would start at 0, where numpy refuses a
+    # geometric sequence; just above, the start is subnormal but not 0.
+    with pytest.raises(OverflowError, match=r"k=1e-320 .* underflows to 0"):
+        form(power_family(), power_family().make(2.0), 1e-320)
+    with pytest.raises(OverflowError, match="below the normal double range"):
+        form(power_family(), power_family().make(2.0), 1e-310)
 
 
 def test_growth_inverse_form_interval_ends_at_phi_k():

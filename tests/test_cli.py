@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import orlicz
 from orlicz import cli
 from orlicz.young import BracketError
+from conftest import vanishing_family
 
 
 def _write_json(tmp_path, name, obj):
@@ -299,6 +300,44 @@ def test_sweep_rejects_bad_bounds(capsys, ind8):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bounds,count", [
+    (["--q-steps", "1000000000000"], 10 ** 12),
+    (["--phase-locked", "--q-min", "1", "--q-max", "1e18"], 10 ** 18),
+])
+def test_sweep_point_count_is_bounded(capsys, ind8, monkeypatch, bounds, count):
+    # Checked before any schedule is built: both builders fail if called.
+    from orlicz import admissibility
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("schedule built")
+    monkeypatch.setattr(admissibility, "_phase_locked_schedule", unbuilt)
+    monkeypatch.setattr(np, "geomspace", unbuilt)
+    assert cli.main(["sweep", "--family", "power", "--input", ind8] + bounds) == 2
+    assert capsys.readouterr().err == (
+        f"error: a sweep takes at most {cli._MAX_SWEEP_POINTS} q, asked for {count}\n")
+
+
+@pytest.mark.parametrize("phase_locked", [True, False])
+def test_sweep_takes_the_bound_itself(phase_locked):
+    import argparse
+    top = cli._MAX_SWEEP_POINTS
+
+    def qs(count):
+        return cli._sweep_qs(argparse.Namespace(
+            phase_locked=phase_locked, q_min=1.0,
+            q_max=float(count) if phase_locked else 4096.0, q_steps=count))
+    assert len(qs(top)) == top
+    with pytest.raises(ValueError, match=f"at most {top} q, asked for {top + 1}"):
+        qs(top + 1)
+
+
+def test_sweep_help_states_the_bound(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {cli._MAX_SWEEP_POINTS}" in help_text
+
+
 # ---------------------------------------------------------------- classify
 
 
@@ -319,6 +358,15 @@ def test_classify_oscillating_band(capsys):
     out = capsys.readouterr().out
     assert out.startswith("alpha-beta-admissible alpha=0.5")
     assert out.endswith("beta=1.000\n")
+
+
+def test_classify_vanishing_verdict_line(capsys, monkeypatch):
+    # No catalog family vanishes: classify a test-local one in its place.
+    real = orlicz.classify
+    monkeypatch.setattr(orlicz, "classify",
+                        lambda family, space: real(vanishing_family(), space))
+    assert cli.main(["classify", "--family", "power"]) == 0
+    assert capsys.readouterr().out == "inadmissible: vanishing\n"
 
 
 def test_classify_bad_mass_exits_2(capsys):
@@ -375,6 +423,16 @@ def test_growth_comparison_overflowing_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: power[q=2] overflows at grid point t=")
+
+
+def test_growth_k_below_the_grid_start_exits_3(capsys):
+    # 1e-9 * k underflows to 0 for k below about 2.5e-315.
+    assert cli.main(["growth", "--family", "power", "--phi", "power",
+                     "--q", "2", "--k", "1e-320"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: k=1e-320 is so small that the grid "
+                            "start 1e-9 * k underflows to 0\n")
 
 
 def test_growth_comparison_underflowing_near_zero(capsys):

@@ -127,6 +127,13 @@ def test_distribution_examples():
     assert distribution(f, 4.0) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [-1.0, math.nan])
+def test_distribution_rejects_negative_or_nan_alpha(alpha):
+    f = SimpleFunction(((3.0, 1.0),), INF)
+    with pytest.raises(MeasureModelError, match=f"alpha must be >= 0, got {alpha!r}"):
+        distribution(f, alpha)
+
+
 def test_distribution_at_zero_is_whole_space():
     f = SimpleFunction(((3.0, 1.0),), MeasureSpace(10.0))
     assert distribution(f, 0.0) == 10.0

@@ -650,6 +650,19 @@ def test_parser_rejects(bad):
         make_family(bad)
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("", "family spec must be a non-empty string, got ''"),
+    (None, "family spec must be a non-empty string, got None"),
+    ("logbump:", "trailing ':' in family spec 'logbump:'"),
+    ("logbump:p=two", "p must be a real number, got 'two'"),
+    ("iterlog:N=2.5", "N must be an integer, got '2.5'"),
+])
+def test_parser_names_the_fault(spec, message):
+    with pytest.raises(FamilySpecError) as info:
+        make_family(spec)
+    assert str(info.value) == message
+
+
 def test_family_q_domain_enforced(catalog_family):
     with pytest.raises(DomainError):
         catalog_family.make(-1.0)
