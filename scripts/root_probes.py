@@ -9,7 +9,10 @@ the largest number of probes per solve and how many solves took 40 or more:
   retry) times every probe level of ``admissibility._Y_GRID``;
 * ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
   ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
-  q = 2^0..2^12.
+  q = 2^0..2^12;
+* ``large-q``: ``luxemburg_norm`` of f = {2 on mass 1, 1 on mass 3} under
+  the N = 3 members at q = 2^28, 2^30 and 2^32, where the norm is still on
+  its way to ||f||_inf = 2.
 
 A probe is one evaluation of psi (inverse) or of the modular (norm).  The
 counts wrap the probe that each solve hands to ``_root``; the search itself
@@ -33,6 +36,9 @@ from orlicz import admissibility
 SPECS = ("power", "logbump", "logbump:p=2", "iterlog", "iterlog:N=2", "addie",
          "addie:N=2", "sinpiecewise", "powerlog_e", "identity")
 NORM_QS = tuple(2.0 ** j for j in range(13))
+LARGE_Q_SPECS = ("iterlog:N=3", "addie:N=3")
+LARGE_QS = (2.0 ** 28, 2.0 ** 30, 2.0 ** 32)
+LARGE_Q_ATOMS = ((2.0, 1.0), (1.0, 3.0))
 LONG = 40  # a solve at or above this many probes is counted apart
 
 
@@ -102,10 +108,20 @@ def norm_probes(spec: str) -> list[int]:
     return counts
 
 
+def large_q_probes(spec: str) -> list[int]:
+    family = orlicz.make_family(spec)
+    f = orlicz.SimpleFunction(LARGE_Q_ATOMS, orlicz.MeasureSpace(math.inf))
+    with counted_roots() as counts:
+        for q in LARGE_QS:
+            orlicz.luxemburg_norm(family.make(q), f)
+    return counts
+
+
 def main() -> int:
     print(f"{'solve':8}{'family':14}{'solves':>7}{'mean':>8}{'max':>5}{f'>={LONG}':>6}")
-    for kind, probes in (("inverse", inverse_probes), ("norm", norm_probes)):
-        for spec in SPECS:
+    for kind, probes, specs in (("inverse", inverse_probes, SPECS), ("norm", norm_probes, SPECS),
+                                ("large-q", large_q_probes, LARGE_Q_SPECS)):
+        for spec in specs:
             counts = probes(spec)
             print(f"{kind:8}{spec:14}{len(counts):7d}{sum(counts) / len(counts):8.2f}"
                   f"{max(counts):5d}{sum(n >= LONG for n in counts):6d}")

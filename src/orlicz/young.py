@@ -16,12 +16,15 @@ Conventions
   family's: ``family.evaluate_grid(ts, qs)`` and ``family.inverse_grid(ys,
   qs)`` with the same rules, checked once per grid.  A family has its
   scalar formula ``fn(t, q)`` and, optionally, the same formula over arrays,
-  ``array_fn(t, q)``, broadcasting over both; each catalog formula is written
-  once, generic over the log function (``math.log`` for ``fn``,
-  :func:`_array_log` for ``array_fn``).  Two unchecked kernels of the family
-  hold the zero rule, the overflow rule and the fallback for a family
-  without an array form: ``family._psi(t, q)`` for one float and
-  ``family._psi_array(ts, qs)`` for arrays, which runs
+  ``array_fn(t, q)``, broadcasting over both, which runs the same
+  operations.  The four log families (``logbump``, ``iterlog``, ``addie``,
+  ``powerlog_e``) share one builder, :func:`_chain_family`: their log factor
+  is an anchored ``log1p`` chain, never ``log(c + t)``, so a member's
+  relative error is a few ulp times ``1 + |q log L|`` at any ``q``, N = 3
+  included.  Two unchecked kernels of the family hold the zero rule, the
+  overflow rule and the fallback for a family without an array form:
+  ``family._psi(t, q)`` for one float and ``family._psi_array(ts, qs)`` for
+  arrays, which runs
   ``family._array_formula()``, that is ``array_fn`` or, without one, ``_psi``
   vectorized.  The public calls check their input and call a kernel, and
   ``inverse`` and the grid solvers call the kernels directly.  The norm
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -542,19 +544,6 @@ class YoungFamily(NamedTuple):
         return np.where(ys == 0.0, 0.0, ts).reshape(shape)  # y = 0 maps to 0
 
 
-def _array_log(x: np.ndarray) -> np.ndarray:
-    """``np.log``, the log of the catalog's ``array_fn`` formulas.  numpy is
-    imported on the first call, so building a family does not load it."""
-    import numpy as np
-    return np.log(x)
-
-
-def _iter_log(x: float, n: int, log: Callable = math.log) -> float:
-    for _ in range(n):
-        x = log(x)
-    return x
-
-
 def _anchor_constant(n: int) -> float:
     """The ``c > 0`` whose n-fold iterated log of ``c + 1`` equals 1: ``c + 1``
     is ``exp`` applied n times to 1."""
@@ -562,6 +551,52 @@ def _anchor_constant(n: int) -> float:
     for _ in range(n):
         x = math.exp(x)
     return x - 1.0
+
+
+# 1 / exp^k(1) for k = 1, 2, 3, correctly rounded (mpmath at 40 digits): the
+# steps of the anchored chain.  exp applied three times in doubles gives
+# exp^3(1) 14 ulp low, and its reciprocal 8 ulp high, an error of the chain
+# that the power q would multiply.
+_RECIPROCAL_ANCHORS = (0.36787944117144233, 0.06598803584531254, 2.6217273894613533e-07)
+
+
+def _chain_family(label: str, params: dict, n: int, shift: float, p: float,
+                  lower: Callable | None = None) -> YoungFamily:
+    """``t^p * L^q`` for ``L`` the n-fold iterated log of ``exp^n(1) + t -
+    shift``, for any ``q > 0``, carried as its offset from 1, where ``L = 1``.
+
+    With ``e_0 = t - shift`` and ``e_j = log1p(e_{j-1} / exp^{n-j+1}(1))``,
+    ``L = 1 + e_n`` and the member is ``t^p * exp(q * log1p(e_n))``: no sum
+    ``c + t`` rounds away the low bits of ``t``, and the power ``q`` scales
+    only the rounding of ``log L``, so the member's relative error is a few
+    ulp times ``1 + |q log L|``.  At ``t = shift`` every ``e_j`` is 0 and the
+    log factor is exactly 1.  ``lower(t, log=math.log)``, when given, multiplies the
+    member by ``lower(t)^p`` and raises ``L`` to ``p + q``.
+
+    The scalar form is written out for each ``n``: a loop over the steps
+    cost ~40 ns a call on the norm path, where a small norm calls it once per
+    atom and probe.  The array form runs the same operations, the steps in a
+    loop, whose cost numpy's per-call cost dwarfs; numpy is imported on its
+    first call, so building a family does not load it.
+    """
+    r0, r1, r2 = (_RECIPROCAL_ANCHORS[n - 1::-1] + (0.0, 0.0))[:3]
+    log1p, exp = math.log1p, math.exp
+    chain = (lambda t, q: t ** p * exp(q * log1p(log1p((t - shift) * r0))),
+             lambda t, q: t ** p * exp(q * log1p(log1p(log1p((t - shift) * r0) * r1))),
+             lambda t, q: t ** p * exp(q * log1p(log1p(log1p(log1p((t - shift) * r0) * r1)
+                                                          * r2))))[n - 1]
+
+    def array_fn(t, q):
+        import numpy as np
+        e = t - shift
+        for r in (r0, r1, r2)[:n]:
+            np.log1p(np.multiply(e, r, out=e), out=e)
+        e = (q if lower is None else p + q) * np.log1p(e, out=e)
+        np.exp(e, out=e)
+        e *= t if p == 1.0 else t ** p  # t ** 1.0 == t, one array pass fewer
+        return e if lower is None else lower(t, np.log) ** p * e
+    fn = chain if lower is None else lambda t, q: lower(t) ** p * chain(t, p + q)
+    return YoungFamily(label, fn, params, q_min=0.0, array_fn=array_fn)
 
 
 def _check_p(name: str, p: float) -> float:
@@ -589,38 +624,27 @@ def power_family() -> YoungFamily:
     return YoungFamily("power", fn, {}, q_min=1.0, array_fn=fn)
 
 
-def _power_log_family(label: str, c: float, p: float) -> YoungFamily:
-    """``t^p * log(c + t)^q`` with ``p >= 1`` fixed and any ``q > 0``.  The
-    log is written out: the :func:`_iter_log` loop would cost ~170 ns per
-    call on the norm path."""
-    p = _check_p(label, p)
-
-    def fn(t, q, log: Callable = math.log):
-        return t ** p * log(c + t) ** q
-    return YoungFamily(label, fn, {"p": p}, q_min=0.0, array_fn=partial(fn, log=_array_log))
-
-
 def logbump_family(p: float = 1.0) -> YoungFamily:
     """``t^p * log(e - 1 + t)^q`` with ``p >= 1`` fixed and any ``q > 0``.
 
-    The shift ``e - 1`` pins ``psi_q(1) = 1`` for every ``q``.
+    The shift ``e - 1`` pins ``psi_q(1) = 1`` for every ``q``.  The log is
+    the anchored chain of :func:`_chain_family`, the formula of
+    ``iterlog:N=1``.
     """
-    return _power_log_family("logbump", E_MINUS_1, p)
+    p = _check_p("logbump", p)
+    return _chain_family("logbump", {"p": p}, 1, 1.0, p)
 
 
 def iterlog_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     """``t^p * (N-fold iterated log of (c + t))^q`` with the anchor ``c``
     solved so that ``psi_q(1) = 1`` independently of ``q``.
 
-    Doubles cannot represent the anchor beyond ``N = 3``.
+    ``c + 1 = exp^N(1)``, and the log is the anchored chain of
+    :func:`_chain_family`, which never forms ``c + t``.  Doubles cannot
+    represent the anchor beyond ``N = 3``.
     """
     N, p = _check_N("iterlog", N), _check_p("iterlog", p)
-    c = _anchor_constant(N)
-
-    def fn(t, q, log: Callable = math.log):
-        return t ** p * _iter_log(c + t, N, log) ** q
-    return YoungFamily("iterlog", fn, {"N": N, "p": p}, q_min=0.0,
-                       array_fn=partial(fn, log=_array_log))
+    return _chain_family("iterlog", {"N": N, "p": p}, N, 1.0, p)
 
 
 def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
@@ -628,19 +652,16 @@ def addie_family(N: int = 1, p: float = 1.0) -> YoungFamily:
     j-fold iterated log and each ``c_j`` is anchored so ``L_j(c_j + 1) = 1``.
 
     With those anchors every factor equals 1 at ``t = 1``, so ``psi_q(1)`` does
-    not depend on ``q``.
+    not depend on ``q``.  The member is ``prod_{j<N} L_j(c_j + t)^p`` times
+    the ``iterlog`` chain at ``p + q``; the factors ``j < N`` carry no power
+    ``q`` and need only relative accuracy, so they stay plain logs.
     """
     N, p = _check_N("addie", N), _check_p("addie", p)
-    cs = tuple(_anchor_constant(j) for j in range(1, N + 1))
+    c1, c2 = _anchor_constant(1), _anchor_constant(2)
 
-    def fn(t, q, log: Callable = math.log):
-        base = t
-        for j, c in enumerate(cs, start=1):
-            factor = _iter_log(c + t, j, log)  # the last one is L_N(c_N + t)
-            base = base * factor  # not *=: t may be an array
-        return base ** p * factor ** q
-    return YoungFamily("addie", fn, {"N": N, "p": p}, q_min=0.0,
-                       array_fn=partial(fn, log=_array_log))
+    def lower(t, log=math.log):  # prod_{j<N} L_j(c_j + t)
+        return 1.0 if N == 1 else log(c1 + t) if N == 2 else log(c1 + t) * log(log(c2 + t))
+    return _chain_family("addie", {"N": N, "p": p}, N, 1.0, p, lower)
 
 
 def sinpiecewise_family() -> YoungFamily:
@@ -669,8 +690,10 @@ def sinpiecewise_family() -> YoungFamily:
 def powerlog_e_family(p: float = 1.0) -> YoungFamily:
     """``t^p * log(e + t)^q``.  The log factor exceeds 1 for every ``t > 0``,
     so the family blows up pointwise as ``q`` grows and no normalization
-    anchor exists."""
-    return _power_log_family("powerlog_e", math.e, p)
+    anchor exists.  ``log(e + t) = 1 + log1p(t / e)``: the chain of
+    :func:`_chain_family` with one step, anchored at ``t = 0``."""
+    p = _check_p("powerlog_e", p)
+    return _chain_family("powerlog_e", {"p": p}, 1, 0.0, p)
 
 
 def identity_family() -> YoungFamily:

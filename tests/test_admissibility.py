@@ -619,6 +619,12 @@ _R = (_K + 0.5) / (_K - 1.5)
 RICHARDSON_AMPLIFICATION = math.prod((_R ** m + 1.0) / (_R ** m - 1.0) for m in (1, 2, 3))
 
 
+def _rel(family: YoungFamily, q: float) -> float:
+    """The array/scalar rounding bound of ``family``'s member at ``q``:
+    numpy's ufuncs may differ from ``math``'s by an ulp."""
+    return 8.0 * (family.params.get("p", 1.0) + q + 1.0) * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
 def test_classify_grid_matches_scalar_path(catalog_family, mass):
     space = MeasureSpace(mass)
@@ -629,11 +635,8 @@ def test_classify_grid_matches_scalar_path(catalog_family, mass):
     # psi differ by the array/scalar rounding bound rel(q); inverses inherit
     # it.  Raw evidence stays within rel(q), accelerated limits within the
     # largest rel(q) times the Richardson amplification.
-    eps = np.finfo(float).eps
-    p = catalog_family.params.get("p", 1.0)
-
     def rel(q):
-        return 8.0 * (p + q + 1.0) * eps
+        return _rel(catalog_family, q)
 
     raw = [(q, v) for _, est in want.inverse_evidence for q, v in est.evidence]
     derived = (rel(max(q for q, _ in raw)) * RICHARDSON_AMPLIFICATION
@@ -666,8 +669,18 @@ def test_classify_grid_matches_scalar_path(catalog_family, mass):
 @pytest.mark.parametrize("spec,phi_spec,phi_q,k", GROWTH_PAIRS)
 def test_growth_grid_matches_scalar_path(form, spec, phi_spec, phi_q, k):
     family, phi = make_family(spec), make_family(phi_spec).make(phi_q)
+    got = form(family, phi, k)
     want = form(_scalar_path(family), phi.family._replace(array_fn=None).make(phi_q), k)
-    assert form(family, phi, k) == want
+    # The verdicts are exact; the witness points and ratios come from inverses
+    # that each path solves to the ulp of its own psi, which differ by rel(q).
+    assert (got.interval, got.q_threshold, got.per_q) == \
+        (want.interval, want.q_threshold, want.per_q)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness[0] == want.witness[0]
+        bound = _rel(family, want.witness[0])
+        for a, b in zip(got.witness[1:], want.witness[1:]):
+            assert abs(a - b) <= bound * abs(b), (got.witness, want.witness)
 
 
 def test_grid_paths_make_no_scalar_inverse(monkeypatch):

@@ -89,10 +89,11 @@ def test_root_probes_counts_every_solve(capsys):
     assert header.split() == ["solve", "family", "solves", "mean", "max", ">=40"]
     table = {(row.split()[0], row.split()[1]): row.split()[2:] for row in rows}
     assert list(table) == [(kind, spec) for kind in ("inverse", "norm")
-                           for spec in probes.SPECS]
+                           for spec in probes.SPECS] + \
+        [("large-q", spec) for spec in ("iterlog:N=3", "addie:N=3")]
     for (kind, spec), (solves, mean, top, long) in table.items():
-        # 207 plan q x 7 probe levels; 16 functions x 13 q
-        assert int(solves) == (1449 if kind == "inverse" else 208), (kind, spec)
+        # 207 plan q x 7 probe levels; 16 functions x 13 q; one function x 3 q
+        assert int(solves) == {"inverse": 1449, "norm": 208, "large-q": 3}[kind], (kind, spec)
         assert 1.0 <= float(mean) <= int(top) <= young._STEPS + young._N0 + young._JUMPS
         assert 0 <= int(long) <= int(solves)
     assert table[("inverse", "power")][3] == "0"
