@@ -4,9 +4,10 @@
 Two sets of solves, each printed as one line per family with the mean and
 the largest number of probes per solve and how many solves took 40 or more:
 
-* ``inverse``: scalar ``psi.inverse(y)`` at every q of the classify plan
-  (the base scan, its refinement, both phase-locked parities and their
-  retry) times every probe level of ``admissibility._Y_GRID``;
+* ``inverse``: scalar ``psi.inverse(y)`` at every q that ``classify`` may
+  read on an infinite space (every probe's geometric scan from its own
+  start and both phase-locked parities) times every probe level of
+  ``admissibility._Y_GRID``;
 * ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
   ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
   q = 2^0..2^12;
@@ -55,9 +56,8 @@ def seeded_functions():
 
 
 def plan_qs(family) -> list[float]:
-    """Every q the classifier may solve for ``family``."""
-    plan = admissibility._plan(family)
-    return sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+    """Every q the classifier may read for ``family`` on an infinite space."""
+    return admissibility._scans(family, admissibility._Y_GRID)[2]
 
 
 @contextlib.contextmanager

@@ -17,13 +17,14 @@ Three layers:
 * growth-ratio monotonicity and the log-bump transfer function with its
   exponential comparison map.
 
-Each verdict reads its samples from grids.  A :func:`classify` call solves
-its inverses in up to three ``family.inverse_grid`` stages: every probe reads
-the base scan and its refinement, only the probes left open there read the
-two parities, and only those still undetermined read the parities' retry.
-Its values come from one ``family.evaluate_grid`` over every q of the plan,
-which is also the grid the Young axioms are checked on.  A growth scan reads
-one ``inverse_grid`` over ``(u, q)``.
+Each verdict reads its samples from grids.  A :func:`classify` call first
+evaluates ``psi`` on the value grid at ``q1 = max(q_min, 1)`` and ``2 q1``;
+the slopes of ``log psi`` between them set where each probe's geometric scan
+starts.  It then solves its inverses in at most two ``family.inverse_grid``
+stages: every probe reads its own scan, and only the probes left open there
+read the two parities.  Its values come from one ``family.evaluate_grid``
+over every q either side may read, which is also the grid the Young axioms
+are checked on.  A growth scan reads one ``inverse_grid`` over ``(u, q)``.
 
 Everything is deterministic and pure; reports are immutable named tuples.
 """
@@ -60,9 +61,7 @@ _ZERO_TOL = 5e-3
 _GROWTH_FACTOR = 4.0
 _BIG_SLOPE = 1e2
 _DOUBLINGS = 12
-_EXTRA_DOUBLINGS = 2
-_PHASE_K_MAX = 64
-_PHASE_K_FACTOR = 3
+_PHASE_K_MAX = 192
 _MARGIN = 0.05
 _MONO_TOL = 1e-8
 _CASE_II_SLACK = 1e-6
@@ -108,11 +107,12 @@ class LimitEstimate(NamedTuple):
     evidence: tuple[tuple[float, float], ...]
 
 
+@lru_cache(maxsize=128)
 def _geometric_schedule(q0: float, doublings: int) -> tuple[float, ...]:
     """``q0 * 2^j`` for ``j = 0..doublings``, each exact.
 
-    ``q0`` comes from a family's ``q_min``, so a last q beyond the double
-    range raises :class:`DomainError`.
+    ``q0`` comes from a family's ``q_min`` or from a probe's scale, so a
+    last q beyond the double range raises :class:`DomainError`.
     """
     if math.frexp(q0)[1] + doublings > sys.float_info.max_exp:
         raise DomainError(f"q0 * 2^doublings is beyond the double range for "
@@ -158,7 +158,8 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     """Apply the tail decision rule to one sampled sequence.
 
     Order of tests: a flat tail (sequences with exponentially fast settling,
-    where acceleration in ``1/q`` would only amplify the residue); monotone
+    where acceleration in ``1/q`` would only amplify the residue; a flat
+    tail within ``zero_tol`` of 0 is zero); monotone
     divergence (tail beyond ``big_value``, or sustained growth with a large
     accelerated slope); monotone decay (tail below ``small_value``, or the
     accelerated tail extrapolating below ``zero_tol``); a stable accelerated
@@ -192,7 +193,7 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
 
     flat = _stable_tail(vs, n, _FLAT_TOL)
     if flat is not None:
-        if abs(flat) <= _SMALL_VALUE:
+        if abs(flat) <= _ZERO_TOL:
             return LimitEstimate("zero", None, 0.0, 0.0, evidence)
         return LimitEstimate("finite", flat, flat, flat, evidence)
 
@@ -237,77 +238,97 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
 def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     """Classify ``q -> psi_q(t)``.
 
-    The geometric scan decides; when it leaves the limit undetermined or
-    oscillating, the two phase-locked subsequences (needed to certify
-    oscillation) are read and aggregated with it.
+    The geometric scan starts at the scale of ``t``'s own slope (see
+    :func:`_scans`); when it leaves the limit undetermined or oscillating,
+    the two phase-locked subsequences (needed to certify oscillation) are
+    read and aggregated with it.
     """
-    return _limit_of(family, family.evaluate_grid, "t", t)
+    t = _positive("t", t)
+    return _limits(family, family.evaluate_grid, (t,), _scans(family, (), (t,))[1])[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
-    """Classify ``q -> psi_q^{-1}(y)``; scheduling as in :func:`limit_of_values`."""
-    return _limit_of(family, family.inverse_grid, "y", y)
+    """Classify ``q -> psi_q^{-1}(y)``, read as in :func:`limit_of_values`.
+
+    Its scale comes from ``psi`` on the 33 ``t`` of the value grid: the scan
+    starts at the largest one that any of their slopes gives ``y``.
+    """
+    y = _positive("y", y)
+    return _limits(family, family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
 
 
-def _limit_of(family: YoungFamily, grid, name: str, x: float) -> LimitEstimate:
-    """The estimate at the one point ``name = x`` read from ``grid``, a grid
-    method of ``family``."""
-    return _limits(grid, (_positive(name, x),), _plan(family))[0]
+def _scans(family: YoungFamily, ys, ts=_T_GRID) -> tuple[list[float], list[float], list[float]]:
+    """Where the scan of each inverse probe in ``ys`` starts, where that of
+    each value probe in ``ts`` starts, and every q that either side of
+    :func:`classify` may read, sorted: both slope columns, every scan and
+    both parities.
+
+    At each ``t``, ``log psi_q(t) = a + q b`` on the line through ``q1 =
+    max(q_min, 1)`` and ``2 q1``, exact for a family whose ``log psi`` is
+    linear in q.  From ``q = (1 + |a| + spread) / |b|`` on, ``q |b|``
+    outweighs the offset ``|a|`` and the probe's own ``spread`` (0 for a
+    value probe, ``|log y|`` for an inverse one): the limit sets in there.
+    A value probe reads that scale at its own ``t``, an inverse probe the
+    largest over ``ts``.  A ``t`` where ``b = 0`` (the anchor ``t = 1``) or
+    ``log psi`` is not finite gives none (see :func:`_start`).
+    """
+    import numpy as np
+    q1, q2 = _geometric_schedule(max(family.q_min, 1.0), 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # psi 0 or inf
+        l1, l2 = np.log(family.evaluate_grid(ts, (q1, q2))).T
+        b = np.where(np.isfinite(l2 - l1) & (l1 != l2), np.abs(l2 - l1) / q1, np.nan)
+        offset = 1.0 + np.abs(2.0 * l1 - l2)  # 1 + |a|
+        y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b)) for y in ys]
+        t_starts = [_start(q1, scale) for scale in (offset / b).tolist()]
+    qs = set((q1, q2)).union(
+        *(_geometric_schedule(start, _DOUBLINGS) for start in set(y_starts + t_starts)),
+        *_parity_schedules(family.q_min))
+    return y_starts, t_starts, sorted(qs)
 
 
-class _Plan(NamedTuple):
-    """Every q-schedule one probe may read, in the order :func:`_limits` reads
-    them: the base scan, its refinement by ``_EXTRA_DOUBLINGS``, which
-    extends it, the two phase-locked parities, and their retry out to
-    ``_PHASE_K_FACTOR`` times as many k, which extends each parity."""
-
-    base: tuple[float, ...]
-    longer: tuple[float, ...]
-    parity: tuple[tuple[float, ...], ...]
-    retry: tuple[tuple[float, ...], ...]
-
-
-def _plan(family: YoungFamily) -> _Plan:
-    return _plan_of(family.q_min)
+def _start(q1: float, scale: float) -> float:
+    """Where a geometric scan starts: the power of two nearest ``scale``,
+    and at least ``q1``; ``q1`` for a NaN scale (no ``t`` gave one) and for
+    an infinite one (a slope too small to divide by)."""
+    return max(q1, 2.0 ** round(math.log2(scale))) if scale < math.inf else q1
 
 
 @lru_cache(maxsize=16)
-def _plan_of(q_min: float) -> _Plan:
-    """The plan of every family with this ``q_min``, which is all that a plan
-    reads of its family: the scans start at ``max(q_min, 1)``."""
-    longer = _geometric_schedule(max(q_min, 1.0), _DOUBLINGS + _EXTRA_DOUBLINGS)
-    return _Plan(longer[:_DOUBLINGS + 1], longer,
-                 _parity_schedules(q_min, _PHASE_K_MAX),
-                 _parity_schedules(q_min, _PHASE_K_MAX * _PHASE_K_FACTOR))
+def _parity_schedules(q_min: float) -> tuple[tuple[float, ...], ...]:
+    """The odd-k and the even-k phase-locked q up to ``_PHASE_K_MAX`` that a
+    family with this ``q_min`` admits, each empty when it has fewer than 8:
+    all that :func:`_limits` reads beyond a probe's own scan."""
+    locked = _phase_locked_schedule(1, _PHASE_K_MAX)
+    # every phase-locked q is > 0, so q >= q_min is family.admits(q)
+    parities = (tuple(q for q in locked[first::2] if q >= q_min) for first in (0, 1))
+    return tuple(qs if len(qs) >= 8 else () for qs in parities)
 
 
-def _limits(grid, points: Sequence[float], plan: _Plan) -> list[LimitEstimate]:
-    """One estimate per point, read from at most three grids.
+def _limits(family: YoungFamily, grid, points: Sequence[float],
+            starts: Sequence[float]) -> list[LimitEstimate]:
+    """One estimate per point, read from at most two grids.
 
-    Every point reads the base scan and its refinement from one
-    ``grid(points, qs)``.  A decisive geometric estimate (``finite``,
-    ``zero``, ``infinite``) is the point's estimate, with its own evidence.
-    Only the points whose geometric estimate is undetermined or oscillating
-    read the two parities, from one more grid over them, and
-    :func:`_aggregate` cross-examines it.  Only the points still
-    undetermined then read the retry, from a third grid.  Each cell is
+    Each point reads the geometric scan of ``_DOUBLINGS`` doublings from its
+    start, every scan from one ``grid(points, qs)`` over their columns.  A
+    decisive estimate (``finite``, ``zero``, ``infinite``) is the point's
+    estimate, with its own evidence.  Only the points whose scan is
+    undetermined or oscillating read the two parities, from one more grid
+    over them, and :func:`_aggregate` cross-examines it.  Each cell is
     solved on its own, so a point's estimate is the one a single grid over
-    every schedule would give under the same rule.
+    every column would give under the same rule.
     """
-    rows = [dict(zip(plan.longer, row)) for row in grid(points, plan.longer).tolist()]
-    geos = [_geometric(plan, row) for row in rows]
-    ests = list(geos)
-    # The retry is for slow phase-locked settling (members converging like
-    # r^q with r near 1): it pushes the locked subsequences to larger k.  The
-    # points a stage reads have all read the same q before it.
-    for schedules, open_kinds in ((plan.parity, ("undetermined", "oscillating")),
-                                  (plan.retry, ("undetermined",))):
-        redo = [i for i, est in enumerate(ests) if est.kind in open_kinds]
-        if redo:
-            extra = sorted(set().union(*schedules).difference(rows[redo[0]]))
-            for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
-                rows[i].update(zip(extra, row))
-                ests[i] = _aggregate(geos[i], *_parities(schedules, rows[i]))
+    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
+    qs = sorted(set().union(*scans))
+    rows = [dict(zip(qs, row)) for row in grid(points, qs).tolist()]
+    ests = [classify_sequence(scan, [row[q] for q in scan]) for scan, row in zip(scans, rows)]
+    redo = [i for i, est in enumerate(ests) if est.kind in ("undetermined", "oscillating")]
+    if redo:
+        parities = _parity_schedules(family.q_min)
+        extra = sorted(set().union(*parities).difference(qs))
+        for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
+            rows[i].update(zip(extra, row))
+            ests[i] = _aggregate(ests[i], *(classify_sequence(p, [rows[i][q] for q in p])
+                                            if p else None for p in parities))
     return ests
 
 
@@ -327,15 +348,6 @@ class AdmissibilityReport(NamedTuple):
     context_mass: float
     inverse_evidence: tuple[tuple[float, LimitEstimate], ...]
     value_evidence: tuple[tuple[float, LimitEstimate], ...]
-
-
-def _parity_schedules(q_min: float, k_max: int) -> tuple[tuple[float, ...], ...]:
-    """The odd-k and the even-k phase-locked q up to ``k_max`` that a family
-    with this ``q_min`` admits, each empty when it has fewer than 8."""
-    locked = _phase_locked_schedule(1, k_max)
-    # every phase-locked q is > 0, so q >= q_min is family.admits(q)
-    parities = (tuple(q for q in locked[first::2] if q >= q_min) for first in (0, 1))
-    return tuple(qs if len(qs) >= 8 else () for qs in parities)
 
 
 def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
@@ -373,21 +385,6 @@ def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
     return LimitEstimate("undetermined", None, lo, hi, ev)
 
 
-def _estimate(qs: tuple[float, ...], value_at: dict) -> LimitEstimate:
-    return classify_sequence(qs, [value_at[q] for q in qs])
-
-
-def _geometric(plan: _Plan, value_at: dict) -> LimitEstimate:
-    """The base scan's estimate, or its refinement's when it is undetermined."""
-    geo = _estimate(plan.base, value_at)
-    return _estimate(plan.longer, value_at) if geo.kind == "undetermined" else geo
-
-
-def _parities(schedules, value_at: dict) -> list[LimitEstimate | None]:
-    """The estimate of each phase-locked schedule, None for an empty one."""
-    return [_estimate(qs, value_at) if qs else None for qs in schedules]
-
-
 def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     """Admissibility verdict from inverse-limit probes with value-side vetoes.
 
@@ -405,23 +402,22 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     decay below ``alpha``) downgrades the verdict to ``undetermined``.  A
     total mass so small that ``1/total_mass`` overflows raises
     :class:`OverflowError`.  A member not strictly increasing or not convex
-    on the value grid, 33 ``t`` by every q of the plan, raises
+    on the value grid, 33 ``t`` by every q that either side may read, raises
     :class:`DomainError` (see :func:`_check_young`).
     """
     mass_floor = _reciprocal("total_mass", space.total_mass) if space.finite else 0.0
-    plan = _plan(family)
-    probe_ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
-                            | ({mass_floor} if space.finite else set())))
-    inverse_evidence = tuple(zip(probe_ys, _limits(family.inverse_grid, probe_ys, plan)))
-    # Every value the plan may read, in one grid the Young check covers whole.
-    qs = sorted(set(plan.longer).union(*plan.retry))
+    ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
+                      | ({mass_floor} if space.finite else set())))
+    y_starts, t_starts, qs = _scans(family, ys)
+    inverse_evidence = tuple(zip(ys, _limits(family, family.inverse_grid, ys, y_starts)))
+    # Every q either side may read, in one grid the Young check covers whole.
     grid = family.evaluate_grid(_T_GRID, qs)
     _check_young(family, _T_GRID, qs, grid)
     column = {q: j for j, q in enumerate(qs)}
 
     def value_grid(ts, cols):
         return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
-    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID, plan)))
+    value_evidence = tuple(zip(_T_GRID, _limits(family, value_grid, _T_GRID, t_starts)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,

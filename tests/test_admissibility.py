@@ -28,12 +28,12 @@ from orlicz import (
     sinpiecewise_family,
 )
 from orlicz import admissibility
-from orlicz.admissibility import (_PHASE_K_FACTOR, _PHASE_K_MAX, _geometric_schedule,
-                                  _phase_locked_schedule)
+from orlicz.admissibility import (_DOUBLINGS, _PHASE_K_MAX, _T_GRID, _Y_GRID,
+                                  _geometric_schedule, _phase_locked_schedule)
 from conftest import CATALOG_SPECS, vanishing_family
 
 INF = MeasureSpace(math.inf)
-GEO = _geometric_schedule(1.0, 12)
+GEO = _geometric_schedule(1.0, _DOUBLINGS)
 
 
 # ---------------------------------------------------------------- schedules
@@ -130,6 +130,14 @@ def test_sequence_underflow_to_zero():
 def test_sequence_slow_decay_to_zero():
     vs = [3.0 / q for q in GEO]
     assert classify_sequence(GEO, vs).kind == "zero"
+
+
+def test_sequence_flat_below_zero_tol_is_zero():
+    # settled within _FLAT_TOL long before it reads below _SMALL_VALUE
+    vs = [1e-4 / 4.0 ** j for j in range(13)]
+    assert classify_sequence(GEO, vs).kind == "zero"
+    assert classify_sequence(GEO, [admissibility._ZERO_TOL] * 13).kind == "zero"
+    assert classify_sequence(GEO, [2.0 * admissibility._ZERO_TOL] * 13).kind == "finite"
 
 
 def test_sequence_divergent():
@@ -354,13 +362,14 @@ def _two_faced_family(scale):
 
 
 def test_agreeing_decisive_parities_rescue_an_undetermined_scan():
+    # psi is t / 120 at q = 1 and 2, so t = 0.05 has no slope and its scan
+    # starts at q = 1
     family = _two_faced_family(lambda q: q ** 8)
-    longer = admissibility._plan(family).longer
-    geometric = classify_sequence(longer, [family.fn(0.05, q) for q in longer])
+    geometric = classify_sequence(GEO, [family.fn(0.05, q) for q in GEO])
     assert geometric.kind == "undetermined"
     est = limit_of_values(family, 0.05)
     assert est.kind == "infinite"
-    assert len(est.evidence) > len(longer)  # the parities were read
+    assert {q for q, _ in est.evidence} > set(GEO)  # the parities were read
 
 
 @pytest.mark.parametrize("scale,mass,kind", [
@@ -415,6 +424,30 @@ def test_inverse_limits_sandwiched_by_band(spec):
         assert est.liminf_est <= est.limsup_est
 
 
+# Every anchored catalog spec up to N = 3, p = 3, and the masses from infinite
+# to 0.01, where 1/total_mass is a probe above _Y_GRID.
+ANCHORED_SPECS = ("power", *(f"logbump:p={p}" for p in (1, 2, 3)),
+                  *(f"{name}:N={n},p={p}" for name in ("iterlog", "addie")
+                    for n in (1, 2, 3) for p in (1, 2, 3)))
+ORACLE_MASSES = (math.inf, 100.0, 10.0, 2.0, 1.0, 0.5, 0.01)
+
+
+@pytest.mark.parametrize("spec", [*ANCHORED_SPECS, *(f"powerlog_e:p={p}" for p in (1, 2, 3))])
+def test_classify_agrees_with_closed_form_inverse_limit(spec):
+    """The paper's inverse-limit condition in closed form.  For these
+    families ``log psi_q(t) = A(t) + q B(t)``, so ``psi_q^{-1}(y)`` tends to
+    the zero of ``B``: ``t = 1`` for every anchored family, hence delta = 1,
+    and 0 for ``powerlog_e``, whose ``B`` is positive everywhere."""
+    family = make_family(spec)
+    for mass in ORACLE_MASSES:
+        rep = classify(family, MeasureSpace(mass))
+        if spec.startswith("powerlog_e"):
+            assert rep.verdict == "inadmissible_divergent", mass
+        else:
+            assert rep.verdict == "delta_admissible", (mass, rep.verdict)
+            assert abs(rep.delta - 1.0) <= 1e-9, (mass, rep.delta)
+
+
 def test_delta_verdict_equivalent_to_pointwise_finiteness():
     """delta-admissible exactly when every probe inverse limit is finite at
     the same value; the oscillating family fails the pointwise side."""
@@ -439,7 +472,15 @@ def test_delta_verdict_equivalent_to_pointwise_finiteness():
 # keeps the phase-locked norms at q ~ 320 within 1% of their band.
 NORM_FUNCTIONS = (((2.0, 1.0), (1.0, 3.0)), ((3.0, 0.25), (0.5, 1.0)),
                   ((0.75, 0.5), (0.25, 1.0), (0.1, 0.3)))
-NORM_QS = (2.0 ** 8, 2.0 ** 12, 2.0 ** 16, 2.0 ** 20)
+# Each spec's q, the relative error its delta norms may keep at the last, and
+# the probes each of them may take (None: not checked).  The N = 3 members
+# hold their L^1 plateau out to q ~ 2^24 (their scans start near 2^30), so
+# their norms are read further out: at 2^40 they are within 2.0e-4.
+NORM_CASES = {
+    **dict.fromkeys(CATALOG_SPECS, ((2.0 ** 8, 2.0 ** 12, 2.0 ** 16, 2.0 ** 20), 1e-3, None)),
+    **dict.fromkeys(("iterlog:N=3", "addie:N=3"),
+                    ((2.0 ** 32, 2.0 ** 36, 2.0 ** 40, 2.0 ** 44), 1.3e-5, 10)),
+}
 
 
 def _norm_functions(space):
@@ -450,20 +491,24 @@ def _norm_functions(space):
 
 
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
-def test_norms_confirm_catalog_verdict(catalog_family, mass):
+@pytest.mark.parametrize("spec", NORM_CASES)
+def test_norms_confirm_catalog_verdict(spec, mass):
     """The theorem's side of a verdict: ``||f||_{psi_q} -> ||f||_inf / delta``,
     a band ``[||f||_inf / beta, ||f||_inf / alpha]`` along the phase-locked q,
     or norms growing without bound."""
-    space = MeasureSpace(mass)
-    rep = classify(catalog_family, space)
+    family, space = make_family(spec), MeasureSpace(mass)
+    rep = classify(family, space)
+    qs, tol, probes = NORM_CASES[spec]
 
     def norms(f, qs):
-        return [luxemburg_norm(catalog_family.make(q), f).norm for q in qs]
+        return [luxemburg_norm(family.make(q), f).norm for q in qs]
     for f, sup in _norm_functions(space):
         if rep.verdict == "delta_admissible":
             limit = sup / rep.delta
-            errs = [abs(n - limit) / limit for n in norms(f, NORM_QS)]
-            assert errs[-1] <= 1e-3, (f, errs)
+            results = [luxemburg_norm(family.make(q), f) for q in qs]
+            assert probes is None or max(r.iterations for r in results) <= probes, results
+            errs = [abs(r.norm - limit) / limit for r in results]
+            assert errs[-1] <= tol, (f, errs)
             # a norm that settled at its limit may move by its rounding
             assert all(b <= a + 1e-15 for a, b in zip(errs[1:], errs[2:])), (f, errs)
         elif rep.verdict == "alpha_beta_admissible":
@@ -472,7 +517,7 @@ def test_norms_confirm_catalog_verdict(catalog_family, mass):
             assert max(locked) <= sup / rep.alpha * 1.01, (f, locked)
         else:
             assert rep.verdict == "inadmissible_divergent"
-            grown = norms(f, NORM_QS)
+            grown = norms(f, qs)
             assert all(b > a for a, b in zip(grown, grown[1:])), (f, grown)
             assert grown[-1] > 100.0 * sup, (f, grown)
 
@@ -612,9 +657,9 @@ def _scalar_path(family: YoungFamily) -> YoungFamily:
 # A Richardson stage with q^m weights maps errors e1, e2 at nodes q1 < q2 to
 # (q2^m e2 - q1^m e1) / (q2^m - q1^m), at most (r^m + 1) / (r^m - 1) times the
 # larger for r = q2 / q1.  The closest nodes a default probe accelerates are
-# the last two of one parity of the phase-locked retry, k = K - 2 and K, and
-# at most three stages run: a factor of about 1.2e6 at K = 192.
-_K = _PHASE_K_MAX * _PHASE_K_FACTOR
+# the last two of one phase-locked parity, k = K - 2 and K, and at most three
+# stages run: a factor of about 1.2e6 at K = 192.
+_K = _PHASE_K_MAX
 _R = (_K + 0.5) / (_K - 1.5)
 RICHARDSON_AMPLIFICATION = math.prod((_R ** m + 1.0) / (_R ** m - 1.0) for m in (1, 2, 3))
 
@@ -720,39 +765,36 @@ def test_family_without_array_form_gets_same_verdict():
 
 # ------------------------------------------------- staged grid reading
 
-def _single_grid_limits(grid, points, plan, lazy):
-    """Every point reads every column of the plan from one grid.  The eager
-    rule aggregates every geometric estimate with the parities; the lazy rule
-    of :func:`admissibility._limits` only the undetermined or oscillating
-    ones.  Either rule reads the retry for a point still undetermined."""
-    qs = sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+def _single_grid_limits(family, grid, points, starts, lazy):
+    """Every point reads its scan and both parities from one grid over all of
+    their columns.  The eager rule aggregates every scan's estimate with the
+    parities; the lazy rule of :func:`admissibility._limits` only the
+    undetermined or oscillating ones."""
+    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
+    parities = admissibility._parity_schedules(family.q_min)
+    qs = sorted(set().union(*scans, *parities))
     out = []
-    for row in grid(points, qs).tolist():
+    for scan, row in zip(scans, grid(points, qs).tolist()):
         value_at = dict(zip(qs, row))
 
         def estimate(schedule):
             return classify_sequence(schedule, [value_at[q] for q in schedule]) \
                 if schedule else None
-        geo = estimate(plan.base)
-        if geo.kind == "undetermined":
-            geo = estimate(plan.longer)
-        est = geo
-        if not lazy or geo.kind in ("undetermined", "oscillating"):
-            est = admissibility._aggregate(geo, *map(estimate, plan.parity))
-        if est.kind == "undetermined":
-            est = admissibility._aggregate(geo, *map(estimate, plan.retry))
+        est = estimate(scan)
+        if not lazy or est.kind in ("undetermined", "oscillating"):
+            est = admissibility._aggregate(est, *map(estimate, parities))
         out.append(est)
     return out
 
 
-def _reference_limits(grid, points, plan):
+def _reference_limits(family, grid, points, starts):
     """The eager rule on one grid: the oracle of every answer but the evidence."""
-    return _single_grid_limits(grid, points, plan, lazy=False)
+    return _single_grid_limits(family, grid, points, starts, lazy=False)
 
 
-def _lazy_reference_limits(grid, points, plan):
+def _lazy_reference_limits(family, grid, points, starts):
     """The lazy rule on one grid: the staged reading must reproduce it exactly."""
-    return _single_grid_limits(grid, points, plan, lazy=True)
+    return _single_grid_limits(family, grid, points, starts, lazy=True)
 
 
 def _without_evidence(report):
@@ -776,7 +818,7 @@ def _two_stage_family(spec):
 @pytest.mark.parametrize("mass", [math.inf, 2.0, 0.5, 1e6])
 @pytest.mark.parametrize("spec", [*TWO_STAGE_FAMILIES, "user-sin"])
 def test_classify_answers_equal_eager_rule(spec, mass, monkeypatch):
-    # Reading the parities only for open geometric estimates shortens the
+    # Reading the parities only for open scan estimates shortens the
     # evidence; every verdict, delta, alpha, beta and per-probe kind, value
     # and band stays that of the rule that reads them for every probe.
     family, space = _two_stage_family(spec), MeasureSpace(mass)
@@ -813,13 +855,13 @@ def test_decisive_geometric_estimate_is_not_overridden(monkeypatch):
     # see t^2 and 3 t^2.  The eager rule lets their disagreement override
     # every probe where sqrt(y) and sqrt(y/3) differ by more than the
     # resolution (all but y = 0.0005); the lazy rule never reads them.
+    # psi does not move from q = 1 to 2, so every scan starts at q = 1.
     family = YoungFamily("locked-bump", _locked_bump, {}, q_min=1.0)
     lazy = classify(family, INF)
     assert [est.kind for _, est in lazy.inverse_evidence] == ["finite"] * 7
-    geometric = set(admissibility._plan(family).longer)
     for _, est in lazy.inverse_evidence + lazy.value_evidence:
         assert est.kind in ("finite", "zero", "infinite")
-        assert {q for q, _ in est.evidence} <= geometric
+        assert [q for q, _ in est.evidence] == list(GEO)
     monkeypatch.setattr(admissibility, "_limits", _reference_limits)
     eager = classify(family, INF)
     assert [est.kind for _, est in eager.inverse_evidence] == ["finite"] + ["oscillating"] * 6
@@ -837,32 +879,34 @@ def _record_inverse_grids(monkeypatch):
 
 
 def test_settled_probes_solve_only_the_first_stage(monkeypatch):
+    # For t^q, log psi = q log t: a probe y starts at the power of two
+    # nearest (1 + |log y|) / log t for the t of _T_GRID nearest 1, and its
+    # scan alone settles it.
     calls = _record_inverse_grids(monkeypatch)
     report = classify(power_family(), INF)
-    plan = admissibility._plan(power_family())
-    geometric = sorted(set(plan.base).union(plan.longer))
-    assert calls == [(list(admissibility._Y_GRID), geometric)]
-    assert len(geometric) == 15
-    for _, est in report.inverse_evidence + report.value_evidence:
-        assert {q for q, _ in est.evidence} <= set(geometric)
+    starts = [2.0 ** round(math.log2((1.0 + abs(math.log(y))) / math.log(_T_GRID[17])))
+              for y in _Y_GRID]
+    assert starts == [64.0, 32.0, 16.0, 8.0, 8.0, 8.0, 16.0]
+    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
+    assert calls == [(list(_Y_GRID), sorted(set().union(*scans)))]
+    for (_, est), scan in zip(report.inverse_evidence, scans):
+        assert [q for q, _ in est.evidence] == list(scan)
+    for _, est in report.value_evidence:
+        assert len(est.evidence) == _DOUBLINGS + 1
 
 
-def test_undetermined_probe_alone_reads_the_retry(monkeypatch):
+def test_open_probes_alone_read_the_parities(monkeypatch):
     calls = _record_inverse_grids(monkeypatch)
     family = sinpiecewise_family()
     report = classify(family, INF)
-    plan = admissibility._plan(family)
-    geometric = set(plan.base).union(plan.longer)
-    parity = sorted(set().union(*plan.parity))
-    retry_only = sorted(set().union(*plan.retry) - set(parity))
-    # the geometric scan leaves y < 1/2 open; of those, only y = 0.45 stays
-    # undetermined after the parities
-    assert [len(qs) for _, qs in calls] == [15, 64, 128]
-    assert calls[0][0] == list(admissibility._Y_GRID)
+    parity = sorted(set().union(*admissibility._parity_schedules(family.q_min)))
+    assert len(parity) == _PHASE_K_MAX
+    # every scan leaves y < 1/2 oscillating, and only those probes read the
+    # parities, from one more grid
+    assert [len(ys) for ys, _ in calls] == [7, 4]
+    assert calls[0][0] == list(_Y_GRID)
     assert calls[1] == ([0.0005, 0.02, 0.2, 0.45], parity)
-    assert calls[2] == ([0.45], retry_only)
     for y, est in report.inverse_evidence:
         read = {q for q, _ in est.evidence}
         assert read.isdisjoint(parity) == (y > 0.45), y
-        assert read.isdisjoint(retry_only) == (y != 0.45), y
-        assert read - geometric <= set(parity).union(retry_only)
+        assert len(read - set(parity)) == _DOUBLINGS + 1

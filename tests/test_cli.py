@@ -346,6 +346,10 @@ def test_sweep_help_states_the_bound(capsys):
     ("powerlog_e", "inf", "inadmissible: divergent"),
     ("identity", "inf", "undetermined"),
     ("sinpiecewise", "2", "delta-admissible delta=1.000"),
+    # the scans start where N = 3 leaves its plateau: these printed 99.963
+    # and 23.861 while they started at q = 1
+    ("iterlog:N=3", "0.01", "delta-admissible delta=1.000"),
+    ("addie:N=3", "0.01", "delta-admissible delta=1.000"),
 ])
 def test_classify_verdict_lines(capsys, family, mass, expected):
     assert cli.main(["classify", "--family", family,

@@ -226,20 +226,22 @@ def _counting(family):
 
 @pytest.mark.parametrize("spec", ["power", "logbump", "iterlog:N=2", "addie:N=2"])
 def test_classify_plan_inverses_take_few_probes(spec):
-    # Every scalar inverse the classifier may read: each q of its plan times
-    # each probe level.  A convexity jump that lands in the far half of the
+    # Every scalar inverse the classifier may read: each q that either side
+    # of it reads (every probe's scan and both parities) times each probe
+    # level.  A convexity jump that lands in the far half of the
     # bracket used to spend ITP's probe of slack, after which the search
     # bisected to the last bit: power took 64 probes at q = 2048 and 8192.
     family, calls = _counting(make_family(spec))
-    plan = admissibility._plan(family)
+    qs = admissibility._scans(family, admissibility._Y_GRID)[2]
+    # both parities and at least one 13-q scan
+    assert len(qs) >= admissibility._PHASE_K_MAX + admissibility._DOUBLINGS + 1
     steps = []
-    for q in sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry)):
+    for q in qs:
         psi = family.make(q)
         for y in admissibility._Y_GRID:
             calls.clear()
             psi.inverse(y)
             steps.append(len(calls))
-    assert len(steps) == 207 * len(admissibility._Y_GRID)
     assert max(steps) < 40
 
 

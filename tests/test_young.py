@@ -27,8 +27,8 @@ from orlicz import (
     sinpiecewise_family,
 )
 from orlicz.admissibility import (
-    _DOUBLINGS, _EXTRA_DOUBLINGS, _PHASE_K_FACTOR, _PHASE_K_MAX, _T_GRID, _Y_GRID,
-    _check_young, _geometric_schedule, _phase_locked_schedule, _plan)
+    _DOUBLINGS, _PHASE_K_MAX, _T_GRID, _Y_GRID, _check_young, _geometric_schedule,
+    _parity_schedules, _phase_locked_schedule, _scans)
 from orlicz import young
 from orlicz.young import E_MINUS_1, _anchor_constant
 
@@ -141,11 +141,11 @@ def test_inverse_unbracketable():
 
 # ------------------------------------------------------------ grid inverses
 
-# Every q a classify may read: the extra-doublings scan and the retry of the
-# phase-locked schedules included.
+# A geometric scan from q = 1 with two doublings beyond a classify scan's,
+# and every phase-locked q a classify may read.
 Q_UNION = tuple(sorted(
-    set(_geometric_schedule(1.0, _DOUBLINGS + _EXTRA_DOUBLINGS))
-    | set(_phase_locked_schedule(1, _PHASE_K_MAX * _PHASE_K_FACTOR))))
+    set(_geometric_schedule(1.0, _DOUBLINGS + 2))
+    | set(_phase_locked_schedule(1, _PHASE_K_MAX))))
 GRID_YS = (0.0,) + _Y_GRID
 
 
@@ -462,9 +462,9 @@ def _check_on(family: YoungFamily, ts, qs) -> None:
 
 
 def _plan_qs(family: YoungFamily) -> list[float]:
-    """Every q that ``classify`` may read: the plan with its retry."""
-    plan = _plan(family)
-    return sorted(set(plan.base).union(plan.longer, *plan.parity, *plan.retry))
+    """Every q that ``classify`` may read on an infinite space: the slope
+    columns, every probe's scan and both parities."""
+    return _scans(family, _Y_GRID)[2]
 
 
 def test_validate_catalog_clean(catalog_family):
@@ -502,17 +502,18 @@ def test_classify_rejects_a_member_that_is_not_increasing(space):
 
 @pytest.mark.parametrize("space", [INF, MeasureSpace(2.0)])
 def test_young_check_covers_every_plan_q(space):
-    # Only a probe still undetermined after the parities would read k = 100;
+    # Only a probe left open by its scan would read k = 100 of the parities;
     # t^2 settles every probe on its geometric scan, yet the member there
     # is checked.
-    retry_only = math.pi / 2.0 + 100 * math.pi
-    assert retry_only in _plan_qs(power_family())
-    assert all(retry_only not in schedule for schedule in _plan(power_family()).parity)
+    parity_only = math.pi / 2.0 + 100 * math.pi
+    assert parity_only in _plan_qs(power_family())
+    assert parity_only in set().union(*_parity_schedules(1.0))
 
     def fn(t, q):
-        return 1.0 / (1.0 + t) if q == retry_only else t * t
+        return 1.0 / (1.0 + t) if q == parity_only else t * t
     square = classify(YoungFamily("square", lambda t, q: t * t, {}, q_min=1.0), space)
-    assert all(est.kind == "finite" for _, est in square.inverse_evidence + square.value_evidence)
+    for _, est in square.inverse_evidence + square.value_evidence:
+        assert est.kind in ("finite", "zero") and parity_only not in dict(est.evidence)
     with pytest.raises(DomainError, match=r"^square-dip\[q=315\.73\]: not increasing on "
                                           r"t=0\.05, 0\.0602954$"):
         classify(YoungFamily("square-dip", fn, {}, q_min=1.0), space)
