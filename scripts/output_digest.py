@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Digest of the library's outputs: one ``group count sha256`` line per group.
 
-Groups: the ``classify`` reports of the catalog and of one family without an
-array form, on an infinite and a finite space; both growth-check forms on the
+Groups: the ``classify`` reports of the catalog, of one family without an
+array form and of ``sinpiecewise`` slowed 64-fold (whose probes scan from
+q = 2^17 on, and whose open ones read their parities from there), on an
+infinite and a finite space; both growth-check forms on the
 surveyed comparison pairs; Luxemburg norms over the catalog at q in
 {1, 4, 64, 4096} of seeded 1-8-atom functions, of a seeded 40-atom one (the
 modular's array pass) and of inputs whose terms leave the double range (its
@@ -65,9 +67,24 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _slowed_sinpiecewise(s):
+    """``(t^(q/s) + bump^(2 + sin q)) / 2``: ``sinpiecewise``'s band, at s
+    times its scale."""
+    def fn(t, q):
+        bump = max(2.0 * t - 1.0, 0.0)
+        return 0.5 * (t ** (q / s) + bump ** (2.0 + math.sin(q) if t < 1.0 else 3.0))
+
+    def array_fn(t, q):
+        import numpy as np
+        bump = np.maximum(2.0 * t - 1.0, 0.0)
+        return 0.5 * (t ** (q / s) + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
+    return orlicz.YoungFamily(f"sinpiecewise/{s}", fn, {}, q_min=float(s), array_fn=array_fn)
+
+
 def _classify_calls():
     families = [orlicz.make_family(spec) for spec in SPECS]
     families.append(orlicz.YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0))
+    families.append(_slowed_sinpiecewise(64))
     return [lambda family=family, m=m: orlicz.classify(family, orlicz.MeasureSpace(m))
             for family in families for m in MASSES]
 

@@ -6,8 +6,8 @@ the largest number of probes per solve and how many solves took 40 or more:
 
 * ``inverse``: scalar ``psi.inverse(y)`` at every q that ``classify`` may
   read on an infinite space (every probe's geometric scan from its own
-  start and both phase-locked parities) times every probe level of
-  ``admissibility._Y_GRID``;
+  start, and the two phase-locked parities of that start) times every probe
+  level of ``admissibility._Y_GRID``;
 * ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
   ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
   q = 2^0..2^12;

@@ -10,10 +10,10 @@ Three layers:
 * admissibility verdicts — probe inverse values over a y-grid (the inverse
   side characterizes the admissibility thresholds), cross-examine a probe
   whose geometric scan leaves its limit open (undetermined or oscillating)
-  with two phase-locked subsequences ``q = pi/2 + k*pi`` split by the parity
-  of ``k`` (which freezes ``sin q`` at ``+-1`` and exposes genuinely
-  oscillating families), and corroborate against the value side, which can
-  veto but never establish a verdict;
+  with two phase-locked subsequences ``q = pi/2 + k*pi`` at ``k = 2^i`` and
+  ``2^i + 1`` from the probe's own scale (which freezes ``sin q`` at ``+-1``
+  and exposes genuinely oscillating families), and corroborate against the
+  value side, which can veto but never establish a verdict;
 * growth-ratio monotonicity and the log-bump transfer function with its
   exponential comparison map.
 
@@ -22,9 +22,10 @@ evaluates ``psi`` on the value grid at ``q1 = max(q_min, 1)`` and ``2 q1``;
 the slopes of ``log psi`` between them set where each probe's geometric scan
 starts.  It then solves its inverses in at most two ``family.inverse_grid``
 stages: every probe reads its own scan, and only the probes left open there
-read the two parities.  Its values come from one ``family.evaluate_grid``
-over every q either side may read, which is also the grid the Young axioms
-are checked on.  A growth scan reads one ``inverse_grid`` over ``(u, q)``.
+read the two parities of their own start, geometric like the scan.  Its
+values come from one ``family.evaluate_grid`` over every q either side may
+read, which is also the grid the Young axioms are checked on.  A growth
+scan reads one ``inverse_grid`` over ``(u, q)``.
 
 Everything is deterministic and pure; reports are immutable named tuples.
 """
@@ -61,7 +62,9 @@ _ZERO_TOL = 5e-3
 _GROWTH_FACTOR = 4.0
 _BIG_SLOPE = 1e2
 _DOUBLINGS = 12
-_PHASE_K_MAX = 192
+# The largest i whose phase-locked q = pi/2 + k*pi at k = 2^i and 2^i + 1 keep
+# sin q within 1e-5 of +-1 in doubles (mpmath: 6.5e-6 at 2^44, 1.4e-4 at 2^46).
+_PHASE_I_MAX = 44
 _MARGIN = 0.05
 _MONO_TOL = 1e-8
 _CASE_II_SLACK = 1e-6
@@ -118,12 +121,6 @@ def _geometric_schedule(q0: float, doublings: int) -> tuple[float, ...]:
         raise DomainError(f"q0 * 2^doublings is beyond the double range for "
                           f"q0={q0!r}, doublings={doublings!r}")
     return tuple(math.ldexp(q0, j) for j in range(doublings + 1))
-
-
-def _phase_locked_schedule(k_min: int, k_max: int) -> tuple[float, ...]:
-    """``pi/2 + k*pi`` for ``k = k_min..k_max``: ``sin q`` is frozen at ``-1``
-    (odd ``k``) or ``+1`` (even ``k``); one parity is every other entry."""
-    return tuple(math.pi / 2.0 + k * math.pi for k in range(k_min, k_max + 1))
 
 
 def _richardson_stage(nodes: Sequence[float], vals: Sequence[float],
@@ -240,11 +237,12 @@ def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
 
     The geometric scan starts at the scale of ``t``'s own slope (see
     :func:`_scans`); when it leaves the limit undetermined or oscillating,
-    the two phase-locked subsequences (needed to certify oscillation) are
-    read and aggregated with it.
+    the two phase-locked subsequences of that start (needed to certify
+    oscillation, see :func:`_parity_schedules`) are read and aggregated with
+    it.
     """
     t = _positive("t", t)
-    return _limits(family, family.evaluate_grid, (t,), _scans(family, (), (t,))[1])[0]
+    return _limits(family.evaluate_grid, (t,), _scans(family, (), (t,))[1])[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
@@ -254,14 +252,14 @@ def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     starts at the largest one that any of their slopes gives ``y``.
     """
     y = _positive("y", y)
-    return _limits(family, family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
+    return _limits(family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
 
 
 def _scans(family: YoungFamily, ys, ts=_T_GRID) -> tuple[list[float], list[float], list[float]]:
     """Where the scan of each inverse probe in ``ys`` starts, where that of
     each value probe in ``ts`` starts, and every q that either side of
-    :func:`classify` may read, sorted: both slope columns, every scan and
-    both parities.
+    :func:`classify` may read, sorted: both slope columns, and every scan
+    with the two parities of its start.
 
     At each ``t``, ``log psi_q(t) = a + q b`` on the line through ``q1 =
     max(q_min, 1)`` and ``2 q1``, exact for a family whose ``log psi`` is
@@ -280,9 +278,9 @@ def _scans(family: YoungFamily, ys, ts=_T_GRID) -> tuple[list[float], list[float
         offset = 1.0 + np.abs(2.0 * l1 - l2)  # 1 + |a|
         y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b)) for y in ys]
         t_starts = [_start(q1, scale) for scale in (offset / b).tolist()]
-    qs = set((q1, q2)).union(
-        *(_geometric_schedule(start, _DOUBLINGS) for start in set(y_starts + t_starts)),
-        *_parity_schedules(family.q_min))
+    starts = set(y_starts + t_starts)
+    qs = set((q1, q2)).union(*(_geometric_schedule(start, _DOUBLINGS) for start in starts),
+                             *(p for start in starts for p in _parity_schedules(start)))
     return y_starts, t_starts, sorted(qs)
 
 
@@ -293,42 +291,48 @@ def _start(q1: float, scale: float) -> float:
     return max(q1, 2.0 ** round(math.log2(scale))) if scale < math.inf else q1
 
 
-@lru_cache(maxsize=16)
-def _parity_schedules(q_min: float) -> tuple[tuple[float, ...], ...]:
-    """The odd-k and the even-k phase-locked q up to ``_PHASE_K_MAX`` that a
-    family with this ``q_min`` admits, each empty when it has fewer than 8:
-    all that :func:`_limits` reads beyond a probe's own scan."""
-    locked = _phase_locked_schedule(1, _PHASE_K_MAX)
-    # every phase-locked q is > 0, so q >= q_min is family.admits(q)
-    parities = (tuple(q for q in locked[first::2] if q >= q_min) for first in (0, 1))
-    return tuple(qs if len(qs) >= 8 else () for qs in parities)
+@lru_cache(maxsize=64)
+def _parity_schedules(start: float) -> tuple[tuple[float, ...], ...]:
+    """The odd-k and the even-k phase-locked ``q = pi/2 + k*pi`` that
+    cross-examine a scan from ``start``: ``k = 2^i + 1`` (``sin q = -1``) and
+    ``k = 2^i`` (``+1``) for ``_DOUBLINGS + 1`` consecutive i, from the first
+    i >= 1 with ``2^i pi >= start``.  Both are geometric, like the scan, and
+    every q is at least ``start``.  None past ``_PHASE_I_MAX``, where a double
+    q no longer freezes ``sin q``: the one condition of the parity stage."""
+    first = max(1, math.ceil(math.log2(start / math.pi)))
+    if first + _DOUBLINGS > _PHASE_I_MAX:
+        return ()
+    ks = [2 ** i for i in range(first, first + _DOUBLINGS + 1)]
+    return tuple(tuple(math.pi / 2.0 + (k + odd) * math.pi for k in ks) for odd in (1, 0))
 
 
-def _limits(family: YoungFamily, grid, points: Sequence[float],
-            starts: Sequence[float]) -> list[LimitEstimate]:
+def _limits(grid, points: Sequence[float], starts: Sequence[float]) -> list[LimitEstimate]:
     """One estimate per point, read from at most two grids.
 
     Each point reads the geometric scan of ``_DOUBLINGS`` doublings from its
     start, every scan from one ``grid(points, qs)`` over their columns.  A
     decisive estimate (``finite``, ``zero``, ``infinite``) is the point's
     estimate, with its own evidence.  Only the points whose scan is
-    undetermined or oscillating read the two parities, from one more grid
-    over them, and :func:`_aggregate` cross-examines it.  Each cell is
-    solved on its own, so a point's estimate is the one a single grid over
-    every column would give under the same rule.
+    undetermined or oscillating read the two parities of their own start,
+    from one more grid over the union of those columns, and
+    :func:`_aggregate` cross-examines it; a start past the phase limit has
+    none, and its point keeps its scan estimate.  Each cell is solved on its
+    own, so a point's estimate is the one a single grid over every column
+    would give under the same rule.
     """
     scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
     qs = sorted(set().union(*scans))
     rows = [dict(zip(qs, row)) for row in grid(points, qs).tolist()]
     ests = [classify_sequence(scan, [row[q] for q in scan]) for scan, row in zip(scans, rows)]
-    redo = [i for i, est in enumerate(ests) if est.kind in ("undetermined", "oscillating")]
+    parities = [_parity_schedules(start) for start in starts]
+    redo = [i for i, est in enumerate(ests)
+            if est.kind in ("undetermined", "oscillating") and parities[i]]
     if redo:
-        parities = _parity_schedules(family.q_min)
-        extra = sorted(set().union(*parities).difference(qs))
+        extra = sorted(set().union(*(p for i in redo for p in parities[i])).difference(qs))
         for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
             rows[i].update(zip(extra, row))
             ests[i] = _aggregate(ests[i], *(classify_sequence(p, [rows[i][q] for q in p])
-                                            if p else None for p in parities))
+                                            for p in parities[i]))
     return ests
 
 
@@ -350,30 +354,29 @@ class AdmissibilityReport(NamedTuple):
     value_evidence: tuple[tuple[float, LimitEstimate], ...]
 
 
-def _aggregate(geo: LimitEstimate, odd: LimitEstimate | None,
-               even: LimitEstimate | None) -> LimitEstimate:
+def _aggregate(geo: LimitEstimate, odd: LimitEstimate,
+               even: LimitEstimate) -> LimitEstimate:
     """Cross-examine an open geometric estimate with the two phase-locked ones.
 
     :func:`_limits` calls it only for a geometric estimate that is
-    undetermined or oscillating.  Disagreeing finite parity limits make it
-    oscillating with their band (that is exactly the oscillation signature
-    the phase lock exists to expose); an oscillating geometric estimate
-    stands otherwise; agreeing decisive parity verdicts rescue an
-    undetermined geometric tail.  The evidence merges every schedule read.
+    undetermined or oscillating, with the two parities of its start.
+    Disagreeing finite parity limits make it oscillating with their band
+    (that is exactly the oscillation signature the phase lock exists to
+    expose); an oscillating geometric estimate stands otherwise; agreeing
+    decisive parity verdicts rescue an undetermined geometric tail.  The
+    evidence merges every schedule read.
     """
-    parts = [geo] + [e for e in (odd, even) if e is not None]
+    parts = (geo, odd, even)
     ev = tuple(sorted(set(p for est in parts for p in est.evidence)))
 
-    if (odd is not None and even is not None
-            and odd.kind == "finite" and even.kind == "finite"
-            and abs(odd.value - even.value) > _CLASS_TOL):
+    if odd.kind == even.kind == "finite" and abs(odd.value - even.value) > _CLASS_TOL:
         lo, hi = sorted((odd.value, even.value))
         return LimitEstimate("oscillating", None, lo, hi, ev)
 
     if geo.kind != "undetermined":
         return geo._replace(evidence=ev)
 
-    if odd is not None and even is not None and odd.kind == even.kind:
+    if odd.kind == even.kind:
         if odd.kind == "finite":  # agree within class_tol by the test above
             value = 0.5 * (odd.value + even.value)
             return LimitEstimate("finite", value, value, value, ev)
@@ -409,7 +412,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                       | ({mass_floor} if space.finite else set())))
     y_starts, t_starts, qs = _scans(family, ys)
-    inverse_evidence = tuple(zip(ys, _limits(family, family.inverse_grid, ys, y_starts)))
+    inverse_evidence = tuple(zip(ys, _limits(family.inverse_grid, ys, y_starts)))
     # Every q either side may read, in one grid the Young check covers whole.
     grid = family.evaluate_grid(_T_GRID, qs)
     _check_young(family, _T_GRID, qs, grid)
@@ -417,7 +420,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
 
     def value_grid(ts, cols):
         return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
-    value_evidence = tuple(zip(_T_GRID, _limits(family, value_grid, _T_GRID, t_starts)))
+    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID, t_starts)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,

@@ -63,6 +63,12 @@ def _parse_mass(text: str) -> float:
 _MAX_SWEEP_POINTS = 100_000
 
 
+def _phase_locked_schedule(k_min: int, k_max: int) -> tuple[float, ...]:
+    """``pi/2 + k*pi`` for ``k = k_min..k_max``: ``sin q`` is frozen at ``-1``
+    (odd ``k``) or ``+1`` (even ``k``); one parity is every other entry."""
+    return tuple(math.pi / 2.0 + k * math.pi for k in range(k_min, k_max + 1))
+
+
 def _sweep_qs(args: argparse.Namespace) -> list[float]:
     if args.phase_locked:
         if not (args.q_min.is_integer() and args.q_max.is_integer()
@@ -81,7 +87,6 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
     if count > _MAX_SWEEP_POINTS:
         raise ValueError(f"a sweep takes at most {_MAX_SWEEP_POINTS} q, asked for {count}")
     if args.phase_locked:
-        from .admissibility import _phase_locked_schedule
         return list(_phase_locked_schedule(int(args.q_min), int(args.q_max)))
     import numpy as np
     qs = []

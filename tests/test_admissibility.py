@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +29,9 @@ from orlicz import (
     sinpiecewise_family,
 )
 from orlicz import admissibility
-from orlicz.admissibility import (_DOUBLINGS, _PHASE_K_MAX, _T_GRID, _Y_GRID,
-                                  _geometric_schedule, _phase_locked_schedule)
+from orlicz.admissibility import (_DOUBLINGS, _T_GRID, _Y_GRID, _geometric_schedule,
+                                  _parity_schedules)
+from orlicz.cli import _phase_locked_schedule
 from conftest import CATALOG_SPECS, vanishing_family
 
 INF = MeasureSpace(math.inf)
@@ -656,11 +658,10 @@ def _scalar_path(family: YoungFamily) -> YoungFamily:
 
 # A Richardson stage with q^m weights maps errors e1, e2 at nodes q1 < q2 to
 # (q2^m e2 - q1^m e1) / (q2^m - q1^m), at most (r^m + 1) / (r^m - 1) times the
-# larger for r = q2 / q1.  The closest nodes a default probe accelerates are
-# the last two of one phase-locked parity, k = K - 2 and K, and at most three
-# stages run: a factor of about 1.2e6 at K = 192.
-_K = _PHASE_K_MAX
-_R = (_K + 0.5) / (_K - 1.5)
+# larger for r = q2 / q1.  The closest nodes a probe may accelerate are the
+# first two of the odd parity from the lowest start, k = 3 and 5 (r = 11/7),
+# and at most three stages run: a factor of about 18.
+_R = min(b / a for parity in _parity_schedules(1.0) for a, b in zip(parity, parity[1:]))
 RICHARDSON_AMPLIFICATION = math.prod((_R ** m + 1.0) / (_R ** m - 1.0) for m in (1, 2, 3))
 
 
@@ -765,36 +766,36 @@ def test_family_without_array_form_gets_same_verdict():
 
 # ------------------------------------------------- staged grid reading
 
-def _single_grid_limits(family, grid, points, starts, lazy):
-    """Every point reads its scan and both parities from one grid over all of
-    their columns.  The eager rule aggregates every scan's estimate with the
-    parities; the lazy rule of :func:`admissibility._limits` only the
-    undetermined or oscillating ones."""
+def _single_grid_limits(grid, points, starts, lazy):
+    """Every point reads its scan and the two parities of its start from one
+    grid over all of their columns.  The eager rule aggregates every scan's
+    estimate with its parities; the lazy rule of :func:`admissibility._limits`
+    only the undetermined or oscillating ones.  A start past the phase limit
+    has no parities, and its point keeps its scan estimate under both."""
     scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
-    parities = admissibility._parity_schedules(family.q_min)
-    qs = sorted(set().union(*scans, *parities))
+    parities = [_parity_schedules(start) for start in starts]
+    qs = sorted(set().union(*scans, *(p for locked in parities for p in locked)))
     out = []
-    for scan, row in zip(scans, grid(points, qs).tolist()):
+    for scan, locked, row in zip(scans, parities, grid(points, qs).tolist()):
         value_at = dict(zip(qs, row))
 
         def estimate(schedule):
-            return classify_sequence(schedule, [value_at[q] for q in schedule]) \
-                if schedule else None
+            return classify_sequence(schedule, [value_at[q] for q in schedule])
         est = estimate(scan)
-        if not lazy or est.kind in ("undetermined", "oscillating"):
-            est = admissibility._aggregate(est, *map(estimate, parities))
+        if locked and (not lazy or est.kind in ("undetermined", "oscillating")):
+            est = admissibility._aggregate(est, *map(estimate, locked))
         out.append(est)
     return out
 
 
-def _reference_limits(family, grid, points, starts):
+def _reference_limits(grid, points, starts):
     """The eager rule on one grid: the oracle of every answer but the evidence."""
-    return _single_grid_limits(family, grid, points, starts, lazy=False)
+    return _single_grid_limits(grid, points, starts, lazy=False)
 
 
-def _lazy_reference_limits(family, grid, points, starts):
+def _lazy_reference_limits(grid, points, starts):
     """The lazy rule on one grid: the staged reading must reproduce it exactly."""
-    return _single_grid_limits(family, grid, points, starts, lazy=True)
+    return _single_grid_limits(grid, points, starts, lazy=True)
 
 
 def _without_evidence(report):
@@ -899,14 +900,113 @@ def test_open_probes_alone_read_the_parities(monkeypatch):
     calls = _record_inverse_grids(monkeypatch)
     family = sinpiecewise_family()
     report = classify(family, INF)
-    parity = sorted(set().union(*admissibility._parity_schedules(family.q_min)))
-    assert len(parity) == _PHASE_K_MAX
+    starts = admissibility._scans(family, _Y_GRID)[0]
+    scans = [set(_geometric_schedule(start, _DOUBLINGS)) for start in starts]
+    parities = [set().union(*_parity_schedules(start)) for start in starts]
     # every scan leaves y < 1/2 oscillating, and only those probes read the
-    # parities, from one more grid
+    # parities of their own start, from one more grid over their union
     assert [len(ys) for ys, _ in calls] == [7, 4]
-    assert calls[0][0] == list(_Y_GRID)
-    assert calls[1] == ([0.0005, 0.02, 0.2, 0.45], parity)
-    for y, est in report.inverse_evidence:
+    assert calls[0] == (list(_Y_GRID), sorted(set().union(*scans)))
+    assert calls[1] == ([0.0005, 0.02, 0.2, 0.45], sorted(set().union(*parities[:4])))
+    for (y, est), start, scan, parity in zip(report.inverse_evidence, starts, scans, parities):
+        assert len(parity) == 2 * (_DOUBLINGS + 1) and min(parity) >= start
         read = {q for q, _ in est.evidence}
-        assert read.isdisjoint(parity) == (y > 0.45), y
-        assert len(read - set(parity)) == _DOUBLINGS + 1
+        assert read == (scan | parity if y <= 0.45 else scan), y
+
+
+# ------------------------------------------------- parities at the probe's scale
+
+def test_parities_keep_the_phase_to_the_phase_limit():
+    # Each parity of every start up to 2^33 holds sin q at its +-1 in 50
+    # digits; from 2^34 on its last k would pass 2^44, and there is none.
+    with mpmath.workdps(50):
+        for j in range(34):
+            start = 2.0 ** j
+            odd, even = _parity_schedules(start)
+            assert len(odd) == len(even) == _DOUBLINGS + 1 and min(odd + even) >= start
+            for parity, sign in ((odd, -1), (even, 1)):
+                for q in parity:
+                    assert abs(mpmath.sin(mpmath.mpf(q)) - sign) <= 1e-5, (start, q)
+    assert _parity_schedules(2.0 ** 34) == ()
+
+
+def _slowed_sinpiecewise(s):
+    """``sinpiecewise`` slowed s-fold: ``(t^(q/s) + bump^(2 + sin q)) / 2``,
+    convex from ``q = s`` on.  Its band is ``sinpiecewise``'s for every s,
+    but each probe's scale is s times as large."""
+    def fn(t, q):
+        bump = max(2.0 * t - 1.0, 0.0)
+        return 0.5 * (t ** (q / s) + bump ** (2.0 + math.sin(q) if t < 1.0 else 3.0))
+
+    def array_fn(t, q):
+        bump = np.maximum(2.0 * t - 1.0, 0.0)
+        return 0.5 * (t ** (q / s) + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
+    return YoungFamily(f"sinpiecewise/{s}", fn, {}, q_min=float(s), array_fn=array_fn)
+
+
+@pytest.mark.parametrize("s", [1, 64, 1024])
+def test_open_probes_read_the_parities_at_their_own_scale(s):
+    # Each probe scans from about s * 2^11 on; parities read below that, or
+    # none at all, leave its open probes undetermined.
+    report = classify(_slowed_sinpiecewise(s), INF)
+    assert report.verdict == "alpha_beta_admissible"
+    assert report.alpha == pytest.approx(0.5005, abs=1e-3)
+    assert report.beta == pytest.approx(1.0000004, abs=1e-3)
+
+
+def test_a_probe_past_the_phase_limit_keeps_its_scan_estimate():
+    # Every probe of the family slowed 2^34-fold starts past 2^34; its scan
+    # leaves y = 0.45 oscillating, and no parity cross-examines it.
+    family = _slowed_sinpiecewise(2 ** 34)
+    start = admissibility._scans(family, (0.45,))[0][0]
+    assert start >= 2.0 ** 34 and _parity_schedules(start) == ()
+    est = limit_of_inverses(family, 0.45)
+    assert [q for q, _ in est.evidence] == list(_geometric_schedule(start, _DOUBLINGS))
+    assert est.kind == "oscillating"
+    assert est == classify_sequence(*zip(*est.evidence))
+
+
+# ------------------------------------------------- oracle beyond delta = 1
+
+def _scaled(p, c, eps=0.0):
+    """``t^p (t / c(q))^q`` with ``c(q) = c (1 + eps sin q)``.  Its inverse at
+    y is ``c(q) (y c(q)^-p)^(1/(p+q))``, which tends to ``c`` for ``eps = 0``
+    (delta = c) and sweeps ``[c (1 - eps), c (1 + eps)]`` otherwise."""
+    def fn(t, q):
+        return t ** p * (t / (c * (1.0 + eps * math.sin(q)))) ** q
+
+    def array_fn(t, q):
+        return t ** p * (t / (c * (1.0 + eps * np.sin(q)))) ** q
+    return YoungFamily("scaled", fn, {"p": p}, q_min=1.0, array_fn=array_fn)
+
+
+ORACLE_MASSES = [math.inf, 2.0, 0.01]
+
+
+@pytest.mark.parametrize("mass", ORACLE_MASSES)
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("c", [0.06, 0.3, 1.5, 3.0, 19.0, 100.0, 1000.0])
+def test_classify_finds_a_known_delta(c, p, mass):
+    report = classify(_scaled(p, c), MeasureSpace(mass))
+    assert report.verdict == "delta_admissible"
+    assert abs(report.delta - c) <= 1e-5 * c, report.delta
+
+
+@pytest.mark.parametrize("mass", ORACLE_MASSES)
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("c0,eps", [(1.0, 0.3), (2.0, 0.2), (0.5, 0.5), (5.0, 0.1)])
+def test_classify_finds_a_known_band(c0, eps, p, mass):
+    report = classify(_scaled(p, c0, eps), MeasureSpace(mass))
+    assert report.verdict == "alpha_beta_admissible"
+    lo, hi = c0 * (1.0 - eps), c0 * (1.0 + eps)
+    assert abs(report.alpha - lo) <= 1e-5 * lo, report.alpha
+    assert abs(report.beta - hi) <= 1e-5 * hi, report.beta
+
+
+def test_norms_approach_the_known_limit_from_above():
+    # For t (t/3)^q the norm of f tends to ||f||_inf / 3.  The top atom
+    # gives psi_q(3) * 1 = 3 > 1 at lam = 2/3, so every norm lies above it.
+    f = SimpleFunction(((2.0, 1.0), (1.0, 3.0)), INF)
+    norms = [luxemburg_norm(_scaled(1.0, 3.0).make(q), f).norm for q in (64.0, 1024.0, 2.0 ** 16)]
+    assert all(a > b > 2.0 / 3.0 for a, b in zip(norms, norms[1:])), norms
+    assert norms[-1] - 2.0 / 3.0 <= 2e-5, norms

@@ -306,11 +306,9 @@ def test_sweep_rejects_bad_bounds(capsys, ind8):
 ])
 def test_sweep_point_count_is_bounded(capsys, ind8, monkeypatch, bounds, count):
     # Checked before any schedule is built: both builders fail if called.
-    from orlicz import admissibility
-
     def unbuilt(*args, **kwargs):
         raise AssertionError("schedule built")
-    monkeypatch.setattr(admissibility, "_phase_locked_schedule", unbuilt)
+    monkeypatch.setattr(cli, "_phase_locked_schedule", unbuilt)
     monkeypatch.setattr(np, "geomspace", unbuilt)
     assert cli.main(["sweep", "--family", "power", "--input", ind8] + bounds) == 2
     assert capsys.readouterr().err == (

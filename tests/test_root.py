@@ -233,8 +233,8 @@ def test_classify_plan_inverses_take_few_probes(spec):
     # bisected to the last bit: power took 64 probes at q = 2048 and 8192.
     family, calls = _counting(make_family(spec))
     qs = admissibility._scans(family, admissibility._Y_GRID)[2]
-    # both parities and at least one 13-q scan
-    assert len(qs) >= admissibility._PHASE_K_MAX + admissibility._DOUBLINGS + 1
+    # at least one 13-q scan and the two 13-q parities of its start
+    assert len(qs) >= 3 * (admissibility._DOUBLINGS + 1)
     steps = []
     for q in qs:
         psi = family.make(q)

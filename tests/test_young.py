@@ -27,8 +27,8 @@ from orlicz import (
     sinpiecewise_family,
 )
 from orlicz.admissibility import (
-    _DOUBLINGS, _PHASE_K_MAX, _T_GRID, _Y_GRID, _check_young, _geometric_schedule,
-    _parity_schedules, _phase_locked_schedule, _scans)
+    _DOUBLINGS, _PHASE_I_MAX, _T_GRID, _Y_GRID, _check_young, _geometric_schedule,
+    _parity_schedules, _scans)
 from orlicz import young
 from orlicz.young import E_MINUS_1, _anchor_constant
 
@@ -142,10 +142,10 @@ def test_inverse_unbracketable():
 # ------------------------------------------------------------ grid inverses
 
 # A geometric scan from q = 1 with two doublings beyond a classify scan's,
-# and every phase-locked q a classify may read.
-Q_UNION = tuple(sorted(
-    set(_geometric_schedule(1.0, _DOUBLINGS + 2))
-    | set(_phase_locked_schedule(1, _PHASE_K_MAX))))
+# and every phase-locked q a classify may read: the parities of every start,
+# k = 2^i and 2^i + 1 up to i = _PHASE_I_MAX.
+Q_UNION = tuple(sorted(set(_geometric_schedule(1.0, _DOUBLINGS + 2)).union(
+    *(p for j in range(_PHASE_I_MAX) for p in _parity_schedules(2.0 ** j)))))
 GRID_YS = (0.0,) + _Y_GRID
 
 
@@ -502,10 +502,10 @@ def test_classify_rejects_a_member_that_is_not_increasing(space):
 
 @pytest.mark.parametrize("space", [INF, MeasureSpace(2.0)])
 def test_young_check_covers_every_plan_q(space):
-    # Only a probe left open by its scan would read k = 100 of the parities;
+    # Only a probe left open by its scan would read k = 64 of the parities;
     # t^2 settles every probe on its geometric scan, yet the member there
     # is checked.
-    parity_only = math.pi / 2.0 + 100 * math.pi
+    parity_only = math.pi / 2.0 + 64 * math.pi
     assert parity_only in _plan_qs(power_family())
     assert parity_only in set().union(*_parity_schedules(1.0))
 
@@ -514,7 +514,7 @@ def test_young_check_covers_every_plan_q(space):
     square = classify(YoungFamily("square", lambda t, q: t * t, {}, q_min=1.0), space)
     for _, est in square.inverse_evidence + square.value_evidence:
         assert est.kind in ("finite", "zero") and parity_only not in dict(est.evidence)
-    with pytest.raises(DomainError, match=r"^square-dip\[q=315\.73\]: not increasing on "
+    with pytest.raises(DomainError, match=r"^square-dip\[q=202\.633\]: not increasing on "
                                           r"t=0\.05, 0\.0602954$"):
         classify(YoungFamily("square-dip", fn, {}, q_min=1.0), space)
 
