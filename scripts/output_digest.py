@@ -13,12 +13,14 @@ and ``norm_steps`` (the modular evaluations each solve took); the stdout of
 the ``norm``, ``classify``, ``growth`` and ``sweep`` commands; and ``read``,
 what ``simple_function_from_json`` makes of seeded documents of 1 to 10k
 atoms and of one document per input fault (the canonical atoms, or the
-exception); and ``verdicts``, the ``classify`` reports again with every
-probe's evidence emptied.  Each group hashes the ``repr`` of its outputs in a
-fixed order, so two source trees give the same results exactly when they
-print the same lines.  A change to the root finder that keeps every answer
-differs in ``norm_steps`` alone, and a change to what ``classify`` reads that
-keeps every answer differs in ``classify`` alone:
+exception); ``verdicts``, the ``classify`` reports again with every
+probe's evidence emptied; and ``answers``, only the ``(verdict, delta,
+alpha, beta)`` of each ``classify`` call.  Each group hashes the ``repr`` of
+its outputs in a fixed order, so two source trees give the same results
+exactly when they print the same lines.  A change to the root finder that
+keeps every answer differs in ``norm_steps`` alone.  A change to what
+``classify`` reads may move the probe estimates of ``classify`` and
+``verdicts``; it keeps every answer when ``answers`` is unchanged:
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -102,6 +104,10 @@ def _without_evidence(report):
 
 def verdicts():
     return [_outcome(lambda: _without_evidence(call())) for call in _classify_calls()]
+
+
+def answers():
+    return [_outcome(lambda: call()[:4]) for call in _classify_calls()]
 
 
 def growth_reports():
@@ -208,7 +214,7 @@ def read_outcomes():
 
 GROUPS = (("classify", classify_reports), ("growth", growth_reports),
           ("norms", norms), ("norm_steps", norm_steps), ("cli", cli_stdout),
-          ("read", read_outcomes), ("verdicts", verdicts))
+          ("read", read_outcomes), ("verdicts", verdicts), ("answers", answers))
 
 
 def main() -> int:

@@ -19,10 +19,11 @@ Three layers:
 
 Each verdict reads its samples from grids.  A :func:`classify` call first
 evaluates ``psi`` on the value grid at ``q1 = max(q_min, 1)`` and ``2 q1``;
-the slopes of ``log psi`` between them set where each probe's geometric scan
-starts.  It then solves its inverses in at most two ``family.inverse_grid``
-stages: every probe reads its own scan, and only the probes left open there
-read the two parities of their own start, geometric like the scan.  Its
+by one rule, the slopes of ``log psi`` between them set where each inverse
+probe's geometric scan starts, and the one start every value probe shares.
+It then solves its inverses in at most two ``family.inverse_grid`` stages:
+every probe reads its own scan, and only the probes left open there read
+the two parities of their own start, geometric like the scan.  Its
 values come from one ``family.evaluate_grid`` over every q either side may
 read, which is also the grid the Young axioms are checked on.  A growth
 scan reads one ``inverse_grid`` over ``(u, q)``.
@@ -144,9 +145,7 @@ def _stable_tail(vals: Sequence[float], n: int, tol: float) -> float | None:
     tail = vals[-n:]
     if len(tail) < 2 or not all(math.isfinite(v) for v in tail):
         return None
-    scale = max(1.0, abs(tail[-1]))
-    if (max(tail) - min(tail) <= tol * scale
-            and abs(tail[-1] - tail[-2]) <= tol * scale):
+    if max(tail) - min(tail) <= tol * max(1.0, abs(tail[-1])):
         return tail[-1]
     return None
 
@@ -160,12 +159,11 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     divergence (tail beyond ``big_value``, or sustained growth with a large
     accelerated slope); monotone decay (tail below ``small_value``, or the
     accelerated tail extrapolating below ``zero_tol``); a stable accelerated
-    limit after two Richardson stages, or — for monotone tails only — three;
-    alternating oscillation; otherwise undetermined.  A NaN value raises
-    :class:`ArithmeticError` naming the first q that has one; ``qs`` and
-    ``vs`` of different lengths, or empty, an int beyond the double range in
-    either, and ``qs`` that are not finite, positive and strictly increasing
-    raise :class:`DomainError`.
+    limit after two Richardson stages; alternating oscillation; otherwise
+    undetermined.  A NaN value raises :class:`ArithmeticError` naming the
+    first q that has one; ``qs`` and ``vs`` of different lengths, or empty,
+    an int beyond the double range in either, and ``qs`` that are not
+    finite, positive and strictly increasing raise :class:`DomainError`.
     """
     try:
         qs, vs = tuple(map(float, qs)), tuple(map(float, vs))
@@ -195,9 +193,9 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
         return LimitEstimate("finite", flat, flat, flat, evidence)
 
     # Only the last n entries of each stage are read, and stage m needs m
-    # more nodes than that: accelerate the window of the last n + 3 only.
-    window = qs[-(n + 3):]
-    r1 = _richardson_stage(window, vs[-(n + 3):], 1)
+    # more nodes than that: accelerate the window of the last n + 2 only.
+    window = qs[-(n + 2):]
+    r1 = _richardson_stage(window, vs[-(n + 2):], 1)
     r2 = _richardson_stage(window[1:], r1, 2)
     r1_tail = r1[-n:]
     r1_ok = all(math.isfinite(r) for r in r1_tail) and len(r1_tail) >= 2
@@ -213,13 +211,6 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
         return LimitEstimate("zero", None, 0.0, 0.0, evidence)
 
     value = _stable_tail(r2, n, _OSC_TOL)
-    if value is None and (nondec or noninc):
-        # Monotone but still drifting after two stages: large low-order
-        # coefficients (C/q with C in the hundreds) leave a C'/q^3 residue a
-        # third stage removes.  Gating on monotonicity keeps oscillating
-        # sequences out, since acceleration only inflates their swings.
-        r3 = _richardson_stage(window[2:], r2, 3)
-        value = _stable_tail(r3, n, _OSC_TOL)
     if value is not None:
         return LimitEstimate("finite", value, value, value, evidence)
 
@@ -235,53 +226,50 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
 def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     """Classify ``q -> psi_q(t)``.
 
-    The geometric scan starts at the scale of ``t``'s own slope (see
-    :func:`_scans`); when it leaves the limit undetermined or oscillating,
-    the two phase-locked subsequences of that start (needed to certify
-    oscillation, see :func:`_parity_schedules`) are read and aggregated with
-    it.
+    The geometric scan starts where every value probe's does, at the scale
+    an inverse probe at ``y = 1`` reads (see :func:`_scans`); when it leaves
+    the limit undetermined or oscillating, the two phase-locked
+    subsequences of that start (needed to certify oscillation, see
+    :func:`_parity_schedules`) are read and aggregated with it.
     """
     t = _positive("t", t)
-    return _limits(family.evaluate_grid, (t,), _scans(family, (), (t,))[1])[0]
+    return _limits(family.evaluate_grid, (t,), (_scans(family, ())[1],))[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
-    """Classify ``q -> psi_q^{-1}(y)``, read as in :func:`limit_of_values`.
-
-    Its scale comes from ``psi`` on the 33 ``t`` of the value grid: the scan
-    starts at the largest one that any of their slopes gives ``y``.
-    """
+    """Classify ``q -> psi_q^{-1}(y)``, read as in :func:`limit_of_values`
+    from the scale :func:`_scans` gives ``y``."""
     y = _positive("y", y)
     return _limits(family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
 
 
-def _scans(family: YoungFamily, ys, ts=_T_GRID) -> tuple[list[float], list[float], list[float]]:
-    """Where the scan of each inverse probe in ``ys`` starts, where that of
-    each value probe in ``ts`` starts, and every q that either side of
-    :func:`classify` may read, sorted: both slope columns, and every scan
-    with the two parities of its start.
+def _scans(family: YoungFamily, ys) -> tuple[list[float], float, list[float]]:
+    """Where the scan of each inverse probe in ``ys`` starts, where every
+    value probe's starts, and every q that either side of :func:`classify`
+    may read, sorted: both slope columns, and every scan with the two
+    parities of its start.
 
-    At each ``t``, ``log psi_q(t) = a + q b`` on the line through ``q1 =
-    max(q_min, 1)`` and ``2 q1``, exact for a family whose ``log psi`` is
-    linear in q.  From ``q = (1 + |a| + spread) / |b|`` on, ``q |b|``
-    outweighs the offset ``|a|`` and the probe's own ``spread`` (0 for a
-    value probe, ``|log y|`` for an inverse one): the limit sets in there.
-    A value probe reads that scale at its own ``t``, an inverse probe the
-    largest over ``ts``.  A ``t`` where ``b = 0`` (the anchor ``t = 1``) or
-    ``log psi`` is not finite gives none (see :func:`_start`).
+    At each ``t`` of the value grid, ``log psi_q(t) = a + q b`` on the line
+    through ``q1 = max(q_min, 1)`` and ``2 q1``, exact for a family whose
+    ``log psi`` is linear in q.  From ``q = (1 + |a| + L) / |b|`` on, ``q
+    |b|`` outweighs the offset ``|a|`` and the probe's spread ``L = |log
+    y|``: the limit sets in there.  Every probe starts at the largest of
+    these scales over the 33 ``t``; a value probe reads it as an inverse
+    probe at ``y = 1``, with ``L = 0``.  A ``t`` where ``b = 0`` (the anchor
+    ``t = 1``) or ``log psi`` is not finite gives none (see :func:`_start`).
     """
     import numpy as np
     q1, q2 = _geometric_schedule(max(family.q_min, 1.0), 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # psi 0 or inf
-        l1, l2 = np.log(family.evaluate_grid(ts, (q1, q2))).T
+        l1, l2 = np.log(family.evaluate_grid(_T_GRID, (q1, q2))).T
         b = np.where(np.isfinite(l2 - l1) & (l1 != l2), np.abs(l2 - l1) / q1, np.nan)
         offset = 1.0 + np.abs(2.0 * l1 - l2)  # 1 + |a|
-        y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b)) for y in ys]
-        t_starts = [_start(q1, scale) for scale in (offset / b).tolist()]
-    starts = set(y_starts + t_starts)
+        t_start, *y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b))
+                              for y in (1.0, *ys)]
+    starts = {t_start, *y_starts}
     qs = set((q1, q2)).union(*(_geometric_schedule(start, _DOUBLINGS) for start in starts),
                              *(p for start in starts for p in _parity_schedules(start)))
-    return y_starts, t_starts, sorted(qs)
+    return y_starts, t_start, sorted(qs)
 
 
 def _start(q1: float, scale: float) -> float:
@@ -411,7 +399,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     mass_floor = _reciprocal("total_mass", space.total_mass) if space.finite else 0.0
     ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                       | ({mass_floor} if space.finite else set())))
-    y_starts, t_starts, qs = _scans(family, ys)
+    y_starts, t_start, qs = _scans(family, ys)
     inverse_evidence = tuple(zip(ys, _limits(family.inverse_grid, ys, y_starts)))
     # Every q either side may read, in one grid the Young check covers whole.
     grid = family.evaluate_grid(_T_GRID, qs)
@@ -420,7 +408,8 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
 
     def value_grid(ts, cols):
         return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
-    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID, t_starts)))
+    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID,
+                                                [t_start] * len(_T_GRID))))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,

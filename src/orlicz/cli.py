@@ -2,8 +2,9 @@
 verdicts and growth-ratio checks.
 
 Output is deterministic: the same invocation produces byte-identical stdout
-and CSV.  Exit codes: 0 success, 2 bad input (family spec, flags, JSON), 3
-numeric failure (bracketing or overflow in the solvers).
+and CSV.  Exit codes: 0 success, 2 bad input (family spec, flags, JSON, an
+``--out`` path that cannot be written), 3 numeric failure (bracketing or
+overflow in the solvers).
 
 Each subcommand imports what it runs when it runs: ``norm`` loads neither
 the limit diagnostics of ``orlicz.admissibility`` nor numpy.  The
@@ -129,9 +130,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.out is None:
         _write_csv(sys.stdout, rows)
-    else:
+        return 0
+    try:
         with open(args.out, "w", newline="") as handle:
             _write_csv(handle, rows)
+    except OSError as exc:  # a directory, a missing folder, a full disk
+        raise ValueError(f"cannot write {args.out!r}: {exc}") from exc
     return 0
 
 

@@ -272,6 +272,18 @@ def test_sweep_out_file_matches_stdout(capsys, tmp_path, ind8):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize("name", [None, "missing/sweep.csv"])
+def test_sweep_unwritable_out_exits_2(capsys, tmp_path, ind8, name):
+    # a directory, or a file in a directory that does not exist
+    out = str(tmp_path if name is None else tmp_path / name)
+    args = ["sweep", "--family", "power", "--input", ind8,
+            "--q-min", "1", "--q-max", "4", "--q-steps", "3", "--out", out]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out!r}: ")
+
+
 def test_sweep_deterministic(capsys, ind8):
     args = ["sweep", "--family", "logbump:p=2", "--input", ind8,
             "--q-min", "1", "--q-max", "64", "--q-steps", "7"]

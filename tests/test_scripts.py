@@ -55,7 +55,8 @@ def test_output_digest_repeats(capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == [
-        "classify", "growth", "norms", "norm_steps", "cli", "read", "verdicts"]
+        "classify", "growth", "norms", "norm_steps", "cli", "read", "verdicts",
+        "answers"]
     assert all(len(line.split()[2]) == 64 for line in runs[0])
 
 
