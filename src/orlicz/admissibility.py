@@ -160,10 +160,13 @@ def classify_sequence(qs: Sequence[float], vs: Sequence[float]) -> LimitEstimate
     accelerated slope); monotone decay (tail below ``small_value``, or the
     accelerated tail extrapolating below ``zero_tol``); a stable accelerated
     limit after two Richardson stages; alternating oscillation; otherwise
-    undetermined.  A NaN value raises :class:`ArithmeticError` naming the
-    first q that has one; ``qs`` and ``vs`` of different lengths, or empty,
-    an int beyond the double range in either, and ``qs`` that are not
-    finite, positive and strictly increasing raise :class:`DomainError`.
+    undetermined.  A monotone tail that still drifts after two stages is
+    undetermined: ``1 + 95/q + 4.5e3/q^2 + 2e5/q^3`` on ``q = 1, 2, ...,
+    4096`` is, and its limit shows only from a later start.  A NaN value
+    raises :class:`ArithmeticError` naming the first q that has one; ``qs``
+    and ``vs`` of different lengths, or empty, an int beyond the double
+    range in either, and ``qs`` that are not finite, positive and strictly
+    increasing raise :class:`DomainError`.
     """
     try:
         qs, vs = tuple(map(float, qs)), tuple(map(float, vs))
@@ -227,13 +230,16 @@ def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     """Classify ``q -> psi_q(t)``.
 
     The geometric scan starts where every value probe's does, at the scale
-    an inverse probe at ``y = 1`` reads (see :func:`_scans`); when it leaves
-    the limit undetermined or oscillating, the two phase-locked
-    subsequences of that start (needed to certify oscillation, see
-    :func:`_parity_schedules`) are read and aggregated with it.
+    an inverse probe at ``y = 1`` reads, with ``t``'s own slope among the
+    33 (see :func:`_scans`): a ``t`` on the value grid starts where
+    :func:`classify` reads it, and one off the grid no earlier than its own
+    limit sets in.  When the scan leaves the limit undetermined or
+    oscillating, the two phase-locked subsequences of that start (needed to
+    certify oscillation, see :func:`_parity_schedules`) are read and
+    aggregated with it.
     """
     t = _positive("t", t)
-    return _limits(family.evaluate_grid, (t,), (_scans(family, ())[1],))[0]
+    return _limits(family.evaluate_grid, (t,), (_scans(family, (), t)[1],))[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
@@ -243,7 +249,7 @@ def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     return _limits(family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
 
 
-def _scans(family: YoungFamily, ys) -> tuple[list[float], float, list[float]]:
+def _scans(family: YoungFamily, ys, t=None) -> tuple[list[float], float, list[float]]:
     """Where the scan of each inverse probe in ``ys`` starts, where every
     value probe's starts, and every q that either side of :func:`classify`
     may read, sorted: both slope columns, and every scan with the two
@@ -255,13 +261,15 @@ def _scans(family: YoungFamily, ys) -> tuple[list[float], float, list[float]]:
     |b|`` outweighs the offset ``|a|`` and the probe's spread ``L = |log
     y|``: the limit sets in there.  Every probe starts at the largest of
     these scales over the 33 ``t``; a value probe reads it as an inverse
-    probe at ``y = 1``, with ``L = 0``.  A ``t`` where ``b = 0`` (the anchor
-    ``t = 1``) or ``log psi`` is not finite gives none (see :func:`_start`).
+    probe at ``y = 1``, with ``L = 0``.  A value probe ``t`` off the grid
+    adds its own slope to the 33, so that it never starts before its own
+    limit sets in.  A ``t`` where ``b = 0`` (the anchor ``t = 1``) or ``log
+    psi`` is not finite gives none (see :func:`_start`).
     """
     import numpy as np
     q1, q2 = _geometric_schedule(max(family.q_min, 1.0), 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # psi 0 or inf
-        l1, l2 = np.log(family.evaluate_grid(_T_GRID, (q1, q2))).T
+        l1, l2 = np.log(family.evaluate_grid(_T_GRID + (() if t is None else (t,)), (q1, q2))).T
         b = np.where(np.isfinite(l2 - l1) & (l1 != l2), np.abs(l2 - l1) / q1, np.nan)
         offset = 1.0 + np.abs(2.0 * l1 - l2)  # 1 + |a|
         t_start, *y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b))

@@ -131,6 +131,17 @@ def test_sequence_abrupt_drop_below_small_value_is_zero():
     assert classify_sequence(GEO, [1.0] * 12 + [1e-13]).kind == "zero"
 
 
+def test_sequence_large_coefficients_settle_only_from_a_later_start():
+    # Two Richardson stages leave a 2e5/q^3 term drifting on q <= 4096; the
+    # same sequence read from q = 8 on is a stable finite limit.
+    def seq(qs):
+        return [1 + 95 / q + 4.5e3 / q ** 2 + 2e5 / q ** 3 for q in qs]
+    assert classify_sequence(GEO, seq(GEO)).kind == "undetermined"
+    later = _geometric_schedule(8.0, _DOUBLINGS)
+    est = classify_sequence(later, seq(later))
+    assert est.kind == "finite" and est.value == pytest.approx(1.0, abs=1e-6)
+
+
 def test_sequence_flat_below_zero_tol_is_zero():
     # settled within _FLAT_TOL long before it reads below _SMALL_VALUE
     vs = [1e-4 / 4.0 ** j for j in range(13)]
@@ -903,6 +914,16 @@ def test_value_probes_share_one_start(spec):
     start = starts.pop()
     assert {limit_of_values(family, t).evidence[0][0] for t in _T_GRID} == {start}
     assert admissibility._scans(family, (1.0,))[0] == [start]
+
+
+@pytest.mark.parametrize("t, kind", [(1.0001, "infinite"), (1 + 1e-10, "infinite"),
+                                     (1 - 1e-10, "zero")])
+def test_value_probe_off_the_grid_waits_for_its_own_scale(t, kind):
+    # t^q near t = 1 sets in far beyond the grid's scale (q = 4): the scan
+    # starts no earlier than t's own slope gives, about 1/|log t|.
+    est = limit_of_values(power_family(), t)
+    assert est.kind == kind
+    assert est.evidence[0][0] >= 0.5 / abs(math.log(t))
 
 
 def test_open_probes_alone_read_the_parities(monkeypatch):
