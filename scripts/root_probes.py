@@ -5,9 +5,10 @@ Two sets of solves, each printed as one line per family with the mean and
 the largest number of probes per solve and how many solves took 40 or more:
 
 * ``inverse``: scalar ``psi.inverse(y)`` at every q that ``classify`` may
-  read on an infinite space (every probe's geometric scan from its own
-  start, and the two phase-locked parities of that start) times every probe
-  level of ``admissibility._Y_GRID``;
+  read on an infinite space (the two slope columns, the one geometric scan
+  every inverse probe reads and the one every value probe reads, and the two
+  phase-locked parities of each start) times every probe level of
+  ``admissibility._Y_GRID``;
 * ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
   ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
   q = 2^0..2^12;

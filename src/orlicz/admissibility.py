@@ -11,21 +11,21 @@ Three layers:
   side characterizes the admissibility thresholds), cross-examine a probe
   whose geometric scan leaves its limit open (undetermined or oscillating)
   with two phase-locked subsequences ``q = pi/2 + k*pi`` at ``k = 2^i`` and
-  ``2^i + 1`` from the probe's own scale (which freezes ``sin q`` at ``+-1``
-  and exposes genuinely oscillating families), and corroborate against the
+  ``2^i + 1`` from the scan's start (which freezes ``sin q`` at ``+-1`` and
+  exposes genuinely oscillating families), and corroborate against the
   value side, which can veto but never establish a verdict;
 * growth-ratio monotonicity and the log-bump transfer function with its
   exponential comparison map.
 
 Each verdict reads its samples from grids.  A :func:`classify` call first
 evaluates ``psi`` on the value grid at ``q1 = max(q_min, 1)`` and ``2 q1``;
-by one rule, the slopes of ``log psi`` between them set where each inverse
-probe's geometric scan starts, and the one start every value probe shares.
-It then solves its inverses in at most two ``family.inverse_grid`` stages:
-every probe reads its own scan, and only the probes left open there read
-the two parities of their own start, geometric like the scan.  Its
-values come from one ``family.evaluate_grid`` over every q either side may
-read, which is also the grid the Young axioms are checked on.  A growth
+by one rule, the slopes of ``log psi`` between them set the one start every
+inverse probe's geometric scan shares, and the one every value probe
+shares.  It then solves its inverses in at most two ``family.inverse_grid``
+stages: every probe reads the one scan, and only the probes left open there
+read the two parities of its start, geometric like the scan.  Its values
+come from one ``family.evaluate_grid`` over every q either side may read,
+which is also the grid the Young axioms are checked on.  A growth
 scan reads one ``inverse_grid`` over ``(u, q)``.
 
 Everything is deterministic and pure; reports are immutable named tuples.
@@ -239,32 +239,36 @@ def limit_of_values(family: YoungFamily, t: float) -> LimitEstimate:
     aggregated with it.
     """
     t = _positive("t", t)
-    return _limits(family.evaluate_grid, (t,), (_scans(family, (), t)[1],))[0]
+    return _limits(family.evaluate_grid, (t,), _scans(family, (), t)[1])[0]
 
 
 def limit_of_inverses(family: YoungFamily, y: float) -> LimitEstimate:
     """Classify ``q -> psi_q^{-1}(y)``, read as in :func:`limit_of_values`
-    from the scale :func:`_scans` gives ``y``."""
+    from the scale :func:`_scans` gives ``y`` alone: its start is its own,
+    where :func:`classify` reads every probe from the start of the widest."""
     y = _positive("y", y)
     return _limits(family.inverse_grid, (y,), _scans(family, (y,))[0])[0]
 
 
-def _scans(family: YoungFamily, ys, t=None) -> tuple[list[float], float, list[float]]:
-    """Where the scan of each inverse probe in ``ys`` starts, where every
+def _scans(family: YoungFamily, ys, t=None) -> tuple[float, float, list[float]]:
+    """Where the scan of every inverse probe in ``ys`` starts, where every
     value probe's starts, and every q that either side of :func:`classify`
-    may read, sorted: both slope columns, and every scan with the two
-    parities of its start.
+    may read, sorted: both slope columns, and both scans with the two
+    parities of their starts.
 
     At each ``t`` of the value grid, ``log psi_q(t) = a + q b`` on the line
     through ``q1 = max(q_min, 1)`` and ``2 q1``, exact for a family whose
     ``log psi`` is linear in q.  From ``q = (1 + |a| + L) / |b|`` on, ``q
-    |b|`` outweighs the offset ``|a|`` and the probe's spread ``L = |log
-    y|``: the limit sets in there.  Every probe starts at the largest of
-    these scales over the 33 ``t``; a value probe reads it as an inverse
-    probe at ``y = 1``, with ``L = 0``.  A value probe ``t`` off the grid
-    adds its own slope to the 33, so that it never starts before its own
-    limit sets in.  A ``t`` where ``b = 0`` (the anchor ``t = 1``) or ``log
-    psi`` is not finite gives none (see :func:`_start`).
+    |b|`` outweighs the offset ``|a|`` and a probe's spread ``L = |log
+    y|``: the limit sets in there.  The inverse probes read together share
+    one start, the largest of these scales over the 33 ``t`` with ``L`` the
+    largest ``|log y|`` over ``ys``, so no probe starts before its own limit
+    sets in; the limit is the same from any later start.  The value probes
+    share the start an inverse probe at ``y = 1`` reads, with ``L = 0``.  A
+    value probe ``t`` off the grid adds its own slope to the 33, so that it
+    never starts before its own limit sets in.  A ``t`` where ``b = 0`` (the
+    anchor ``t = 1``) or ``log psi`` is not finite gives none (see
+    :func:`_start`).
     """
     import numpy as np
     q1, q2 = _geometric_schedule(max(family.q_min, 1.0), 1)
@@ -272,12 +276,11 @@ def _scans(family: YoungFamily, ys, t=None) -> tuple[list[float], float, list[fl
         l1, l2 = np.log(family.evaluate_grid(_T_GRID + (() if t is None else (t,)), (q1, q2))).T
         b = np.where(np.isfinite(l2 - l1) & (l1 != l2), np.abs(l2 - l1) / q1, np.nan)
         offset = 1.0 + np.abs(2.0 * l1 - l2)  # 1 + |a|
-        t_start, *y_starts = [_start(q1, np.fmax.reduce((offset + abs(math.log(y))) / b))
-                              for y in (1.0, *ys)]
-    starts = {t_start, *y_starts}
-    qs = set((q1, q2)).union(*(_geometric_schedule(start, _DOUBLINGS) for start in starts),
-                             *(p for start in starts for p in _parity_schedules(start)))
-    return y_starts, t_start, sorted(qs)
+        spread = max((abs(math.log(y)) for y in ys), default=0.0)
+        starts = [_start(q1, np.fmax.reduce((offset + L) / b)) for L in (spread, 0.0)]
+    qs = {q1, q2}.union(*(_geometric_schedule(start, _DOUBLINGS) for start in starts),
+                        *(p for start in starts for p in _parity_schedules(start)))
+    return *starts, sorted(qs)
 
 
 def _start(q1: float, scale: float) -> float:
@@ -302,33 +305,28 @@ def _parity_schedules(start: float) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(math.pi / 2.0 + (k + odd) * math.pi for k in ks) for odd in (1, 0))
 
 
-def _limits(grid, points: Sequence[float], starts: Sequence[float]) -> list[LimitEstimate]:
+def _limits(grid, points: Sequence[float], start: float) -> list[LimitEstimate]:
     """One estimate per point, read from at most two grids.
 
-    Each point reads the geometric scan of ``_DOUBLINGS`` doublings from its
-    start, every scan from one ``grid(points, qs)`` over their columns.  A
-    decisive estimate (``finite``, ``zero``, ``infinite``) is the point's
-    estimate, with its own evidence.  Only the points whose scan is
-    undetermined or oscillating read the two parities of their own start,
-    from one more grid over the union of those columns, and
-    :func:`_aggregate` cross-examines it; a start past the phase limit has
-    none, and its point keeps its scan estimate.  Each cell is solved on its
-    own, so a point's estimate is the one a single grid over every column
-    would give under the same rule.
+    Every point reads the geometric scan of ``_DOUBLINGS`` doublings from
+    one ``start``, all from one ``grid(points, scan)``.  A decisive estimate
+    (``finite``, ``zero``, ``infinite``) is the point's estimate, with its
+    own evidence.  Only the points whose scan is undetermined or oscillating
+    read the two parities of the start, ``odd + even`` from one more grid,
+    and :func:`_aggregate` cross-examines them; a start past the phase limit
+    has none, and each point keeps its scan estimate.  Each cell is solved
+    on its own, so a point's estimate is the one a single grid over every
+    column would give under the same rule.
     """
-    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
-    qs = sorted(set().union(*scans))
-    rows = [dict(zip(qs, row)) for row in grid(points, qs).tolist()]
-    ests = [classify_sequence(scan, [row[q] for q in scan]) for scan, row in zip(scans, rows)]
-    parities = [_parity_schedules(start) for start in starts]
-    redo = [i for i, est in enumerate(ests)
-            if est.kind in ("undetermined", "oscillating") and parities[i]]
-    if redo:
-        extra = sorted(set().union(*(p for i in redo for p in parities[i])).difference(qs))
-        for i, row in zip(redo, grid([points[i] for i in redo], extra).tolist()):
-            rows[i].update(zip(extra, row))
-            ests[i] = _aggregate(ests[i], *(classify_sequence(p, [rows[i][q] for q in p])
-                                            for p in parities[i]))
+    scan = _geometric_schedule(start, _DOUBLINGS)
+    ests = [classify_sequence(scan, row) for row in grid(points, scan).tolist()]
+    redo = [i for i, est in enumerate(ests) if est.kind in ("undetermined", "oscillating")]
+    parities = _parity_schedules(start)
+    if redo and parities:
+        odd, even = parities
+        for i, row in zip(redo, grid([points[i] for i in redo], odd + even).tolist()):
+            ests[i] = _aggregate(ests[i], classify_sequence(odd, row[:len(odd)]),
+                                 classify_sequence(even, row[len(odd):]))
     return ests
 
 
@@ -407,8 +405,8 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
     mass_floor = _reciprocal("total_mass", space.total_mass) if space.finite else 0.0
     ys = tuple(sorted(set(y for y in _Y_GRID if y >= mass_floor)
                       | ({mass_floor} if space.finite else set())))
-    y_starts, t_start, qs = _scans(family, ys)
-    inverse_evidence = tuple(zip(ys, _limits(family.inverse_grid, ys, y_starts)))
+    y_start, t_start, qs = _scans(family, ys)
+    inverse_evidence = tuple(zip(ys, _limits(family.inverse_grid, ys, y_start)))
     # Every q either side may read, in one grid the Young check covers whole.
     grid = family.evaluate_grid(_T_GRID, qs)
     _check_young(family, _T_GRID, qs, grid)
@@ -416,8 +414,7 @@ def classify(family: YoungFamily, space: MeasureSpace) -> AdmissibilityReport:
 
     def value_grid(ts, cols):
         return grid[[_T_GRID.index(t) for t in ts]][:, [column[q] for q in cols]]
-    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID,
-                                                [t_start] * len(_T_GRID))))
+    value_evidence = tuple(zip(_T_GRID, _limits(value_grid, _T_GRID, t_start)))
 
     def report(verdict: str, delta=None, alpha=None, beta=None) -> AdmissibilityReport:
         return AdmissibilityReport(verdict, delta, alpha, beta, space.total_mass,

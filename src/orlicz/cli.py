@@ -88,6 +88,10 @@ def _sweep_qs(args: argparse.Namespace) -> list[float]:
     if count > _MAX_SWEEP_POINTS:
         raise ValueError(f"a sweep takes at most {_MAX_SWEEP_POINTS} q, asked for {count}")
     if args.phase_locked:
+        from .admissibility import _PHASE_I_MAX
+        if args.q_max > 2 ** _PHASE_I_MAX + 1:
+            raise ValueError(f"phase-locked sweep needs q-max <= 2^{_PHASE_I_MAX} + 1, past "
+                             f"which sin q drifts from +-1, got {args.q_max!r}")
         return list(_phase_locked_schedule(int(args.q_min), int(args.q_max)))
     import numpy as np
     qs = []

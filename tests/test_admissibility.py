@@ -382,6 +382,41 @@ def test_agreeing_decisive_parities_rescue_an_undetermined_scan():
     assert {q for q, _ in est.evidence} > set(GEO)  # the parities were read
 
 
+def test_agreeing_zero_parities_rescue_an_undetermined_scan():
+    geometric = classify_sequence(GEO, [math.log(q) for q in GEO])
+    assert geometric.kind == "undetermined"
+    odd, even = (classify_sequence(p, [1.0 / q for q in p]) for p in _parity_schedules(1.0))
+    assert odd.kind == even.kind == "zero"
+    evidence = tuple(sorted(geometric.evidence + odd.evidence + even.evidence))
+    assert admissibility._aggregate(geometric, odd, even) == \
+        admissibility.LimitEstimate("zero", None, 0.0, 0.0, evidence)
+
+
+def _damped_family():
+    """``t (t / c(q))^q`` with ``c(q) = 2 (1 + 0.02 sin q / q^(1/4))``: delta
+    = 2, but the oscillation dies out too slowly for a geometric scan."""
+    def fn(t, q):
+        return t * (t / (2.0 * (1.0 + 0.02 * math.sin(q) / q ** 0.25))) ** q
+
+    def array_fn(t, q):
+        return t * (t / (2.0 * (1.0 + 0.02 * np.sin(q) / q ** 0.25))) ** q
+    return YoungFamily("damped", fn, {}, q_min=1.0, array_fn=array_fn)
+
+
+@pytest.mark.parametrize("mass,probes", [(math.inf, 7), (2.0, 4)])
+def test_agreeing_finite_parities_rescue_every_probe(mass, probes):
+    # Every probe's scan is undetermined; its parities agree on 2, and
+    # their finite limits decide the verdict.
+    report = classify(_damped_family(), MeasureSpace(mass))
+    assert report.verdict == "delta_admissible" and abs(report.delta - 2.0) <= 1e-6
+    assert len(report.inverse_evidence) == probes
+    for _, est in report.inverse_evidence:
+        scan = _geometric_schedule(est.evidence[0][0], _DOUBLINGS)
+        value_at = dict(est.evidence)
+        assert classify_sequence(scan, [value_at[q] for q in scan]).kind == "undetermined"
+        assert est.kind == "finite" and len(est.evidence) == 3 * (_DOUBLINGS + 1)
+
+
 @pytest.mark.parametrize("scale,mass,kind", [
     (lambda q: q ** 8, math.inf, "infinite"),  # members blow up below alpha
     (lambda q: 100.0, math.inf, "finite"),     # a limit above _ZERO_TOL below alpha
@@ -774,17 +809,18 @@ def test_family_without_array_form_gets_same_verdict():
 
 # ------------------------------------------------- staged grid reading
 
-def _single_grid_limits(grid, points, starts, lazy):
-    """Every point reads its scan and the two parities of its start from one
-    grid over all of their columns.  The eager rule aggregates every scan's
-    estimate with its parities; the lazy rule of :func:`admissibility._limits`
-    only the undetermined or oscillating ones.  A start past the phase limit
-    has no parities, and its point keeps its scan estimate under both."""
-    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
-    parities = [_parity_schedules(start) for start in starts]
-    qs = sorted(set().union(*scans, *(p for locked in parities for p in locked)))
+def _single_grid_limits(grid, points, start, lazy):
+    """Every point reads the scan and the two parities of the one start from
+    one grid over all of their columns.  The eager rule aggregates every
+    scan estimate with the parities; the lazy rule of
+    :func:`admissibility._limits` only the undetermined or oscillating ones.
+    A start past the phase limit has no parities, and each point keeps its
+    scan estimate under both."""
+    scan = _geometric_schedule(start, _DOUBLINGS)
+    locked = _parity_schedules(start)
+    qs = sorted(set(scan).union(*locked))
     out = []
-    for scan, locked, row in zip(scans, parities, grid(points, qs).tolist()):
+    for row in grid(points, qs).tolist():
         value_at = dict(zip(qs, row))
 
         def estimate(schedule):
@@ -796,14 +832,14 @@ def _single_grid_limits(grid, points, starts, lazy):
     return out
 
 
-def _reference_limits(grid, points, starts):
+def _reference_limits(grid, points, start):
     """The eager rule on one grid: the oracle of every answer but the evidence."""
-    return _single_grid_limits(grid, points, starts, lazy=False)
+    return _single_grid_limits(grid, points, start, lazy=False)
 
 
-def _lazy_reference_limits(grid, points, starts):
+def _lazy_reference_limits(grid, points, start):
     """The lazy rule on one grid: the staged reading must reproduce it exactly."""
-    return _single_grid_limits(grid, points, starts, lazy=True)
+    return _single_grid_limits(grid, points, start, lazy=True)
 
 
 def _without_evidence(report):
@@ -888,32 +924,38 @@ def _record_inverse_grids(monkeypatch):
 
 
 def test_settled_probes_solve_only_the_first_stage(monkeypatch):
-    # For t^q, log psi = q log t: a probe y starts at the power of two
-    # nearest (1 + |log y|) / log t for the t of _T_GRID nearest 1, and its
-    # scan alone settles it.
+    # For t^q, log psi = q log t: every probe starts at the power of two
+    # nearest (1 + max |log y|) / log t for the t of _T_GRID nearest 1, and
+    # that one scan settles them all.
     calls = _record_inverse_grids(monkeypatch)
     report = classify(power_family(), INF)
-    starts = [2.0 ** round(math.log2((1.0 + abs(math.log(y))) / math.log(_T_GRID[17])))
-              for y in _Y_GRID]
-    assert starts == [64.0, 32.0, 16.0, 8.0, 8.0, 8.0, 16.0]
-    scans = [_geometric_schedule(start, _DOUBLINGS) for start in starts]
-    assert calls == [(list(_Y_GRID), sorted(set().union(*scans)))]
-    for (_, est), scan in zip(report.inverse_evidence, scans):
-        assert [q for q, _ in est.evidence] == list(scan)
+    spread = max(abs(math.log(y)) for y in _Y_GRID)
+    start = 2.0 ** round(math.log2((1.0 + spread) / math.log(_T_GRID[17])))
+    assert start == 64.0
+    scan = list(_geometric_schedule(start, _DOUBLINGS))
+    assert calls == [(list(_Y_GRID), scan)] and len(scan) == 13
+    for _, est in report.inverse_evidence:
+        assert [q for q, _ in est.evidence] == scan
     for _, est in report.value_evidence:
         assert len(est.evidence) == _DOUBLINGS + 1
 
 
 @pytest.mark.parametrize("spec", ["power", "iterlog:N=2", "addie:N=3", "sinpiecewise"])
-def test_value_probes_share_one_start(spec):
-    # One scale rule: every value probe scans from where an inverse probe at
-    # y = 1 does, in classify and in limit_of_values alike.
+def test_value_probes_share_one_start(spec, monkeypatch):
+    # One start per side.  Every value probe scans from where an inverse
+    # probe at y = 1 does, in classify and in limit_of_values alike; every
+    # inverse probe from where the widest level, y = 0.0005, does alone.
     family = make_family(spec)
-    starts = {est.evidence[0][0] for _, est in classify(family, INF).value_evidence}
+    calls = _record_inverse_grids(monkeypatch)
+    report = classify(family, INF)
+    starts = {est.evidence[0][0] for _, est in report.value_evidence}
     assert len(starts) == 1
     start = starts.pop()
     assert {limit_of_values(family, t).evidence[0][0] for t in _T_GRID} == {start}
-    assert admissibility._scans(family, (1.0,))[0] == [start]
+    assert admissibility._scans(family, (1.0,))[0] == start
+    y_starts = {est.evidence[0][0] for _, est in report.inverse_evidence}
+    assert y_starts == {limit_of_inverses(family, 0.0005).evidence[0][0]}
+    assert len(calls[0][1]) == 13
 
 
 @pytest.mark.parametrize("t, kind", [(1.0001, "infinite"), (1 + 1e-10, "infinite"),
@@ -930,18 +972,17 @@ def test_open_probes_alone_read_the_parities(monkeypatch):
     calls = _record_inverse_grids(monkeypatch)
     family = sinpiecewise_family()
     report = classify(family, INF)
-    starts = admissibility._scans(family, _Y_GRID)[0]
-    scans = [set(_geometric_schedule(start, _DOUBLINGS)) for start in starts]
-    parities = [set().union(*_parity_schedules(start)) for start in starts]
-    # every scan leaves y < 1/2 oscillating, and only those probes read the
-    # parities of their own start, from one more grid over their union
-    assert [len(ys) for ys, _ in calls] == [7, 4]
-    assert calls[0] == (list(_Y_GRID), sorted(set().union(*scans)))
-    assert calls[1] == ([0.0005, 0.02, 0.2, 0.45], sorted(set().union(*parities[:4])))
-    for (y, est), start, scan, parity in zip(report.inverse_evidence, starts, scans, parities):
-        assert len(parity) == 2 * (_DOUBLINGS + 1) and min(parity) >= start
+    start = admissibility._scans(family, _Y_GRID)[0]
+    scan = list(_geometric_schedule(start, _DOUBLINGS))
+    odd, even = _parity_schedules(start)
+    parity = set(odd + even)
+    # the scan leaves y < 1/2 oscillating, and only those probes read the 26
+    # parity q of the one start, from one more grid
+    assert calls == [(list(_Y_GRID), scan), ([0.0005, 0.02, 0.2, 0.45], list(odd + even))]
+    assert len(parity) == 2 * (_DOUBLINGS + 1) and min(parity) >= start
+    for y, est in report.inverse_evidence:
         read = {q for q, _ in est.evidence}
-        assert read == (scan | parity if y <= 0.45 else scan), y
+        assert read == (set(scan) | parity if y <= 0.45 else set(scan)), y
 
 
 # ------------------------------------------------- parities at the probe's scale
@@ -988,7 +1029,7 @@ def test_a_probe_past_the_phase_limit_keeps_its_scan_estimate():
     # Every probe of the family slowed 2^34-fold starts past 2^34; its scan
     # leaves y = 0.45 oscillating, and no parity cross-examines it.
     family = _slowed_sinpiecewise(2 ** 34)
-    start = admissibility._scans(family, (0.45,))[0][0]
+    start = admissibility._scans(family, (0.45,))[0]
     assert start >= 2.0 ** 34 and _parity_schedules(start) == ()
     est = limit_of_inverses(family, 0.45)
     assert [q for q, _ in est.evidence] == list(_geometric_schedule(start, _DOUBLINGS))

@@ -300,6 +300,19 @@ def test_sweep_phase_locked_schedule(capsys, ind8):
     assert qs == [math.pi / 2.0 + k * math.pi for k in (33, 34, 35, 36)]
 
 
+def test_sweep_phase_locked_stops_at_the_phase_limit(capsys, tmp_path):
+    # Past k = 2^44 + 1 a double q no longer holds sin q at +-1: at k = 2^50 + 1
+    # the norm of {1 on mass 3} would print 1.1888, where the locked one is 1.2.
+    mass3 = _write_json(tmp_path, "mass3.json",
+                        {"total_mass": "inf", "atoms": [{"value": 1.0, "mass": 3.0}]})
+    base = ["sweep", "--family", "sinpiecewise", "--input", mass3, "--phase-locked"]
+    assert cli.main(base + ["--q-min", str(2 ** 50), "--q-max", str(2 ** 50)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "q-max <= 2^44 + 1" in err
+    _, lines = _sweep_lines(capsys, base + ["--q-min", str(2 ** 44), "--q-max", str(2 ** 44)])
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [math.pi / 2.0 + 2 ** 44 * math.pi]
+
+
 def test_sweep_rejects_bad_bounds(capsys, ind8):
     base = ["sweep", "--family", "power", "--input", ind8]
     assert cli.main(base + ["--q-min", "0", "--q-max", "4"]) == 2

@@ -115,3 +115,14 @@ def test_code_lines_counts_each_module(monkeypatch, capsys):
     assert all(0 < int(code) < int(lines) for _, lines, code in rows)
     assert total == ["total", str(sum(int(r[1]) for r in rows)),
                      str(sum(int(r[2]) for r in rows))]
+
+
+def test_verdict_sweep_prints_one_line_per_case(capsys):
+    sweep = _load("verdict_sweep")
+    assert sweep.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(sweep.families()) * len(sweep.MASSES) == 70 * 12
+    # label, params and mass name each case once, so a diff names the case
+    assert len({tuple(line.split()[:3]) for line in lines}) == len(lines)
+    assert all(len(line.split()) == 7 for line in lines)
+    assert "identity - inf undetermined None None None" in lines
