@@ -2,10 +2,10 @@
 """Digest of the library's outputs: one ``group count sha256`` line per group.
 
 Groups: the ``classify`` reports of the catalog, of one family without an
-array form and of ``sinpiecewise`` slowed 64-fold (whose probes scan from
-q = 2^17 on, and whose open ones read their parities from there), on an
-infinite and a finite space; both growth-check forms on the
-surveyed comparison pairs; Luxemburg norms over the catalog at q in
+array form and of ``sinpiecewise`` slowed 64-fold (``cases.user_power`` and
+``cases.slowed_sinpiecewise``, whose probes scan from q = 2^17 on, and
+whose open ones read their parities from there), on an infinite and a
+finite space; both growth-check forms on ``cases.GROWTH_PAIRS``; Luxemburg norms over the catalog at q in
 {1, 4, 64, 4096} of seeded 1-8-atom functions, of a seeded 40-atom one (the
 modular's array pass) and of inputs whose terms leave the double range (its
 overflow rule), split into ``norms`` (the norm, its modular and the bracket)
@@ -38,17 +38,13 @@ import random
 import sys
 import tempfile
 
+from cases import GROWTH_PAIRS, slowed_sinpiecewise, user_power, without_evidence
 import orlicz
 from orlicz.cli import main as cli_main
 
 SPECS = ("power", "logbump", "logbump:p=2", "iterlog", "iterlog:N=2", "iterlog:N=3",
          "addie", "addie:N=2", "addie:N=3", "sinpiecewise", "powerlog_e", "identity")
 MASSES = (math.inf, 2.0)
-# (family, comparison family, comparison q, k), as in run_growth_checks.py
-GROWTH_PAIRS = (("power", "power", 1.5, 5.0), ("power", "power", 2.0, 5.0),
-                ("power", "power", 3.0, 5.0), ("logbump", "power", 3.0, 5.0),
-                ("logbump", "logbump", 1.0, 10.0),
-                ("logbump:p=2", "logbump:p=2", 1.0, 10.0))
 NORM_QS = (1.0, 4.0, 64.0, 4096.0)
 NORM_FUNCTIONS = 4  # seeded 1-8-atom functions per (family, q)
 BULK_ATOMS = 40  # atoms of one more seeded function, above the array cut-off
@@ -69,24 +65,9 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _slowed_sinpiecewise(s):
-    """``(t^(q/s) + bump^(2 + sin q)) / 2``: ``sinpiecewise``'s band, at s
-    times its scale."""
-    def fn(t, q):
-        bump = max(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** (q / s) + bump ** (2.0 + math.sin(q) if t < 1.0 else 3.0))
-
-    def array_fn(t, q):
-        import numpy as np
-        bump = np.maximum(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** (q / s) + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
-    return orlicz.YoungFamily(f"sinpiecewise/{s}", fn, {}, q_min=float(s), array_fn=array_fn)
-
-
 def _classify_calls():
     families = [orlicz.make_family(spec) for spec in SPECS]
-    families.append(orlicz.YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0))
-    families.append(_slowed_sinpiecewise(64))
+    families += [user_power(), slowed_sinpiecewise(64)]
     return [lambda family=family, m=m: orlicz.classify(family, orlicz.MeasureSpace(m))
             for family in families for m in MASSES]
 
@@ -95,15 +76,8 @@ def classify_reports():
     return [_outcome(call) for call in _classify_calls()]
 
 
-def _without_evidence(report):
-    def strip(evidence):
-        return tuple((x, est._replace(evidence=())) for x, est in evidence)
-    return report._replace(inverse_evidence=strip(report.inverse_evidence),
-                           value_evidence=strip(report.value_evidence))
-
-
 def verdicts():
-    return [_outcome(lambda: _without_evidence(call())) for call in _classify_calls()]
+    return [_outcome(lambda: without_evidence(call())) for call in _classify_calls()]
 
 
 def answers():

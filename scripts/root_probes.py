@@ -10,7 +10,7 @@ the largest number of probes per solve and how many solves took 40 or more:
   phase-locked parities of each start) times every probe level of
   ``admissibility._Y_GRID``;
 * ``norm``: ``luxemburg_norm`` of the 16 seeded functions of
-  ``tests/test_root.py`` (1-8 atoms, log-normal and 10^+-300) at
+  ``cases.seeded_functions`` (1-8 atoms, log-normal and 10^+-300) at
   q = 2^0..2^12;
 * ``large-q``: ``luxemburg_norm`` of f = {2 on mass 1, 1 on mass 3} under
   the N = 3 members at q = 2^28, 2^30 and 2^32, where the norm is still on
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import random
 import sys
 
+from cases import seeded_functions
 import orlicz
 import orlicz.luxemburg as luxemburg
 import orlicz.young as young
@@ -42,18 +42,6 @@ LARGE_Q_SPECS = ("iterlog:N=3", "addie:N=3")
 LARGE_QS = (2.0 ** 28, 2.0 ** 30, 2.0 ** 32)
 LARGE_Q_ATOMS = ((2.0, 1.0), (1.0, 3.0))
 LONG = 40  # a solve at or above this many probes is counted apart
-
-
-def seeded_functions():
-    """The atoms of ``tests/test_root.py``'s ``FUNCTIONS``, in its order."""
-    rng = random.Random(8)
-    out = []
-    for n in range(1, 9):
-        out.append(tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
-                         for _ in range(n)))
-        out.append(tuple((10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
-                         for _ in range(n)))
-    return out
 
 
 def plan_qs(family) -> list[float]:
@@ -99,7 +87,7 @@ def inverse_probes(spec: str) -> list[int]:
 def norm_probes(spec: str) -> list[int]:
     family = orlicz.make_family(spec)
     space = orlicz.MeasureSpace(math.inf)
-    functions = [orlicz.SimpleFunction(atoms, space) for atoms in seeded_functions()]
+    functions = [orlicz.SimpleFunction(atoms, space) for _, atoms in seeded_functions()]
     with counted_roots() as counts:
         for q in NORM_QS:
             psi = family.make(q)

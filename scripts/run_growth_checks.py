@@ -2,8 +2,8 @@
 """Growth-ratio threshold survey plus transfer-function diagnostics.
 
 Prints the monotonicity threshold (or violation witness) for each comparison
-pair, then the transfer-factor residuals and fixed-point checks for the
-log-bump family.
+pair of ``cases.GROWTH_PAIRS``, then the transfer-factor residuals and
+fixed-point checks for the log-bump family.
 """
 
 from __future__ import annotations
@@ -13,29 +13,25 @@ import sys
 
 import numpy as np
 
-from orlicz import (
-    growth_check,
-    logbump_family,
-    logbump_transfer,
-    power_family,
-    tc_fixed_point_check,
-)
-
-PAIRS = [
-    ("power vs t^1.5", power_family(), power_family().make(1.5), 5.0),
-    ("power vs t^2", power_family(), power_family().make(2.0), 5.0),
-    ("power vs t^3", power_family(), power_family().make(3.0), 5.0),
-    ("logbump(p=1) vs t^3", logbump_family(1.0), power_family().make(3.0), 5.0),
-    ("logbump(p=1) vs own q0=1", logbump_family(1.0), logbump_family(1.0).make(1.0), 10.0),
-    ("logbump(p=2) vs own q0=1", logbump_family(2.0), logbump_family(2.0).make(1.0), 10.0),
-]
+from cases import GROWTH_PAIRS
+from orlicz import growth_check, logbump_transfer, make_family, tc_fixed_point_check
 
 TRANSFER_SETS = [(1.0, 1.0, 3.0), (2.0, 1.0, 8.0)]
 
 
+def pair_name(spec: str, phi_spec: str, phi_q: float) -> str:
+    """``logbump(p=1) vs t^3`` for a power comparison member,
+    ``logbump(p=2) vs own q0=1`` for any other."""
+    family = make_family(spec)
+    params = ",".join(f"{key}={value:g}" for key, value in family.params.items())
+    phi = f"t^{phi_q:g}" if phi_spec == "power" else f"own q0={phi_q:g}"
+    return f"{family.label}{f'({params})' if params else ''} vs {phi}"
+
+
 def main() -> int:
-    for name, family, phi, k in PAIRS:
-        report = growth_check(family, phi, k)
+    for spec, phi_spec, phi_q, k in GROWTH_PAIRS:
+        name = pair_name(spec, phi_spec, phi_q)
+        report = growth_check(make_family(spec), make_family(phi_spec).make(phi_q), k)
         if report.q_threshold is not None:
             print(f"{name}: non-decreasing from q={report.q_threshold:g}")
         else:

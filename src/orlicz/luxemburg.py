@@ -148,8 +148,10 @@ def _nan_modular(psi: YoungFunction, lam: float) -> ArithmeticError:
 
 def indicator_norm(psi: YoungFunction, mass: float) -> float:
     """Closed-form norm of an indicator: ``1 / psi^{-1}(1 / mass)``.  A mass
-    so small that ``1 / mass`` overflows raises :class:`OverflowError`."""
-    return 1.0 / psi.inverse(_reciprocal("mass", _positive("mass", mass)))
+    so small that ``1 / mass`` overflows, or so large that the norm does
+    (``t`` at a mass near the largest double), raises :class:`OverflowError`."""
+    m = _positive("mass", mass)
+    return _finite("the norm", 1.0 / psi.inverse(_reciprocal("mass", m)), "mass", m)
 
 
 def luxemburg_norm(psi: YoungFunction, f: SimpleFunction) -> NormResult:
@@ -188,8 +190,9 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
     """Distribution-based lower bound ``alpha / psi^{-1}(1 / mu(|f| >= alpha))``.
 
     Always dominated by the Luxemburg norm; 0 when the superlevel set is
-    empty.  A superlevel mass beyond the double range, or so small that
-    its reciprocal is, raises :class:`OverflowError`.
+    empty.  A superlevel mass beyond the double range or so small that its
+    reciprocal is, and a bound beyond the double range (``t`` at a mass near
+    the largest double), raise :class:`OverflowError`.
     """
     a = _positive("alpha", alpha)
     d = distribution(f, a)
@@ -197,7 +200,8 @@ def chebyshev_bound(psi: YoungFunction, f: SimpleFunction, alpha: float) -> floa
         return 0.0
     if math.isinf(d):
         raise OverflowError(f"the mass of {{|f| >= {a!r}}} is beyond the double range")
-    return a / psi.inverse(_reciprocal(f"mu(|f| >= {a!r})", d))
+    what = f"mu(|f| >= {a!r})"
+    return _finite("the bound", a / psi.inverse(_reciprocal(what, d)), what, d)
 
 
 def _reciprocal(what: str, m: float) -> float:
@@ -207,3 +211,11 @@ def _reciprocal(what: str, m: float) -> float:
     if y == math.inf:
         raise OverflowError(f"1/{what} is beyond the double range for {what}={m!r}")
     return y
+
+
+def _finite(name: str, x: float, what: str, m: float) -> float:
+    """``x``, the norm or bound ``name`` for the mass ``what = m``;
+    :class:`OverflowError` when it is beyond the double range."""
+    if x == math.inf:
+        raise OverflowError(f"{name} is beyond the double range for {what}={m!r}")
+    return x

@@ -1,15 +1,12 @@
-"""Shared fixtures: the family catalog, a few canonical inputs, and a record
-of the norm solver's probes."""
-
-import math
+"""Shared fixtures: the family catalog and a record of the norm solver's
+probes.  The shared verification cases are in ``scripts/cases.py``."""
 
 import pytest
 
 import orlicz.luxemburg as luxemburg
-from orlicz import MeasureSpace, SimpleFunction, YoungFamily, make_family
+from orlicz import make_family
 
-# Every built-in family in spec form, with the verdict its construction implies
-# on an infinite-measure space.
+# Built-in families in spec form; identity, the one not superlinear, is left out.
 CATALOG_SPECS = (
     "power",
     "logbump",
@@ -21,25 +18,6 @@ CATALOG_SPECS = (
     "sinpiecewise",
     "powerlog_e",
 )
-
-STRICT_SPECS = CATALOG_SPECS  # identity is the lone non-strict entry
-
-
-def vanishing_family():
-    """``t^2 / (4 q^2)``: every member vanishes pointwise as q grows, so every
-    inverse limit is infinite.  No catalog family does this."""
-    return YoungFamily("vanish", lambda t, q: t * t / (4.0 * q * q), {}, q_min=1.0)
-
-
-@pytest.fixture(scope="session")
-def infinite_space():
-    return MeasureSpace(math.inf)
-
-
-@pytest.fixture
-def two_atom(infinite_space):
-    """The two-step function used throughout the convergence experiments."""
-    return SimpleFunction(((3.0, 1.0), (1.0, 1.0)), infinite_space)
 
 
 @pytest.fixture(params=CATALOG_SPECS)

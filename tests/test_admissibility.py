@@ -32,7 +32,9 @@ from orlicz import admissibility
 from orlicz.admissibility import (_DOUBLINGS, _T_GRID, _Y_GRID, _geometric_schedule,
                                   _parity_schedules)
 from orlicz.cli import _phase_locked_schedule
-from conftest import CATALOG_SPECS, vanishing_family
+from cases import (GROWTH_PAIRS, SCALED_BANDS, SCALED_DELTAS, damped, scaled,
+                   slowed_sinpiecewise, user_power, user_sin, vanishing, without_evidence)
+from conftest import CATALOG_SPECS
 
 INF = MeasureSpace(math.inf)
 GEO = _geometric_schedule(1.0, _DOUBLINGS)
@@ -346,7 +348,7 @@ def test_classify_mass_beyond_reciprocal_range_overflows():
 
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
 def test_classify_vanishing_family(mass):
-    rep = classify(vanishing_family(), MeasureSpace(mass))
+    rep = classify(vanishing(), MeasureSpace(mass))
     assert rep.verdict == "inadmissible_vanishing"
     assert {est.kind for _, est in rep.inverse_evidence} == {"infinite"}
 
@@ -392,22 +394,11 @@ def test_agreeing_zero_parities_rescue_an_undetermined_scan():
         admissibility.LimitEstimate("zero", None, 0.0, 0.0, evidence)
 
 
-def _damped_family():
-    """``t (t / c(q))^q`` with ``c(q) = 2 (1 + 0.02 sin q / q^(1/4))``: delta
-    = 2, but the oscillation dies out too slowly for a geometric scan."""
-    def fn(t, q):
-        return t * (t / (2.0 * (1.0 + 0.02 * math.sin(q) / q ** 0.25))) ** q
-
-    def array_fn(t, q):
-        return t * (t / (2.0 * (1.0 + 0.02 * np.sin(q) / q ** 0.25))) ** q
-    return YoungFamily("damped", fn, {}, q_min=1.0, array_fn=array_fn)
-
-
 @pytest.mark.parametrize("mass,probes", [(math.inf, 7), (2.0, 4)])
 def test_agreeing_finite_parities_rescue_every_probe(mass, probes):
     # Every probe's scan is undetermined; its parities agree on 2, and
     # their finite limits decide the verdict.
-    report = classify(_damped_family(), MeasureSpace(mass))
+    report = classify(damped(), MeasureSpace(mass))
     assert report.verdict == "delta_admissible" and abs(report.delta - 2.0) <= 1e-6
     assert len(report.inverse_evidence) == probes
     for _, est in report.inverse_evidence:
@@ -684,14 +675,6 @@ def test_growth_power_threshold_tracks_r(r):
 
 # ------------------------------------------------ grid path against scalar
 
-# (family, comparison family, comparison q, k): the pairs surveyed by
-# scripts/run_growth_checks.py.
-GROWTH_PAIRS = (("power", "power", 1.5, 5.0), ("power", "power", 2.0, 5.0),
-                ("power", "power", 3.0, 5.0), ("logbump", "power", 3.0, 5.0),
-                ("logbump", "logbump", 1.0, 10.0),
-                ("logbump:p=2", "logbump:p=2", 1.0, 10.0))
-
-
 def _scalar_path(family: YoungFamily) -> YoungFamily:
     """The family without its array form: every grid evaluates the scalar
     formula ``fn`` cell by cell, and an inverse grid bisects over it in the
@@ -799,7 +782,7 @@ def test_grid_paths_make_no_scalar_inverse(monkeypatch):
 
 
 def test_family_without_array_form_gets_same_verdict():
-    user = YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0)
+    user = user_power()
     for space in (INF, MeasureSpace(2.0)):
         got, want = classify(user, space), classify(power_family(), space)
         assert (got.verdict, got.delta) == (want.verdict, want.delta) == \
@@ -842,22 +825,12 @@ def _lazy_reference_limits(grid, points, start):
     return _single_grid_limits(grid, points, start, lazy=True)
 
 
-def _without_evidence(report):
-    def strip(evidence):
-        return tuple((x, est._replace(evidence=())) for x, est in evidence)
-    return report._replace(inverse_evidence=strip(report.inverse_evidence),
-                           value_evidence=strip(report.value_evidence))
-
-
 TWO_STAGE_FAMILIES = [*CATALOG_SPECS, "iterlog:N=3", "addie:N=3", "identity", "user-power"]
 
 
 def _two_stage_family(spec):
-    if spec == "user-power":
-        return YoungFamily("user-power", lambda t, q: t ** q, {}, q_min=1.0)
-    if spec == "user-sin":  # t^(2 + sin q): the phase lock freezes it at t and t^3
-        return YoungFamily("user-sin", lambda t, q: t ** (2.0 + math.sin(q)), {}, q_min=1.0)
-    return make_family(spec)
+    shared = {"user-power": user_power, "user-sin": user_sin}
+    return shared[spec]() if spec in shared else make_family(spec)
 
 
 @pytest.mark.parametrize("mass", [math.inf, 2.0, 0.5, 1e6])
@@ -869,7 +842,7 @@ def test_classify_answers_equal_eager_rule(spec, mass, monkeypatch):
     family, space = _two_stage_family(spec), MeasureSpace(mass)
     got = classify(family, space)
     monkeypatch.setattr(admissibility, "_limits", _reference_limits)
-    assert _without_evidence(got) == _without_evidence(classify(family, space))
+    assert without_evidence(got) == without_evidence(classify(family, space))
 
 
 @pytest.mark.parametrize("mass", [math.inf, 2.0])
@@ -1001,25 +974,11 @@ def test_parities_keep_the_phase_to_the_phase_limit():
     assert _parity_schedules(2.0 ** 34) == ()
 
 
-def _slowed_sinpiecewise(s):
-    """``sinpiecewise`` slowed s-fold: ``(t^(q/s) + bump^(2 + sin q)) / 2``,
-    convex from ``q = s`` on.  Its band is ``sinpiecewise``'s for every s,
-    but each probe's scale is s times as large."""
-    def fn(t, q):
-        bump = max(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** (q / s) + bump ** (2.0 + math.sin(q) if t < 1.0 else 3.0))
-
-    def array_fn(t, q):
-        bump = np.maximum(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** (q / s) + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
-    return YoungFamily(f"sinpiecewise/{s}", fn, {}, q_min=float(s), array_fn=array_fn)
-
-
 @pytest.mark.parametrize("s", [1, 64, 1024])
 def test_open_probes_read_the_parities_at_their_own_scale(s):
     # Each probe scans from about s * 2^11 on; parities read below that, or
     # none at all, leave its open probes undetermined.
-    report = classify(_slowed_sinpiecewise(s), INF)
+    report = classify(slowed_sinpiecewise(s), INF)
     assert report.verdict == "alpha_beta_admissible"
     assert report.alpha == pytest.approx(0.5005, abs=1e-3)
     assert report.beta == pytest.approx(1.0000004, abs=1e-3)
@@ -1028,7 +987,7 @@ def test_open_probes_read_the_parities_at_their_own_scale(s):
 def test_a_probe_past_the_phase_limit_keeps_its_scan_estimate():
     # Every probe of the family slowed 2^34-fold starts past 2^34; its scan
     # leaves y = 0.45 oscillating, and no parity cross-examines it.
-    family = _slowed_sinpiecewise(2 ** 34)
+    family = slowed_sinpiecewise(2 ** 34)
     start = admissibility._scans(family, (0.45,))[0]
     assert start >= 2.0 ** 34 and _parity_schedules(start) == ()
     est = limit_of_inverses(family, 0.45)
@@ -1039,35 +998,23 @@ def test_a_probe_past_the_phase_limit_keeps_its_scan_estimate():
 
 # ------------------------------------------------- oracle beyond delta = 1
 
-def _scaled(p, c, eps=0.0):
-    """``t^p (t / c(q))^q`` with ``c(q) = c (1 + eps sin q)``.  Its inverse at
-    y is ``c(q) (y c(q)^-p)^(1/(p+q))``, which tends to ``c`` for ``eps = 0``
-    (delta = c) and sweeps ``[c (1 - eps), c (1 + eps)]`` otherwise."""
-    def fn(t, q):
-        return t ** p * (t / (c * (1.0 + eps * math.sin(q)))) ** q
-
-    def array_fn(t, q):
-        return t ** p * (t / (c * (1.0 + eps * np.sin(q)))) ** q
-    return YoungFamily("scaled", fn, {"p": p}, q_min=1.0, array_fn=array_fn)
+KNOWN_LIMIT_MASSES = [math.inf, 2.0, 0.01]
 
 
-ORACLE_MASSES = [math.inf, 2.0, 0.01]
-
-
-@pytest.mark.parametrize("mass", ORACLE_MASSES)
+@pytest.mark.parametrize("mass", KNOWN_LIMIT_MASSES)
 @pytest.mark.parametrize("p", [1.0, 3.0])
-@pytest.mark.parametrize("c", [0.06, 0.3, 1.5, 3.0, 19.0, 100.0, 1000.0])
+@pytest.mark.parametrize("c", SCALED_DELTAS)
 def test_classify_finds_a_known_delta(c, p, mass):
-    report = classify(_scaled(p, c), MeasureSpace(mass))
+    report = classify(scaled(p, c), MeasureSpace(mass))
     assert report.verdict == "delta_admissible"
     assert abs(report.delta - c) <= 1e-5 * c, report.delta
 
 
-@pytest.mark.parametrize("mass", ORACLE_MASSES)
+@pytest.mark.parametrize("mass", KNOWN_LIMIT_MASSES)
 @pytest.mark.parametrize("p", [1.0, 3.0])
-@pytest.mark.parametrize("c0,eps", [(1.0, 0.3), (2.0, 0.2), (0.5, 0.5), (5.0, 0.1)])
+@pytest.mark.parametrize("c0,eps", SCALED_BANDS)
 def test_classify_finds_a_known_band(c0, eps, p, mass):
-    report = classify(_scaled(p, c0, eps), MeasureSpace(mass))
+    report = classify(scaled(p, c0, eps), MeasureSpace(mass))
     assert report.verdict == "alpha_beta_admissible"
     lo, hi = c0 * (1.0 - eps), c0 * (1.0 + eps)
     assert abs(report.alpha - lo) <= 1e-5 * lo, report.alpha
@@ -1078,6 +1025,6 @@ def test_norms_approach_the_known_limit_from_above():
     # For t (t/3)^q the norm of f tends to ||f||_inf / 3.  The top atom
     # gives psi_q(3) * 1 = 3 > 1 at lam = 2/3, so every norm lies above it.
     f = SimpleFunction(((2.0, 1.0), (1.0, 3.0)), INF)
-    norms = [luxemburg_norm(_scaled(1.0, 3.0).make(q), f).norm for q in (64.0, 1024.0, 2.0 ** 16)]
+    norms = [luxemburg_norm(scaled(1.0, 3.0).make(q), f).norm for q in (64.0, 1024.0, 2.0 ** 16)]
     assert all(a > b > 2.0 / 3.0 for a, b in zip(norms, norms[1:])), norms
     assert norms[-1] - 2.0 / 3.0 <= 2e-5, norms

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import orlicz
 from orlicz import cli
 from orlicz.young import BracketError
-from conftest import vanishing_family
+from cases import vanishing
 
 
 def _write_json(tmp_path, name, obj):
@@ -42,6 +42,32 @@ def unit_ind(tmp_path):
     return _write_json(tmp_path, "unit.json",
                        {"total_mass": "inf",
                         "atoms": [{"value": 1.0, "mass": 1.0}]})
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_readme_examples_print_what_the_code_prints(tmp_path, monkeypatch, capsys, ind8):
+    # Each "$ orlicz" line of the README's command-line block, run on the two
+    # inputs it names, prints each line shown below it, up to a "...".
+    _write_json(tmp_path, "f.json", {"total_mass": "inf", "atoms": [
+        {"value": 2.0, "mass": 1.0}, {"value": 1.0, "mass": 3.0}]})
+    monkeypatch.chdir(tmp_path)
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read().split("\n## Command line\n")[1]
+    examples = [chunk.splitlines() for chunk in
+                text.split("```sh\n")[1].split("```")[0].strip().split("\n\n")]
+    assert [lines[0].split()[:3] for lines in examples] == [
+        ["$", "orlicz", name] for name in ("norm", "sweep", "classify", "classify", "growth")]
+    for command, *shown in examples:
+        assert cli.main(command.split()[2:]) == 0, command
+        printed = capsys.readouterr().out.splitlines()
+        if shown[-1] == "...":
+            shown = shown[:-1]
+            printed = printed[:len(shown)]
+        assert printed == shown, command
 
 
 # ---------------------------------------------------------------- norm
@@ -388,10 +414,10 @@ def test_classify_oscillating_band(capsys):
 
 
 def test_classify_vanishing_verdict_line(capsys, monkeypatch):
-    # No catalog family vanishes: classify a test-local one in its place.
+    # No catalog family vanishes: classify a test family in its place.
     real = orlicz.classify
     monkeypatch.setattr(orlicz, "classify",
-                        lambda family, space: real(vanishing_family(), space))
+                        lambda family, space: real(vanishing(), space))
     assert cli.main(["classify", "--family", "power"]) == 0
     assert capsys.readouterr().out == "inadmissible: vanishing\n"
 

@@ -19,7 +19,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from orlicz import (
@@ -143,6 +143,13 @@ def test_inverse_against_mpmath(member, y):
 
 
 @given(MEMBERS, WIDE)
+# Masses near the largest double: 1 / 4e307 is a normal level, those of the
+# larger masses are subnormal but within 2^-1075 / 5.6e-309 = 4.4e-16 of
+# 1 / mass, and every norm resolves.  Only a norm that overflows raises.
+@example(("power", 1.0), 4e307)
+@example(("power", 1.0), 1.7e308)
+@example(("logbump", 4.0), 1.7e308)
+@example(("sinpiecewise", 33.0), 1e308)
 @settings(max_examples=200, deadline=None)
 def test_indicator_norm_against_mpmath(member, mass):
     spec, q = member

@@ -16,6 +16,7 @@ from orlicz import (
     SimpleFunction,
     YoungFamily,
     chebyshev_bound,
+    identity_family,
     indicator_norm,
     luxemburg_norm,
     make_family,
@@ -319,6 +320,18 @@ def test_reciprocal_mass_beyond_double_range():
         indicator_norm(psi, 1e-310)
     with pytest.raises(OverflowError, match="beyond the double range"):
         chebyshev_bound(psi, SimpleFunction(((1.0, 1e-310),), INF), 1.0)
+
+
+def test_norm_of_a_mass_near_the_largest_double_overflows():
+    # 1/mass is subnormal, and so is its inverse under t: both calls
+    # returned inf, which for the bound is above the norm, 1.7976931348623153e308.
+    big = sys.float_info.max
+    with pytest.raises(OverflowError, match=r"^the norm is beyond the double range "
+                                            r"for mass=1\.7976931348623157e\+308$"):
+        indicator_norm(identity_family().make(1.0), big)
+    with pytest.raises(OverflowError, match=r"^the bound is beyond the double range "
+                                            r"for mu\(\|f\| >= 1\.0\)=1\.79"):
+        chebyshev_bound(power_family().make(1.0), SimpleFunction(((1.0, big),), INF), 1.0)
 
 
 def _oracle_modular(psi, f, lam):

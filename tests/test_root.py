@@ -23,6 +23,7 @@ from orlicz import (BracketError, MeasureSpace, SimpleFunction, YoungFamily, ess
 from orlicz import admissibility, young
 from orlicz.young import _root, _secant
 
+from cases import seeded_functions
 from conftest import CATALOG_SPECS
 
 INF = MeasureSpace(math.inf)
@@ -55,19 +56,7 @@ def bisect(below):
     return double(i), double(j)
 
 
-def _seeded_functions():
-    """1-8 atoms each, log-normal and 10^+-300, for values and masses."""
-    rng = random.Random(8)
-    out = []
-    for n in range(1, 9):
-        out.append(("lognormal", tuple((rng.lognormvariate(0.0, 1.0), rng.lognormvariate(0.0, 1.0))
-                                       for _ in range(n))))
-        out.append(("wide", tuple((10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
-                                  for _ in range(n))))
-    return out
-
-
-FUNCTIONS = _seeded_functions()
+FUNCTIONS = seeded_functions()
 YS = (5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, 1.7976931348623157e308,
       *(10.0 ** random.Random(9).uniform(-300, 300) for _ in range(8)))
 

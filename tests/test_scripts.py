@@ -82,9 +82,7 @@ def test_import_cost_lists_the_modules_each_import_loads(monkeypatch, capsys):
 
 def test_root_probes_counts_every_solve(capsys):
     from orlicz import make_family, young
-    from test_root import FUNCTIONS
     probes = _load("root_probes")
-    assert probes.seeded_functions() == [atoms for _, atoms in FUNCTIONS]
     assert probes.main() == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["solve", "family", "solves", "mean", "max", ">=40"]
@@ -121,8 +119,9 @@ def test_verdict_sweep_prints_one_line_per_case(capsys):
     sweep = _load("verdict_sweep")
     assert sweep.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(sweep.families()) * len(sweep.MASSES) == 70 * 12
+    assert len(lines) == len(sweep.families()) * len(sweep.MASSES) == 72 * 12
     # label, params and mass name each case once, so a diff names the case
     assert len({tuple(line.split()[:3]) for line in lines}) == len(lines)
     assert all(len(line.split()) == 7 for line in lines)
     assert "identity - inf undetermined None None None" in lines
+    assert "vanish - 2.0 inadmissible_vanishing None None None" in lines
