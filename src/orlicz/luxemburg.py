@@ -52,11 +52,13 @@ __all__ = [
     "modular",
 ]
 
-# Measured crossover of numpy's per-call cost against the scalar loop, on one
-# x86-64 CPU with Python 3.11 and numpy 2.4: about 11 atoms (addie:N=2), 14
-# (addie), 17-19 (iterlog), 31-33 (logbump, powerlog_e), 44 (power), 52
-# (identity) and 92 (sinpiecewise).  No one value suits every family; 32 is
-# near the middle of the catalog.
+# Measured crossover of numpy's per-call cost against the scalar loop, the
+# least atom count from which the array pass of one modular at the norm of
+# log-normal atoms is no slower, on one x86-64 CPU with Python 3.11 and numpy
+# 2.4 (two rounds): about 18-24 atoms (addie:N=2, addie:N=3), 24-28 (addie),
+# 32-44 (iterlog, logbump), 40-48 (power, powerlog_e), 56-64 (identity) and
+# 88-96 (sinpiecewise).  No one value suits every family; 32 is near the
+# middle of the catalog.
 _ARRAY_MIN_ATOMS = 32
 
 

@@ -17,8 +17,10 @@ Conventions
   qs)`` with the same rules, checked once per grid.  A family has its
   scalar formula ``fn(t, q)`` and, optionally, the same formula over arrays,
   ``array_fn(t, q)``, broadcasting over both, which runs the same
-  operations.  The four log families (``logbump``, ``iterlog``, ``addie``,
-  ``powerlog_e``) share one builder, :func:`_chain_family`: their log factor
+  operations except those whose result is exact and known: a power of a
+  zero bump, ``x ** 1.0`` and ``1.0 * e``.  The four log families
+  (``logbump``, ``iterlog``, ``addie``, ``powerlog_e``) share one builder,
+  :func:`_chain_family`: their log factor
   is an anchored ``log1p`` chain, never ``log(c + t)``, so a member's
   relative error is a few ulp times ``1 + |q log L|`` at any ``q``, N = 3
   included.  Two unchecked kernels of the family hold the zero rule, the
@@ -571,13 +573,16 @@ def _chain_family(label: str, params: dict, n: int, shift: float, p: float,
     only the rounding of ``log L``, so the member's relative error is a few
     ulp times ``1 + |q log L|``.  At ``t = shift`` every ``e_j`` is 0 and the
     log factor is exactly 1.  ``lower(t, log=math.log)``, when given, multiplies the
-    member by ``lower(t)^p`` and raises ``L`` to ``p + q``.
+    member by ``lower(t)^p`` and raises ``L`` to ``p + q``; it is the product
+    of the ``n - 1`` lower iterated logs, 1.0 at ``n = 1``.
 
     The scalar form is written out for each ``n``: a loop over the steps
     cost ~40 ns a call on the norm path, where a small norm calls it once per
     atom and probe.  The array form runs the same operations, the steps in a
-    loop, whose cost numpy's per-call cost dwarfs; numpy is imported on its
-    first call, so building a family does not load it.
+    loop, whose cost numpy's per-call cost dwarfs, but for the passes whose
+    result is exact: no ``x ** 1.0`` at ``p = 1`` and no ``1.0 * e`` for a
+    ``lower`` that is the empty product, at ``n = 1``.  numpy is imported on
+    its first call, so building a family does not load it.
     """
     r0, r1, r2 = (_RECIPROCAL_ANCHORS[n - 1::-1] + (0.0, 0.0))[:3]
     log1p, exp = math.log1p, math.exp
@@ -594,7 +599,11 @@ def _chain_family(label: str, params: dict, n: int, shift: float, p: float,
         e = (q if lower is None else p + q) * np.log1p(e, out=e)
         np.exp(e, out=e)
         e *= t if p == 1.0 else t ** p  # t ** 1.0 == t, one array pass fewer
-        return e if lower is None else lower(t, np.log) ** p * e
+        if lower is None or n == 1:  # lower is the empty product 1.0, and 1.0 * e == e
+            return e
+        low = lower(t, np.log)
+        e *= low if p == 1.0 else low ** p
+        return e
     fn = chain if lower is None else lambda t, q: lower(t) ** p * chain(t, p + q)
     return YoungFamily(label, fn, params, q_min=0.0, array_fn=array_fn)
 
@@ -671,6 +680,8 @@ def sinpiecewise_family() -> YoungFamily:
     ``(t^q + (2t - 1)^(2 + sin q)) / 2`` on ``(1/2, 1)``;
     ``(t^q + (2t - 1)^3) / 2`` for ``t >= 1``.  Convex for every ``q >= 1``
     since each branch is convex and one-sided derivatives only jump upward.
+    The array form raises the bump ``max(2t - 1, 0)`` to its power only where
+    it is positive and writes +0.0, the power of a zero bump, elsewhere.
     """
     def fn(t, q):
         if t <= 0.5:
@@ -681,9 +692,17 @@ def sinpiecewise_family() -> YoungFamily:
 
     def array_fn(t, q):
         import numpy as np
-        # The bump is 0 on [0, 1/2], where 0.5 * (t^q + 0) == 0.5 * t^q.
-        bump = np.maximum(2.0 * t - 1.0, 0.0)
-        return 0.5 * (t ** q + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
+        # The bump max(2t - 1, 0) is 0 on [0, 1/2], where 0.5 * (t^q + 0) ==
+        # 0.5 * t^q.  Its power runs only where 2t - 1 is positive and is
+        # +0.0 elsewhere, as 0.0 ** y is for y >= 1: libm's pow of a zero
+        # base costs several times a nonzero one.
+        bump = 2.0 * t
+        bump -= 1.0
+        ex = np.where(t < 1.0, 2.0 + np.sin(q), 3.0)
+        out = t ** q
+        out += np.power(bump, ex, out=np.zeros(ex.shape), where=bump > 0.0)
+        out *= 0.5
+        return out
     return YoungFamily("sinpiecewise", fn, {}, q_min=1.0, array_fn=array_fn)
 
 

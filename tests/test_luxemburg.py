@@ -392,13 +392,17 @@ def _doubles(top_exponent, top):
                      .map(lambda me: max(math.ldexp(*me), 5e-324)))
 
 
+# addie at N = 1 skips the 1.0 * e pass of its array form, addie:N=3,p=2
+# keeps its lower ** p pass, and sinpiecewise at q = 4 has a middle exponent
+# 2 + sin 4 far from 3.
 _MEMBERS = [("power", 2.0), ("power", 4096.0), ("logbump:p=2", 64.0), ("iterlog:N=2", 16.0),
-            ("addie:N=2", 4096.0), ("sinpiecewise", 33.0), ("powerlog_e", 4.0),
+            ("addie", 8.0), ("addie:N=2", 4096.0), ("addie:N=3,p=2", 16.0),
+            ("sinpiecewise", 4.0), ("sinpiecewise", 33.0), ("powerlog_e", 4.0),
             ("identity", 1.0)]
 
 
 @given(st.sampled_from(_MEMBERS), st.sampled_from([1, 31, 32, 40]), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_modular_agrees_with_two_loop_oracle(member, n, data):
     """The one loop and the array pass give the oracle's value, or its
     exception and message, across the double range on both sides of the

@@ -125,3 +125,15 @@ def test_verdict_sweep_prints_one_line_per_case(capsys):
     assert all(len(line.split()) == 7 for line in lines)
     assert "identity - inf undetermined None None None" in lines
     assert "vanish - 2.0 inadmissible_vanishing None None None" in lines
+
+
+def test_kernel_costs_times_every_catalog_spec(monkeypatch, capsys):
+    from conftest import CATALOG_SPECS
+    monkeypatch.setattr("sys.argv", ["kernel_costs.py", "--repeat", "1"])
+    assert _load("kernel_costs").main() == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header[:5] == ["spec", "q", "bulk", "walk", "grid"]
+    specs = [row[0] for row in rows]
+    assert len(specs) == len(set(specs)) == 12
+    assert set(CATALOG_SPECS) | {"identity", "iterlog:N=3", "addie:N=3"} == set(specs)
+    assert all(len(row) == 5 for row in rows)

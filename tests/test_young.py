@@ -437,6 +437,56 @@ def test_evaluate_grid_matches_scalar(spec):
         family.evaluate_grid([1.0, -1.0], qs)
 
 
+# The array formulas before they skipped exact work: every power of the
+# sinpiecewise bump, zero or not, and the chain's x ** 1.0 and 1.0 * e.
+def _full_sinpiecewise(t, q):
+    bump = np.maximum(2.0 * t - 1.0, 0.0)
+    return 0.5 * (t ** q + bump ** np.where(t < 1.0, 2.0 + np.sin(q), 3.0))
+
+
+def _full_chain(n, p, addie):
+    r0, r1, r2 = (young._RECIPROCAL_ANCHORS[n - 1::-1] + (0.0, 0.0))[:3]
+
+    def lower(t):
+        return (1.0 if n == 1 else np.log(E_MINUS_1 + t) if n == 2
+                else np.log(E_MINUS_1 + t) * np.log(np.log(E_E_MINUS_1 + t)))
+
+    def array_fn(t, q):
+        e = t - 1.0
+        for r in (r0, r1, r2)[:n]:
+            np.log1p(np.multiply(e, r, out=e), out=e)
+        e = (p + q if addie else q) * np.log1p(e, out=e)
+        np.exp(e, out=e)
+        e *= t if p == 1.0 else t ** p
+        return lower(t) ** p * e if addie else e
+    return array_fn
+
+
+_FULL_FORMULAS = {"sinpiecewise": _full_sinpiecewise, "iterlog:p=2": _full_chain(1, 2.0, False),
+                  **{f"addie:N={n},p={p}": _full_chain(n, float(p), True)
+                     for n in (1, 2, 3) for p in (1, 2)}}
+
+
+@pytest.mark.parametrize("spec", sorted(_FULL_FORMULAS))
+def test_array_forms_keep_every_bit_of_the_full_formulas(spec):
+    """Skipping a power of a zero bump, ``x ** 1.0`` and ``1.0 * e`` changes
+    no bit, sign of zero included, on each call shape of the package: one q
+    over a 1-D ``t`` (the modular), flat ``t`` and ``q`` (the inverse walk)
+    and a ``(n, 1) x (1, m)`` grid (``evaluate_grid``)."""
+    new, full = make_family(spec).array_fn, _FULL_FORMULAS[spec]
+    ts = np.array(sorted(PARITY_GRID + (math.nextafter(0.5, 0.0),)))
+    qs = (1.0, 4.0, 33.0, 4096.0, math.pi / 2.0 + 2 ** 11 * math.pi,
+          math.pi / 2.0 + (2 ** 11 + 1) * math.pi)
+    shapes = [(ts, q) for q in qs] + [
+        (np.repeat(ts, len(qs)), np.tile(qs, ts.size)), (ts.reshape(-1, 1), np.array([qs]))]
+    with np.errstate(all="ignore"):
+        for t, q in shapes:
+            got, want = new(t.copy(), q), full(t.copy(), q)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (spec, q)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (spec, q)
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6),
        st.floats(min_value=1.0, max_value=50.0))
 @settings(max_examples=200, deadline=None)
